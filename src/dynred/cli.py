@@ -52,6 +52,19 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dynred", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,9 +74,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--decision", required=True, help="name of the decision column")
         p.add_argument("--exact", action="store_true",
                        help="cross-check every enumeration against the brute-force oracle")
-        p.add_argument("--max-attrs", type=int, default=DEFAULT_MAX_ATTRS,
+        p.add_argument("--max-attrs", type=_int_at_least(0), default=DEFAULT_MAX_ATTRS,
                        help="condition-attribute enumeration limit")
-        p.add_argument("--max-reducts", type=int, default=DEFAULT_MAX_REDUCTS,
+        p.add_argument("--max-reducts", type=_int_at_least(1), default=DEFAULT_MAX_REDUCTS,
                        help="cap on the enumerated reduct count")
 
     def add_sampling(p):
@@ -212,7 +225,10 @@ def _family_sections(system: DecisionSystem, analysis: FamilyAnalysis,
 
 
 def _execute(args) -> tuple[dict, int]:
-    text = Path(args.input).read_text(encoding="utf-8")
+    try:
+        text = Path(args.input).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     system = parse_decision_table(text, args.decision, name=Path(args.input).stem)
     report = _base_report(system, args)
 

@@ -17,7 +17,8 @@ decided by integer cross-multiplication, so boundary ties are deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -69,13 +70,26 @@ class MemberAnalysis:
 
 @dataclass(frozen=True)
 class FamilyAnalysis:
-    """Cached reducts and cores of a system and of every family member."""
+    """Cached reducts and cores of a system and of every family member.
+
+    ``reduct_support`` counts, per attribute set, the members having it as
+    a reduct; ``core_support`` counts, per attribute, the members having it
+    in their core. Both respect multiplicity and are derived once from
+    ``per_member``.
+    """
 
     system: DecisionSystem
     family: Family
     red_s: tuple[frozenset[int], ...]
     core_s: frozenset[int]
     per_member: tuple[MemberAnalysis, ...]
+    reduct_support: Counter = field(init=False, repr=False, compare=False)
+    core_support: Counter = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        members = self.per_member
+        object.__setattr__(self, "reduct_support", Counter(r for m in members for r in m.reducts))
+        object.__setattr__(self, "core_support", Counter(a for m in members for a in m.core))
 
     @property
     def family_size(self) -> int:
@@ -93,29 +107,30 @@ def analyze_family(
     max_attrs: int = DEFAULT_MAX_ATTRS,
     max_reducts: int = DEFAULT_MAX_REDUCTS,
 ) -> FamilyAnalysis:
-    """Enumerate reducts and cores for the system and each member once."""
+    """Enumerate reducts and cores for the system and each distinct member once.
+
+    Members are keyed by their object indices: a repeated member shares the
+    analysis of its first occurrence, and a member covering the whole
+    universe shares the system's.
+    """
     if family.parent != system:
         raise DomainError("family members do not belong to the analyzed system")
     try:
         red_s = all_reducts(system, max_attrs=max_attrs, max_reducts=max_reducts)
     except CapacityError as exc:
         raise CapacityError(f"base system: {exc}") from exc
-    per_member = []
+    core_s = core_of(system)
+    seen = {tuple(range(system.n_objects)): MemberAnalysis(red_s, core_s)}
     for i, member in enumerate(family.members):
+        if member.object_indices in seen:
+            continue
         try:
             red_b = all_reducts(member, max_attrs=max_attrs, max_reducts=max_reducts)
         except CapacityError as exc:
             raise CapacityError(f"family member {i}: {exc}") from exc
-        per_member.append(MemberAnalysis(red_b, core_of(member)))
-    return FamilyAnalysis(system, family, red_s, core_of(system), tuple(per_member))
-
-
-def _reduct_support(analysis: FamilyAnalysis, candidate: frozenset[int]) -> int:
-    return sum(candidate in m.reducts for m in analysis.per_member)
-
-
-def _core_support(analysis: FamilyAnalysis, attr: int) -> int:
-    return sum(attr in m.core for m in analysis.per_member)
+        seen[member.object_indices] = MemberAnalysis(red_b, core_of(member))
+    per_member = tuple(seen[m.object_indices] for m in family.members)
+    return FamilyAnalysis(system, family, red_s, core_s, per_member)
 
 
 def _meets(count: int, lam: Fraction, size: int) -> bool:
@@ -136,7 +151,7 @@ def dynamic_reduct_lambda(
     lam = check_lambda(lam)
     size = analysis.family_size
     return tuple(
-        r for r in analysis.red_s if _meets(_reduct_support(analysis, r), lam, size)
+        r for r in analysis.red_s if _meets(analysis.reduct_support[r], lam, size)
     )
 
 
@@ -158,8 +173,8 @@ def generalized_dynamic_reduct_lambda(
     """
     lam = check_lambda(lam)
     size = analysis.family_size
-    pool = canonical_reducts(r for m in analysis.per_member for r in m.reducts)
-    return tuple(r for r in pool if _meets(_reduct_support(analysis, r), lam, size))
+    pool = canonical_reducts(analysis.reduct_support)
+    return tuple(r for r in pool if _meets(analysis.reduct_support[r], lam, size))
 
 
 def dynamic_core(analysis: FamilyAnalysis) -> frozenset[int]:
@@ -177,7 +192,7 @@ def dynamic_core_lambda(
     lam = check_lambda(lam)
     size = analysis.family_size
     return frozenset(
-        a for a in analysis.core_s if _meets(_core_support(analysis, a), lam, size)
+        a for a in analysis.core_s if _meets(analysis.core_support[a], lam, size)
     )
 
 
@@ -197,7 +212,7 @@ def generalized_dynamic_core_lambda(
     lam = check_lambda(lam)
     size = analysis.family_size
     return frozenset(
-        a for a in range(analysis.n_attrs) if _meets(_core_support(analysis, a), lam, size)
+        a for a in range(analysis.n_attrs) if _meets(analysis.core_support[a], lam, size)
     )
 
 
@@ -230,9 +245,7 @@ def stability_report(
     analysis: FamilyAnalysis, lambdas: Sequence[Fraction | int | str] = ()
 ) -> StabilityReport:
     """Support counts for every attribute and reduct candidate; counts respect multiplicity."""
-    candidates = canonical_reducts(
-        list(analysis.red_s) + [r for m in analysis.per_member for r in m.reducts]
-    )
+    candidates = canonical_reducts([*analysis.red_s, *analysis.reduct_support])
     slices = []
     for raw in lambdas:
         lam = check_lambda(raw)
@@ -251,8 +264,8 @@ def stability_report(
         )
     return StabilityReport(
         family_size=analysis.family_size,
-        attr_core_support={a: _core_support(analysis, a) for a in range(analysis.n_attrs)},
-        reduct_support=tuple((r, _reduct_support(analysis, r)) for r in candidates),
+        attr_core_support={a: analysis.core_support[a] for a in range(analysis.n_attrs)},
+        reduct_support=tuple((r, analysis.reduct_support[r]) for r in candidates),
         per_lambda=tuple(slices),
     )
 

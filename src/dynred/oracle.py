@@ -1,13 +1,17 @@
-"""Brute-force reference route for reducts and cores.
+"""Independent reference routes for reducts, cores and clauses.
 
-Enumerates every attribute subset against the positive region and keeps the
-minimal preserving ones. Deliberately shares nothing with the clause-based
-engine beyond the positive-region primitive, so the two routes can catch
-each other's bugs. Exponential on purpose; guarded by hard size limits.
+The brute-force route enumerates every attribute subset against the positive
+region and keeps the minimal preserving ones; it is exponential on purpose
+and guarded by hard size limits. The pairwise discernibility matrix is the
+textbook object-pair form of the engine's class-level clauses, quadratic in
+the rows. Both deliberately share nothing with the clause-based engine
+beyond the positive-region primitive, so the routes can catch each other's
+bugs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import CapacityError
@@ -40,3 +44,36 @@ def brute_force_reducts(table: Table) -> tuple[frozenset[int], ...]:
 def brute_force_core(table: Table) -> frozenset[int]:
     """Literal intersection of the brute-force reducts."""
     return frozenset.intersection(*brute_force_reducts(table))
+
+
+@dataclass(frozen=True)
+class DiscernibilityMatrix:
+    """Cells (object pair, attribute set) for the pairs a reduct must split."""
+
+    cells: tuple[tuple[tuple[int, int], frozenset[int]], ...]
+
+
+def discernibility_matrix(table: Table) -> DiscernibilityMatrix:
+    """Pairwise cells whose joint separation preserves the positive region.
+
+    A pair (x, y) is stored when merging the two objects would corrupt the
+    full-attribute positive region: at least one of them lies in that region
+    and either the other does not, or their decisions differ. Pairs sharing
+    a condition class never qualify, so every stored cell is non-empty.
+    """
+    parent = base_system(table)
+    uni = universe(table)
+    attrs = range(parent.n_attrs)
+    pos = positive_region(table, attrs)
+    cells = []
+    for k, x in enumerate(uni):
+        for y in uni[k + 1 :]:
+            x_in, y_in = x in pos, y in pos
+            if not (x_in or y_in):
+                continue
+            if x_in and y_in and parent.decisions[x] == parent.decisions[y]:
+                continue
+            diff = frozenset(a for a in attrs if parent.rows[x][a] != parent.rows[y][a])
+            assert diff, "pair needing separation cannot share all condition values"
+            cells.append(((x, y), diff))
+    return DiscernibilityMatrix(tuple(cells))

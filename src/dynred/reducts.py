@@ -1,10 +1,13 @@
 """Exact reduct enumeration via prime implicants of the discernibility function.
 
-The pairwise cells form a monotone CNF over condition attributes; its prime
-implicants are exactly the minimal attribute sets separating every stored
-pair, i.e. the reducts. Enumeration distributes one clause at a time with
-subset absorption after every step (Berge's minimal-hitting-set scheme),
-shortest clauses first to maximize early absorption. Internally clauses and
+The clauses, one attribute mask per pair of condition classes that a reduct
+must split (``rough.discernibility_masks``), form a monotone CNF over
+condition attributes; its prime implicants are exactly the minimal
+attribute sets splitting every such pair, i.e. the reducts. Enumeration
+distributes one clause at a time with subset absorption after every step
+(Berge's minimal-hitting-set scheme), shortest clauses first to maximize
+early absorption. The core needs no clauses: it is read off the positive
+region with one attribute deleted at a time. Internally clauses and
 implicants are bitmasks; the public surface speaks frozensets.
 """
 
@@ -13,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import CapacityError
-from .rough import Table, base_system, discernibility_matrix
+from .rough import Table, base_system, discernibility_masks, positive_region
 
 DEFAULT_MAX_ATTRS = 24
 DEFAULT_MAX_REDUCTS = 100_000
@@ -75,8 +78,8 @@ def absorb(clauses: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
 
 
 def discernibility_function(table: Table) -> tuple[frozenset[int], ...]:
-    """Absorbed clause list of the table's discernibility matrix."""
-    return absorb(cell for _, cell in discernibility_matrix(table).cells)
+    """Absorbed clause list of the table's discernibility function."""
+    return canonical_reducts(_unmask(m) for m in _minimal_masks(discernibility_masks(table)))
 
 
 def all_reducts(
@@ -87,7 +90,7 @@ def all_reducts(
 ) -> tuple[frozenset[int], ...]:
     """Every reduct of the table, in canonical order.
 
-    A table whose matrix has no cells reduces to the empty attribute set.
+    A table with no clauses reduces to the empty attribute set.
     Raises CapacityError rather than truncating when |C| exceeds
     ``max_attrs`` or the running implicant count exceeds ``max_reducts``.
     """
@@ -96,8 +99,7 @@ def all_reducts(
         raise CapacityError(f"|C| = {n} exceeds the enumeration limit max_attrs = {max_attrs}")
 
     clauses = sorted(
-        (_mask(c) for c in discernibility_function(table)),
-        key=lambda m: (m.bit_count(), m),
+        _minimal_masks(discernibility_masks(table)), key=lambda m: (m.bit_count(), m)
     )
     implicants = [0]
     for clause in clauses:
@@ -120,13 +122,15 @@ def all_reducts(
 
 
 def core_of(table: Table) -> frozenset[int]:
-    """Attributes no reduct can drop: the singleton cells of the matrix.
+    """Attributes whose deletion from C shrinks the positive region.
 
-    Equals the intersection of all reducts (and is empty when the sole
-    reduct is the empty set), but needs no enumeration.
+    Takes m + 1 partition passes and no clauses. The positive region is
+    monotone in the attribute set, so this equals the singleton clauses of
+    the discernibility function and the intersection of all reducts (empty
+    when the sole reduct is the empty set), without enumeration.
     """
+    attrs = range(base_system(table).n_attrs)
+    target = positive_region(table, attrs)
     return frozenset(
-        next(iter(cell))
-        for _, cell in discernibility_matrix(table).cells
-        if len(cell) == 1
+        a for a in attrs if positive_region(table, (b for b in attrs if b != a)) != target
     )

@@ -1,21 +1,20 @@
 """Classical rough-set primitives over decision tables and sub-tables.
 
 Indiscernibility partitions, the generalized decision of inconsistent
-tables, decision-positive regions, the pairwise discernibility structure,
-and the reduct predicate. Everything here is a pure function; attribute
-sets are frozensets of condition-attribute indices.
+tables, decision-positive regions, the discernibility clauses built over
+condition classes, and the reduct predicate. Everything here is a pure
+function; attribute sets are frozensets of condition-attribute indices,
+and clauses are int bitmasks over the same indices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import DomainError
 from .table import DecisionSystem, SubSystem
 
 Table = Union[DecisionSystem, SubSystem]
-AttrSet = frozenset[int]
 
 
 def base_system(table: Table) -> DecisionSystem:
@@ -75,37 +74,49 @@ def positive_region(table: Table, attrs: Iterable[int]) -> frozenset[int]:
     return frozenset(region)
 
 
-@dataclass(frozen=True)
-class DiscernibilityMatrix:
-    """Cells (object pair, attribute set) for the pairs a reduct must split."""
+def discernibility_masks(table: Table) -> set[int]:
+    """Distinct attribute masks of the condition-class pairs a reduct must split.
 
-    cells: tuple[tuple[tuple[int, int], AttrSet], ...]
+    Works on distinct full-attribute condition classes, not on object pairs:
+    objects of one class never need splitting, and whether two classes must
+    be split depends only on their positive-region status and decision. A
+    pair qualifies when at least one class lies in the positive region and
+    either the other does not or their decisions differ. Bit ``a`` of a
+    mask is set when the two classes differ on attribute ``a``.
 
-
-def discernibility_matrix(table: Table) -> DiscernibilityMatrix:
-    """Pairwise cells whose joint separation preserves the positive region.
-
-    A pair (x, y) is stored when merging the two objects would corrupt the
-    full-attribute positive region: at least one of them lies in that region
-    and either the other does not, or their decisions differ. Pairs sharing
-    a condition class never qualify, so every stored cell is non-empty.
+    Each class row is packed into one fixed-width field per attribute, with
+    a guard bit above the widest code. For packed rows x and y,
+    ``((x ^ y) + low) & guard`` keeps the guard bit of exactly the fields
+    where they differ: a field of x ^ y plus its all-ones ``low`` part never
+    carries past its own guard bit. Only distinct guard patterns are
+    unpacked into attribute masks.
     """
     parent = base_system(table)
-    uni = universe(table)
-    attrs = range(parent.n_attrs)
-    pos = positive_region(table, attrs)
-    cells = []
-    for k, x in enumerate(uni):
-        for y in uni[k + 1 :]:
-            x_in, y_in = x in pos, y in pos
-            if not (x_in or y_in):
-                continue
-            if x_in and y_in and parent.decisions[x] == parent.decisions[y]:
-                continue
-            diff = frozenset(a for a in attrs if parent.rows[x][a] != parent.rows[y][a])
-            assert diff, "pair needing separation cannot share all condition values"
-            cells.append(((x, y), diff))
-    return DiscernibilityMatrix(tuple(cells))
+    n = parent.n_attrs
+    classes = [
+        (parent.rows[block[0]], decisions)
+        for block, decisions in generalized_decision(table).items()
+    ]
+    width = max((code for row, _ in classes for code in row), default=0).bit_length() + 1
+    low = sum(((1 << (width - 1)) - 1) << (a * width) for a in range(n))
+    guard = sum(1 << (a * width + width - 1) for a in range(n))
+    positive: dict[int, list[int]] = {}
+    boundary: list[int] = []
+    for row, decisions in classes:
+        packed = sum(code << (a * width) for a, code in enumerate(row))
+        if len(decisions) == 1:
+            positive.setdefault(next(iter(decisions)), []).append(packed)
+        else:
+            boundary.append(packed)
+
+    groups = list(positive.values())
+    patterns: set[int] = set()
+    for k, xs in enumerate(groups):
+        for ys in groups[k + 1 :] + [boundary]:
+            patterns |= {((x ^ y) + low) & guard for x in xs for y in ys}
+    return {
+        sum(1 << a for a in range(n) if p >> (a * width + width - 1) & 1) for p in patterns
+    }
 
 
 def is_reduct(table: Table, attrs: Iterable[int]) -> bool:

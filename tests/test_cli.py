@@ -194,6 +194,50 @@ class TestExitCodes:
         assert status == 0
         assert json.loads(out)["static"]["reducts"] == [[]]
 
+    def test_byte_order_mark_is_not_part_of_the_header(self, capsys, tmp_path):
+        p = tmp_path / "bom.csv"
+        # FIX-A with the decision moved to the first column, behind the mark.
+        p.write_bytes(b"\xef\xbb\xbfd,a,b,c\n0,0,0,0\n1,1,0,0\n1,0,1,1\n")
+        status, out = run_json(capsys, ["reducts", "--input", str(p), "--decision", "d"])
+        assert status == 0
+        report = json.loads(out)
+        assert report["input"]["attributes"] == ["a", "b", "c"]
+        assert report["static"]["reducts"] == [["a", "b"], ["a", "c"]]
+
+    def test_invalid_utf8_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"a,d\n\xff,0\n")
+        status = run(["reducts", "--input", str(p), "--decision", "d"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("dynred: ")
+
+    def test_oversized_field_parse_error(self, capsys, tmp_path):
+        p = tmp_path / "huge.csv"
+        p.write_text("a,d\n" + "x" * 140_000 + ",0\n")
+        status = run(["reducts", "--input", str(p), "--decision", "d"])
+        captured = capsys.readouterr()
+        assert status == 2
+        assert captured.out == ""
+        assert captured.err.startswith("dynred: ")
+
+    @pytest.mark.parametrize("flag,value", [("--max-attrs", "-1"), ("--max-reducts", "0")])
+    def test_cap_below_minimum_usage_error(self, capsys, fixa_path, flag, value):
+        status, out = run_json(
+            capsys, ["reducts", "--input", fixa_path, "--decision", "d", flag, value]
+        )
+        assert status == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("flag,value,expected", [("--max-attrs", "0", 3),
+                                                     ("--max-reducts", "1", 3)])
+    def test_cap_minimum_accepted(self, capsys, fixa_path, flag, value, expected):
+        status, _ = run_json(
+            capsys, ["reducts", "--input", fixa_path, "--decision", "d", flag, value]
+        )
+        assert status == expected
+
     def test_verify_failure_exits_4(self, capsys, fixa_path, monkeypatch):
         # The laws hold on real data, so force a failing check to cover the path.
         import dynred.cli as cli_mod

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dynred import (
     DomainError,
     Family,
+    MemberAnalysis,
     ParameterError,
     all_reducts,
     analyze_family,
@@ -101,6 +102,30 @@ class TestAnalyzeFamily:
         assert len(all_reducts(s)) == 1
         family = Family((make_subsystem(s, {0, 1}),))
         with pytest.raises(CapacityError, match="family member 0"):
+            analyze_family(s, family, max_reducts=5)
+
+    def test_repeated_and_full_members_match_separate_analysis(self):
+        rng = random.Random(0xD0_0B1E)
+        for _ in range(20):
+            s = random_system(rng, max_objects=10, max_attrs=5)
+            members = list(random_family(rng, s, max_members=4).members)
+            members += [full_subsystem(s)] + rng.choices(members, k=3) + [full_subsystem(s)]
+            rng.shuffle(members)
+            a = analyze(s, *members)
+            assert a.per_member == tuple(
+                MemberAnalysis(all_reducts(m), core_of(m)) for m in members
+            )
+
+    def test_capacity_error_names_first_of_repeated_members(self):
+        from dynred import CapacityError, parse_decision_table
+
+        # Rows {0, 1} need one of six singletons, overflowing the cap; the
+        # full table and rows {0, 2} have a single reduct each.
+        text = "p,q,r,s,t,u,d\n0,0,0,0,0,0,0\n1,1,1,1,1,1,1\n1,0,0,0,0,0,1\n"
+        s = parse_decision_table(text, "d")
+        bad = make_subsystem(s, {0, 1})
+        family = Family((full_subsystem(s), make_subsystem(s, {0, 2}), bad, bad))
+        with pytest.raises(CapacityError, match="family member 2:"):
             analyze_family(s, family, max_reducts=5)
 
     def test_sampled_identity_family(self, fix_a):

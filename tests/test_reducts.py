@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dynred import (
     CapacityError,
@@ -12,9 +12,12 @@ from dynred import (
     canonical_reducts,
     core_of,
     discernibility_function,
+    discernibility_matrix,
+    generalized_decision,
     intersect_all,
     is_antichain,
     is_reduct,
+    make_subsystem,
     parse_decision_table,
 )
 
@@ -116,3 +119,84 @@ class TestOracleEquivalence:
         reducts = all_reducts(s)
         assert is_antichain(reducts)
         assert all(is_reduct(s, r) for r in reducts)
+
+
+def _coded_table(rng, n_rows, n_attrs, *, d_arity=2, conflicts=0, wide_rows=0):
+    """Random table with arity 1..3 conditions.
+
+    ``conflicts`` extra rows copy an earlier row's conditions with a fresh
+    decision, which makes boundary (inconsistent) classes likely. With
+    ``wide_rows`` the first column takes that many distinct values.
+    """
+    arities = [rng.randint(1, 3) for _ in range(n_attrs)]
+    rows = [
+        [rng.randrange(a) for a in arities] + [rng.randrange(d_arity)]
+        for _ in range(max(n_rows, wide_rows))
+    ]
+    if wide_rows:
+        for code, row in zip(rng.sample(range(wide_rows), wide_rows), rows):
+            row[0] = code
+    for _ in range(conflicts):
+        rows.append(rng.choice(rows)[:-1] + [rng.randrange(d_arity)])
+    header = ",".join([f"c{i}" for i in range(n_attrs)] + ["d"])
+    body = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    return parse_decision_table(header + "\n" + body, "d")
+
+
+def _assert_engine_matches_oracle(system, table):
+    """Class-level clauses and the partition core against the pairwise cells."""
+    cells = [cell for _, cell in discernibility_matrix(table).cells]
+    assert discernibility_function(table) == absorb(cells)
+    core = core_of(table)
+    assert core == frozenset(next(iter(c)) for c in cells if len(c) == 1)
+    # The subset oracle is exponential in |C|; keep it to small tables.
+    if system.n_attrs <= 8 and table.n_objects <= 64:
+        assert core == brute_force_core(table)
+
+
+class TestClauseOracleAgreement:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_random_tables_and_subtables(self, seed):
+        rng = random.Random(seed)
+        s = _coded_table(
+            rng,
+            rng.randint(1, 30),
+            rng.choice((1, 2, 3, 5, 8, 12, 24)),
+            d_arity=rng.randint(1, 3),
+            conflicts=rng.randint(0, 4),
+        )
+        member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
+        for table in (s, member):
+            _assert_engine_matches_oracle(s, table)
+
+    def test_boundary_classes(self):
+        rng = random.Random(11)
+        s = _coded_table(rng, 20, 4, d_arity=3, conflicts=6)
+        assert any(len(v) > 1 for v in generalized_decision(s).values())
+        _assert_engine_matches_oracle(s, s)
+
+    def test_constant_decision(self):
+        s = _coded_table(random.Random(12), 15, 5, d_arity=1)
+        assert discernibility_function(s) == ()
+        _assert_engine_matches_oracle(s, s)
+
+    def test_one_row(self):
+        s = _coded_table(random.Random(13), 1, 6)
+        _assert_engine_matches_oracle(s, s)
+        _assert_engine_matches_oracle(s, make_subsystem(s, {0}))
+
+    def test_codes_needing_nine_bit_fields(self):
+        rng = random.Random(14)
+        s = _coded_table(rng, 0, 4, d_arity=3, wide_rows=300)
+        assert max(row[0] for row in s.rows) == 299
+        _assert_engine_matches_oracle(s, s)
+        high = [i for i, row in enumerate(s.rows) if row[0] >= 256]
+        member = make_subsystem(s, high[:20] + rng.sample(range(s.n_objects), 20))
+        _assert_engine_matches_oracle(s, member)
+
+    def test_twenty_four_attributes(self):
+        rng = random.Random(15)
+        s = _coded_table(rng, 30, 24, conflicts=3)
+        _assert_engine_matches_oracle(s, s)
+        _assert_engine_matches_oracle(s, make_subsystem(s, rng.sample(range(s.n_objects), 12)))
