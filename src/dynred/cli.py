@@ -77,7 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-attrs", type=_int_at_least(0), default=DEFAULT_MAX_ATTRS,
                        help="condition-attribute enumeration limit")
         p.add_argument("--max-reducts", type=_int_at_least(1), default=DEFAULT_MAX_REDUCTS,
-                       help="cap on the enumerated reduct count")
+                       help="cap on the reducts found per table (not intermediate implicants); "
+                            "exceeding it exits 3")
 
     def add_sampling(p):
         p.add_argument("--fractions", required=True,

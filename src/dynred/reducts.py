@@ -1,14 +1,19 @@
-"""Exact reduct enumeration via prime implicants of the discernibility function.
+"""Exact reduct enumeration as minimal hitting sets of the discernibility clauses.
 
 The clauses, one attribute mask per pair of condition classes that a reduct
 must split (``rough.discernibility_masks``), form a monotone CNF over
-condition attributes; its prime implicants are exactly the minimal
-attribute sets splitting every such pair, i.e. the reducts. Enumeration
-distributes one clause at a time with subset absorption after every step
-(Berge's minimal-hitting-set scheme), shortest clauses first to maximize
-early absorption. The core needs no clauses: it is read off the positive
+condition attributes; its prime implicants, the minimal attribute sets
+hitting every clause, are exactly the reducts. The clauses are absorbed
+once per table, then the minimal hitting sets are enumerated with MMCS
+(Murakami & Uno, Discrete Applied Math. 2014): a depth-first search that
+adds one attribute of an uncovered clause at a time and prunes a branch as
+soon as some chosen attribute is left without a critical clause (one that
+no other chosen attribute hits). Every leaf is a reduct and no partial
+implicant outlives its branch, so memory beyond the reducts found grows
+with the search depth, and the reduct cap ends the search at the first
+reduct past it. The core needs no clauses: it is read off the positive
 region with one attribute deleted at a time. Internally clauses and
-implicants are bitmasks; the public surface speaks frozensets.
+attribute sets are bitmasks; the public surface speaks frozensets.
 """
 
 from __future__ import annotations
@@ -53,12 +58,10 @@ def _mask(attrs: frozenset[int]) -> int:
 
 def _unmask(mask: int) -> frozenset[int]:
     out = []
-    a = 0
     while mask:
-        if mask & 1:
-            out.append(a)
-        mask >>= 1
-        a += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return frozenset(out)
 
 
@@ -90,9 +93,10 @@ def all_reducts(
 ) -> tuple[frozenset[int], ...]:
     """Every reduct of the table, in canonical order.
 
-    A table with no clauses reduces to the empty attribute set.
-    Raises CapacityError rather than truncating when |C| exceeds
-    ``max_attrs`` or the running implicant count exceeds ``max_reducts``.
+    A table with no clauses reduces to the empty attribute set. Raises
+    CapacityError rather than truncating when |C| exceeds ``max_attrs`` or
+    more than ``max_reducts`` reducts are found; the search stops at that
+    reduct instead of finishing the enumeration.
     """
     n = base_system(table).n_attrs
     if n > max_attrs:
@@ -101,24 +105,49 @@ def all_reducts(
     clauses = sorted(
         _minimal_masks(discernibility_masks(table)), key=lambda m: (m.bit_count(), m)
     )
-    implicants = [0]
-    for clause in clauses:
-        widened: list[int] = []
-        for imp in implicants:
-            if imp & clause:
-                widened.append(imp)
-            else:
-                bits = clause
-                while bits:
-                    low = bits & -bits
-                    widened.append(imp | low)
-                    bits ^= low
-        implicants = _minimal_masks(widened)
-        if len(implicants) > max_reducts:
-            raise CapacityError(
-                f"more than max_reducts = {max_reducts} candidate reducts; raise the cap"
-            )
-    return canonical_reducts(_unmask(m) for m in implicants)
+    edges = [0] * n  # edges[a]: mask of the clauses containing attribute a
+    for i, clause in enumerate(clauses):
+        for a in _unmask(clause):
+            edges[a] |= 1 << i
+
+    found: list[int] = []
+    # A node: chosen attributes, one critical-clause mask per chosen
+    # attribute, candidate attributes, uncovered clauses. An explicit stack
+    # keeps the depth (up to |C|) off the interpreter's recursion limit.
+    stack = [(0, [], (1 << n) - 1, (1 << len(clauses)) - 1)]
+    while stack:
+        chosen, crits, cand, uncov = stack.pop()
+        if not uncov:
+            found.append(chosen)
+            if len(found) > max_reducts:
+                raise CapacityError(
+                    f"more than max_reducts = {max_reducts} reducts "
+                    f"({len(clauses)} absorbed clauses, |C| = {n}); raise the cap"
+                )
+            continue
+        # Branch on the uncovered clause with the fewest candidates. The scan
+        # may stop at one candidate: a clause with none can wait, since it
+        # stays uncoverable in every descendant.
+        branch, width, rest = 0, n + 1, uncov
+        while rest and width > 1:
+            low = rest & -rest
+            rest ^= low
+            c = clauses[low.bit_length() - 1] & cand
+            if c.bit_count() < width:
+                branch, width = c, c.bit_count()
+        # Child v may still take the candidates tried before it, never
+        # those after it, so each reduct is reached exactly once.
+        cand &= ~branch
+        while branch:
+            v = branch & -branch
+            branch ^= v
+            hit = edges[v.bit_length() - 1]
+            kept = [c & ~hit for c in crits]
+            if all(kept):
+                kept.append(uncov & hit)
+                stack.append((chosen | v, kept, cand, uncov & ~hit))
+            cand |= v
+    return canonical_reducts(_unmask(m) for m in found)
 
 
 def core_of(table: Table) -> frozenset[int]:

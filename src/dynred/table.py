@@ -90,11 +90,12 @@ def parse_decision_table(text: str, decision_column: str, name: str = "table") -
 
     Condition attributes keep header order (decision column excluded); value
     dictionaries are built in first-occurrence order; duplicate rows are kept.
-    Blank lines are ignored. A document the csv module rejects, such as
-    one with a field over its size limit, raises ParseError.
+    Blank lines are ignored, and so is one leading byte-order mark. A
+    document the csv module rejects, such as one with a field over its size
+    limit, raises ParseError.
     """
     try:
-        records = [rec for rec in csv.reader(io.StringIO(text)) if rec]
+        records = [rec for rec in csv.reader(io.StringIO(text.removeprefix("\ufeff"))) if rec]
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
     if not records:

@@ -57,6 +57,21 @@ def random_table_csv(rng: random.Random, max_objects: int = 10, max_attrs: int =
     return "\n".join(lines) + "\n"
 
 
+def matching_csv(k: int) -> str:
+    """Matching table: the only clauses are (x_i or y_i), so 2**k reducts.
+
+    Row 0 is all zeros with decision 0; row i + 1 sets x_i = y_i = 1 with
+    decision 1.
+    """
+    lines = [",".join([f"x{i}" for i in range(k)] + [f"y{i}" for i in range(k)] + ["d"])]
+    lines.append(",".join(["0"] * (2 * k + 1)))
+    for i in range(k):
+        cells = ["0"] * (2 * k) + ["1"]
+        cells[i] = cells[k + i] = "1"
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def random_system(rng: random.Random, **kwargs) -> DecisionSystem:
     return parse_decision_table(random_table_csv(rng, **kwargs), "d")
 

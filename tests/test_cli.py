@@ -8,7 +8,7 @@ import pytest
 
 from dynred.cli import run
 
-from conftest import FIX_A_CSV, FIX_B_CSV
+from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv
 
 
 @pytest.fixture
@@ -180,6 +180,17 @@ class TestExitCodes:
         status, out = run_json(capsys, ["reducts", "--input", str(p), "--decision", "d"])
         assert status == 3
         assert out == ""
+
+    def test_reduct_cap_exit(self, capsys, tmp_path):
+        # 2**20 reducts under the default cap of 100000.
+        p = tmp_path / "matching.csv"
+        p.write_text(matching_csv(20))
+        status = run(["reducts", "--input", str(p), "--decision", "d", "--max-attrs", "40"])
+        captured = capsys.readouterr()
+        assert status == 3
+        assert captured.out == ""
+        assert captured.err.startswith("dynred: ")
+        assert "max_reducts = 100000" in captured.err
 
     def test_max_attrs_override_admits_wide_table(self, capsys, tmp_path):
         n = 25

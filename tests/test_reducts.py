@@ -21,7 +21,7 @@ from dynred import (
     parse_decision_table,
 )
 
-from conftest import idx, random_system, reduct_names
+from conftest import idx, matching_csv, random_system, reduct_names
 
 
 class TestFixtureValues:
@@ -96,6 +96,15 @@ class TestCapacityLimits:
         assert len(all_reducts(s)) == 8
         with pytest.raises(CapacityError, match="5"):
             all_reducts(s, max_reducts=5)
+
+    def test_cap_counts_reducts_not_implicants(self):
+        # Clauses (p|s), (q|r), (r|s), sorted in that order: the first two
+        # alone have four minimal hitting sets, all three only three.
+        s = parse_decision_table("p,q,r,s,d\n0,0,0,0,0\n1,0,0,1,1\n0,1,1,0,1\n0,0,1,1,1\n", "d")
+        reducts = all_reducts(s, max_reducts=3)
+        assert reduct_names(s, reducts) == [["p", "r"], ["q", "s"], ["r", "s"]]
+        with pytest.raises(CapacityError, match="max_reducts = 2"):
+            all_reducts(s, max_reducts=2)
 
 
 class TestOracleEquivalence:
@@ -200,3 +209,81 @@ class TestClauseOracleAgreement:
         s = _coded_table(rng, 30, 24, conflicts=3)
         _assert_engine_matches_oracle(s, s)
         _assert_engine_matches_oracle(s, make_subsystem(s, rng.sample(range(s.n_objects), 12)))
+
+
+class TestEnumeratorOracleAgreement:
+    """The hitting-set search against the subset oracle, within its limits."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_random_tables_and_subtables(self, seed):
+        rng = random.Random(seed)
+        s = _coded_table(
+            rng,
+            rng.randint(1, 30),
+            rng.randint(1, 8),
+            d_arity=rng.randint(1, 3),
+            conflicts=rng.randint(0, 4),
+        )
+        member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
+        for table in (s, member):
+            assert all_reducts(table) == brute_force_reducts(table)
+
+    def test_inconsistent_table(self):
+        rng = random.Random(21)
+        s = _coded_table(rng, 20, 6, d_arity=3, conflicts=8)
+        assert any(len(v) > 1 for v in generalized_decision(s).values())
+        assert all_reducts(s) == brute_force_reducts(s)
+        member = make_subsystem(s, rng.sample(range(s.n_objects), 14))
+        assert all_reducts(member) == brute_force_reducts(member)
+
+    def test_constant_decision(self):
+        s = _coded_table(random.Random(22), 15, 6, d_arity=1)
+        assert all_reducts(s) == brute_force_reducts(s) == (frozenset(),)
+
+    def test_one_row(self):
+        s = _coded_table(random.Random(23), 1, 6)
+        assert all_reducts(s) == brute_force_reducts(s) == (frozenset(),)
+        t = _coded_table(random.Random(24), 12, 6, d_arity=3)
+        for i in (0, 11):
+            member = make_subsystem(t, {i})
+            assert all_reducts(member) == brute_force_reducts(member) == (frozenset(),)
+
+
+class TestMatchingTables:
+    @pytest.mark.parametrize("k", [1, 8, 14])
+    def test_every_transversal_of_the_pairs(self, k):
+        s = parse_decision_table(matching_csv(k), "d")
+        reducts = all_reducts(s, max_attrs=2 * k)
+        assert len(reducts) == 2 ** k
+        pairs = [frozenset({i, k + i}) for i in range(k)]  # (x_i, y_i) in header order
+        assert all(len(r) == k and all(len(r & p) == 1 for p in pairs) for r in reducts)
+        assert core_of(s) == frozenset()
+
+    def test_default_cap_stops_a_million_reducts(self):
+        # 2**20 reducts; the search stops at the first one past the cap.
+        s = parse_decision_table(matching_csv(20), "d")
+        with pytest.raises(CapacityError, match="100000"):
+            all_reducts(s, max_attrs=40)
+
+    def test_cap_equal_to_the_count_succeeds(self):
+        s = parse_decision_table(matching_csv(8), "d")
+        assert len(all_reducts(s, max_attrs=16, max_reducts=256)) == 256
+        with pytest.raises(CapacityError) as exc:
+            all_reducts(s, max_attrs=16, max_reducts=255)
+        message = str(exc.value)
+        assert "max_reducts = 255" in message
+        assert "8 absorbed clauses" in message
+        assert "|C| = 16" in message
+
+
+def test_deep_search_needs_no_recursion():
+    # 1,200 singleton clauses: the one reduct is all of C, found 1,200 levels deep.
+    n = 1200
+    lines = [",".join([f"c{i}" for i in range(n)] + ["d"]), ",".join(["0"] * (n + 1))]
+    for i in range(n):
+        cells = ["0"] * n + ["1"]
+        cells[i] = "1"
+        lines.append(",".join(cells))
+    s = parse_decision_table("\n".join(lines) + "\n", "d")
+    assert all_reducts(s, max_attrs=n) == (frozenset(range(n)),)

@@ -62,6 +62,11 @@ class TestParsing:
         with pytest.raises(ParseError):
             parse_decision_table("", "d")
 
+    def test_leading_byte_order_mark_dropped(self):
+        s = parse_decision_table("\ufeffa,d\n0,1\n", "d")
+        assert s.cond_attrs == ("a",)
+        assert parse_decision_table("\ufeffd,a\n0,1\n", "d").decision_attr == "d"
+
     def test_codes_dense_first_occurrence(self):
         s = parse_decision_table("a,d\nx,p\ny,q\nx,p\n", "d")
         assert s.rows == ((0,), (1,), (0,))
