@@ -34,7 +34,7 @@ from .errors import (
     SelfCheckError,
 )
 from .oracle import brute_force_core, brute_force_reducts
-from .reducts import DEFAULT_MAX_ATTRS, DEFAULT_MAX_REDUCTS, all_reducts, core_of
+from .reducts import DEFAULT_MAX_ATTRS, DEFAULT_MAX_REDUCTS, all_reducts, core_of, intersect_all
 from .table import DecisionSystem, Family, SamplingPlan, parse_decision_table, sample_family
 
 EXIT_OK = 0
@@ -135,7 +135,7 @@ def _parse_fractions(text: str) -> list[Fraction]:
 
 def _static_reducts(system: DecisionSystem, args) -> tuple:
     reducts = all_reducts(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
-    core = core_of(system)
+    core = intersect_all(reducts, system.n_attrs)
     if args.exact:
         _cross_check(system, reducts, core, what="base system")
     return reducts, core

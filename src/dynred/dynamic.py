@@ -9,10 +9,17 @@ computes the stable ("dynamic") reducts and cores in all four flavours:
 * generalized: the requirement relative to S itself is dropped;
 * generalized + thresholded.
 
-It also exposes the raw support counts behind the thresholded variants and a
-verifier for the containment laws tying all eight sets together. Threshold
-comparisons are exact: lambda is a rational and support/|F| >= lambda is
-decided by integer cross-multiplication, so boundary ties are deterministic.
+One support filter defines all eight sets: a candidate from a pool (the
+system's reducts or core; every member reduct or every attribute for the
+generalized flavours) belongs when its support, the number of members
+having it, reaches lambda * |F|. Being in every member is support |F|, so
+each plain set is its thresholded counterpart at lambda = 1; the literal
+"in every member" definitions live in ``oracle.py`` as the independent
+reference. Threshold comparisons are exact: lambda is a rational and
+support/|F| >= lambda is decided by integer cross-multiplication, so
+boundary ties are deterministic. The module also exposes the raw support
+counts and a verifier for the containment laws tying the eight sets
+together.
 """
 
 from __future__ import annotations
@@ -23,19 +30,19 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import CapacityError, DomainError, ParameterError
+from .oracle import literal_dynamic_core
 from .reducts import (
     DEFAULT_MAX_ATTRS,
     DEFAULT_MAX_REDUCTS,
     all_reducts,
     canonical_reducts,
-    core_of,
     intersect_all,
 )
 from .table import DecisionSystem, Family
 
 ONE_HALF = Fraction(1, 2)
 
-# Default thresholds the verifier walks for the monotonicity check.
+# Thresholds the verifier walks, with the requested one, for the monotonicity check (T2c).
 LAMBDA_GRID = (
     Fraction(51, 100),
     Fraction(3, 5),
@@ -109,9 +116,10 @@ def analyze_family(
 ) -> FamilyAnalysis:
     """Enumerate reducts and cores for the system and each distinct member once.
 
-    Members are keyed by their object indices: a repeated member shares the
-    analysis of its first occurrence, and a member covering the whole
-    universe shares the system's.
+    Each core is the intersection of that table's reducts, so it costs no
+    pass over the rows. Members are keyed by their object indices: a
+    repeated member shares the analysis of its first occurrence, and a
+    member covering the whole universe shares the system's.
     """
     if family.parent != system:
         raise DomainError("family members do not belong to the analyzed system")
@@ -119,7 +127,7 @@ def analyze_family(
         red_s = all_reducts(system, max_attrs=max_attrs, max_reducts=max_reducts)
     except CapacityError as exc:
         raise CapacityError(f"base system: {exc}") from exc
-    core_s = core_of(system)
+    core_s = intersect_all(red_s, system.n_attrs)
     seen = {tuple(range(system.n_objects)): MemberAnalysis(red_s, core_s)}
     for i, member in enumerate(family.members):
         if member.object_indices in seen:
@@ -128,39 +136,26 @@ def analyze_family(
             red_b = all_reducts(member, max_attrs=max_attrs, max_reducts=max_reducts)
         except CapacityError as exc:
             raise CapacityError(f"family member {i}: {exc}") from exc
-        seen[member.object_indices] = MemberAnalysis(red_b, core_of(member))
+        seen[member.object_indices] = MemberAnalysis(red_b, intersect_all(red_b, system.n_attrs))
     per_member = tuple(seen[m.object_indices] for m in family.members)
     return FamilyAnalysis(system, family, red_s, core_s, per_member)
 
 
-def _meets(count: int, lam: Fraction, size: int) -> bool:
-    # count/size >= lam without leaving the integers
-    return count * lam.denominator >= lam.numerator * size
-
-
-def dynamic_reduct(analysis: FamilyAnalysis) -> tuple[frozenset[int], ...]:
-    """Reducts of the system that survive as reducts of every member."""
-    member_sets = [set(m.reducts) for m in analysis.per_member]
-    return tuple(r for r in analysis.red_s if all(r in s for s in member_sets))
+def _supported(
+    analysis: FamilyAnalysis, pool: Iterable, support: Counter, lam: Fraction | int | str
+) -> list:
+    """The candidates in ``pool`` whose ``support`` reaches a ``lam`` share of the family."""
+    lam = check_lambda(lam)
+    # support/|F| >= lam without leaving the integers
+    need, den = lam.numerator * analysis.family_size, lam.denominator
+    return [x for x in pool if support[x] * den >= need]
 
 
 def dynamic_reduct_lambda(
     analysis: FamilyAnalysis, lam: Fraction | int | str
 ) -> tuple[frozenset[int], ...]:
     """Reducts of the system recurring in at least a ``lam`` share of members."""
-    lam = check_lambda(lam)
-    size = analysis.family_size
-    return tuple(
-        r for r in analysis.red_s if _meets(analysis.reduct_support[r], lam, size)
-    )
-
-
-def generalized_dynamic_reduct(analysis: FamilyAnalysis) -> tuple[frozenset[int], ...]:
-    """Attribute sets that are reducts of every member; the system is not consulted."""
-    common = set(analysis.per_member[0].reducts)
-    for m in analysis.per_member[1:]:
-        common &= set(m.reducts)
-    return canonical_reducts(common)
+    return tuple(_supported(analysis, analysis.red_s, analysis.reduct_support, lam))
 
 
 def generalized_dynamic_reduct_lambda(
@@ -171,49 +166,42 @@ def generalized_dynamic_reduct_lambda(
     Candidates are the union of the members' reduct sets; anything with
     non-zero support lies there, so the pool is lossless.
     """
-    lam = check_lambda(lam)
-    size = analysis.family_size
-    pool = canonical_reducts(analysis.reduct_support)
-    return tuple(r for r in pool if _meets(analysis.reduct_support[r], lam, size))
-
-
-def dynamic_core(analysis: FamilyAnalysis) -> frozenset[int]:
-    """Core attributes of the system that stay core in every member."""
-    out = analysis.core_s
-    for m in analysis.per_member:
-        out &= m.core
-    return out
+    support = analysis.reduct_support
+    return canonical_reducts(_supported(analysis, support, support, lam))
 
 
 def dynamic_core_lambda(
     analysis: FamilyAnalysis, lam: Fraction | int | str
 ) -> frozenset[int]:
     """Core attributes of the system recurring in at least a ``lam`` share of member cores."""
-    lam = check_lambda(lam)
-    size = analysis.family_size
-    return frozenset(
-        a for a in analysis.core_s if _meets(analysis.core_support[a], lam, size)
-    )
-
-
-def generalized_dynamic_core(analysis: FamilyAnalysis) -> frozenset[int]:
-    """Attributes that are core in every member, regardless of the system."""
-    members = analysis.per_member
-    out = members[0].core
-    for m in members[1:]:
-        out &= m.core
-    return out
+    return frozenset(_supported(analysis, analysis.core_s, analysis.core_support, lam))
 
 
 def generalized_dynamic_core_lambda(
     analysis: FamilyAnalysis, lam: Fraction | int | str
 ) -> frozenset[int]:
     """Any condition attribute recurring in at least a ``lam`` share of member cores."""
-    lam = check_lambda(lam)
-    size = analysis.family_size
-    return frozenset(
-        a for a in range(analysis.n_attrs) if _meets(analysis.core_support[a], lam, size)
-    )
+    return frozenset(_supported(analysis, range(analysis.n_attrs), analysis.core_support, lam))
+
+
+def dynamic_reduct(analysis: FamilyAnalysis) -> tuple[frozenset[int], ...]:
+    """Reducts of the system that survive as reducts of every member."""
+    return dynamic_reduct_lambda(analysis, 1)
+
+
+def generalized_dynamic_reduct(analysis: FamilyAnalysis) -> tuple[frozenset[int], ...]:
+    """Attribute sets that are reducts of every member; the system is not consulted."""
+    return generalized_dynamic_reduct_lambda(analysis, 1)
+
+
+def dynamic_core(analysis: FamilyAnalysis) -> frozenset[int]:
+    """Core attributes of the system that stay core in every member."""
+    return dynamic_core_lambda(analysis, 1)
+
+
+def generalized_dynamic_core(analysis: FamilyAnalysis) -> frozenset[int]:
+    """Attributes that are core in every member, regardless of the system."""
+    return generalized_dynamic_core_lambda(analysis, 1)
 
 
 @dataclass(frozen=True)
@@ -241,32 +229,32 @@ class StabilityReport:
     per_lambda: tuple[LambdaSlice, ...]
 
 
+def _slice(analysis: FamilyAnalysis, lam: Fraction | int | str) -> LambdaSlice:
+    """The eight sets at one threshold; the plain four are the filters at 1."""
+    lam = check_lambda(lam)
+    return LambdaSlice(
+        lam=lam,
+        dr=dynamic_reduct(analysis),
+        dr_lambda=dynamic_reduct_lambda(analysis, lam),
+        gdr=generalized_dynamic_reduct(analysis),
+        gdr_lambda=generalized_dynamic_reduct_lambda(analysis, lam),
+        dcore=dynamic_core(analysis),
+        dcore_lambda=dynamic_core_lambda(analysis, lam),
+        gdcore=generalized_dynamic_core(analysis),
+        gdcore_lambda=generalized_dynamic_core_lambda(analysis, lam),
+    )
+
+
 def stability_report(
     analysis: FamilyAnalysis, lambdas: Sequence[Fraction | int | str] = ()
 ) -> StabilityReport:
     """Support counts for every attribute and reduct candidate; counts respect multiplicity."""
     candidates = canonical_reducts([*analysis.red_s, *analysis.reduct_support])
-    slices = []
-    for raw in lambdas:
-        lam = check_lambda(raw)
-        slices.append(
-            LambdaSlice(
-                lam=lam,
-                dr=dynamic_reduct(analysis),
-                dr_lambda=dynamic_reduct_lambda(analysis, lam),
-                gdr=generalized_dynamic_reduct(analysis),
-                gdr_lambda=generalized_dynamic_reduct_lambda(analysis, lam),
-                dcore=dynamic_core(analysis),
-                dcore_lambda=dynamic_core_lambda(analysis, lam),
-                gdcore=generalized_dynamic_core(analysis),
-                gdcore_lambda=generalized_dynamic_core_lambda(analysis, lam),
-            )
-        )
     return StabilityReport(
         family_size=analysis.family_size,
         attr_core_support={a: analysis.core_support[a] for a in range(analysis.n_attrs)},
         reduct_support=tuple((r, analysis.reduct_support[r]) for r in candidates),
-        per_lambda=tuple(slices),
+        per_lambda=tuple(_slice(analysis, lam) for lam in lambdas),
     )
 
 
@@ -309,10 +297,7 @@ def _equality(
 
 
 def verify_theorems(
-    analysis: FamilyAnalysis,
-    lam: Fraction | int | str,
-    *,
-    grid: Iterable[Fraction] = LAMBDA_GRID,
+    analysis: FamilyAnalysis, lam: Fraction | int | str
 ) -> tuple[TheoremCheck, ...]:
     """Evaluate the eleven containment/identity laws on this analysis.
 
@@ -321,60 +306,40 @@ def verify_theorems(
     Containments over an empty reduct set hold through the full-set
     intersection convention and report "vacuous" instead of "pass".
     Failures carry the offending attribute and both sets; they are data,
-    not errors.
+    not errors. T2b compares the threshold-1 core with the literal
+    intersection in ``oracle.py``, since the engine's plain core is that
+    same filter.
     """
-    lam = check_lambda(lam)
+    s = _slice(analysis, lam)
     n = analysis.n_attrs
     members = analysis.family.members
-
-    dr = dynamic_reduct(analysis)
-    dr_lam = dynamic_reduct_lambda(analysis, lam)
-    gdr = generalized_dynamic_reduct(analysis)
-    gdr_lam = generalized_dynamic_reduct_lambda(analysis, lam)
-    dcore = dynamic_core(analysis)
-    dcore_lam = dynamic_core_lambda(analysis, lam)
-    gdcore = generalized_dynamic_core(analysis)
-    gdcore_lam = generalized_dynamic_core_lambda(analysis, lam)
 
     checks = [
         _containment(
             "T1",
-            dcore,
-            intersect_all(dr, n),
+            s.dcore,
+            intersect_all(s.dr, n),
             "stable core lies inside the intersection of stable reducts",
-            vacuous=not dr,
+            vacuous=not s.dr,
         )
     ]
 
-    family_is_system = len(members) == 1 and members[0].covers_parent()
-    if family_is_system:
-        checks.append(
-            _equality(
-                "T2a",
-                dcore,
-                analysis.core_s,
-                "single-member family equal to the system: stable core is the static core",
-            )
-        )
+    t2a = "single-member family equal to the system: stable core is the static core"
+    if len(members) == 1 and members[0].covers_parent():
+        checks.append(_equality("T2a", s.dcore, analysis.core_s, t2a))
     else:
-        checks.append(
-            TheoremCheck(
-                "T2a",
-                "not-applicable",
-                "single-member family equal to the system: stable core is the static core",
-            )
-        )
+        checks.append(TheoremCheck("T2a", "not-applicable", t2a))
 
     checks.append(
         _equality(
             "T2b",
-            dynamic_core_lambda(analysis, Fraction(1)),
-            dcore,
+            dynamic_core_lambda(analysis, 1),
+            literal_dynamic_core(analysis),
             "threshold 1 collapses the thresholded core to the plain stable core",
         )
     )
 
-    ladder = sorted(set(grid) | {lam})
+    ladder = sorted(set(LAMBDA_GRID) | {s.lam})
     t2c = TheoremCheck(
         "T2c", "pass", "thresholded cores shrink as the threshold grows"
     )
@@ -401,72 +366,60 @@ def verify_theorems(
     checks.append(
         _containment(
             "T2d",
-            dcore,
-            dcore_lam,
+            s.dcore,
+            s.dcore_lambda,
             "the plain stable core lies inside every thresholded core",
         )
     )
     checks.append(
         _containment(
             "T3",
-            dcore_lam,
-            intersect_all(dr_lam, n),
+            s.dcore_lambda,
+            intersect_all(s.dr_lambda, n),
             "thresholded core lies inside the intersection of thresholded reducts",
-            vacuous=not dr_lam,
+            vacuous=not s.dr_lambda,
         )
     )
     checks.append(
         _containment(
             "T4a",
-            dcore,
-            gdcore,
+            s.dcore,
+            s.gdcore,
             "stable core lies inside the generalized stable core",
         )
     )
     checks.append(
         _containment(
             "T4b",
-            dcore_lam,
-            gdcore_lam,
+            s.dcore_lambda,
+            s.gdcore_lambda,
             "thresholded core lies inside the generalized thresholded core",
         )
     )
 
+    t4c = "family containing the full system: generalized and plain stable cores agree"
     if any(m.covers_parent() for m in members):
-        checks.append(
-            _equality(
-                "T4c",
-                gdcore,
-                dcore,
-                "family containing the full system: generalized and plain stable cores agree",
-            )
-        )
+        checks.append(_equality("T4c", s.gdcore, s.dcore, t4c))
     else:
-        checks.append(
-            TheoremCheck(
-                "T4c",
-                "not-applicable",
-                "family containing the full system: generalized and plain stable cores agree",
-            )
-        )
+        checks.append(TheoremCheck("T4c", "not-applicable", t4c))
 
     checks.append(
         _containment(
             "T5a",
-            gdcore,
-            intersect_all(gdr, n),
+            s.gdcore,
+            intersect_all(s.gdr, n),
             "generalized core lies inside the intersection of generalized reducts",
-            vacuous=not gdr,
+            vacuous=not s.gdr,
         )
     )
     checks.append(
         _containment(
             "T5b",
-            gdcore_lam,
-            intersect_all(gdr_lam, n),
+            s.gdcore_lambda,
+            intersect_all(s.gdr_lambda, n),
             "generalized thresholded core lies inside the intersection of "
             "generalized thresholded reducts",
-            vacuous=not gdr_lam,
+            vacuous=not s.gdr_lambda,
         )
     )
     return tuple(checks)

@@ -1,4 +1,4 @@
-"""Independent reference routes for reducts, cores and clauses.
+"""Independent reference routes for reducts, cores, clauses and stable sets.
 
 The brute-force route enumerates every attribute subset against the positive
 region and keeps the minimal preserving ones; it is exponential on purpose
@@ -7,6 +7,12 @@ textbook object-pair form of the engine's class-level clauses, quadratic in
 the rows. Both deliberately share nothing with the clause-based engine
 beyond the positive-region primitive, so the routes can catch each other's
 bugs.
+
+The four plain family-level sets are given here by their literal
+definitions, membership in every member intersected member by member. The
+engine computes them as its support filter at threshold 1 instead, so these
+are the reference that keeps the threshold-1 laws from comparing a
+function with itself. They read a ``dynamic.FamilyAnalysis``.
 """
 
 from __future__ import annotations
@@ -77,3 +83,34 @@ def discernibility_matrix(table: Table) -> DiscernibilityMatrix:
             assert diff, "pair needing separation cannot share all condition values"
             cells.append(((x, y), diff))
     return DiscernibilityMatrix(tuple(cells))
+
+
+def literal_dynamic_reduct(analysis) -> tuple[frozenset[int], ...]:
+    """Reducts of the system that survive as reducts of every member."""
+    member_sets = [set(m.reducts) for m in analysis.per_member]
+    return tuple(r for r in analysis.red_s if all(r in s for s in member_sets))
+
+
+def literal_generalized_dynamic_reduct(analysis) -> tuple[frozenset[int], ...]:
+    """Attribute sets that are reducts of every member, in canonical order."""
+    common = set(analysis.per_member[0].reducts)
+    for m in analysis.per_member[1:]:
+        common &= set(m.reducts)
+    return tuple(sorted(common, key=sorted))
+
+
+def literal_dynamic_core(analysis) -> frozenset[int]:
+    """Core attributes of the system that stay core in every member."""
+    out = analysis.core_s
+    for m in analysis.per_member:
+        out &= m.core
+    return out
+
+
+def literal_generalized_dynamic_core(analysis) -> frozenset[int]:
+    """Attributes that are core in every member, regardless of the system."""
+    members = analysis.per_member
+    out = members[0].core
+    for m in members[1:]:
+        out &= m.core
+    return out

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -120,6 +121,29 @@ class TestVerifyCommand:
         checks = json.loads(out)["verification"]
         assert len(checks) == 11
         assert all(c["status"] in {"pass", "vacuous", "not-applicable"} for c in checks)
+
+
+class TestGoldenBytes:
+    """Report bytes pinned by SHA-256; rerun comparisons alone cannot see a drift.
+
+    The relative ``--input`` keeps ``input.path`` stable, and the family
+    (two full-table members and one half) makes every plain set differ
+    from its thresholded counterpart.
+    """
+
+    ARGS = ["--input", "fixa.csv", "--decision", "d", "--fractions", "0.5,1,1",
+            "--samples", "1", "--seed", "1", "--lambda", "0.6"]
+
+    @pytest.mark.parametrize("command,digest", [
+        ("dynamic", "e97de1fb02a5c24640c820d4a3cff3c9f08f9776d9999c09c857a77b4679eeb2"),
+        ("verify", "e1e167e71eba99fe9ce1509381ecf25c44bb57cf2bbb3368549b2665f14b6087"),
+    ])
+    def test_report_digest(self, capsys, tmp_path, monkeypatch, command, digest):
+        (tmp_path / "fixa.csv").write_text(FIX_A_CSV)
+        monkeypatch.chdir(tmp_path)
+        status, out = run_json(capsys, [command, *self.ARGS])
+        assert status == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
 class TestExitCodes:

@@ -24,6 +24,10 @@ from dynred import (
     generalized_dynamic_reduct_lambda,
     intersect_all,
     is_antichain,
+    literal_dynamic_core,
+    literal_dynamic_reduct,
+    literal_generalized_dynamic_core,
+    literal_generalized_dynamic_reduct,
     make_subsystem,
     parse_lambda,
     stability_report,
@@ -162,7 +166,7 @@ class TestDynamicReductLambda:
         s, b1, b2, b3 = fam
         for members in [(b1,), (b1, b2), (b1, b2, b3), (full_subsystem(s),)]:
             a = analyze(s, *members)
-            assert dynamic_reduct_lambda(a, 1) == dynamic_reduct(a)
+            assert dynamic_reduct_lambda(a, 1) == literal_dynamic_reduct(a)
 
     def test_partial_support(self, fam):
         s, _, b2, _ = fam
@@ -204,7 +208,7 @@ class TestGeneralizedDynamicReductLambda:
         s, b1, b2, b3 = fam
         for members in [(b1, b1), (b1, b2), (b1, b2, b3)]:
             a = analyze(s, *members)
-            assert generalized_dynamic_reduct_lambda(a, 1) == generalized_dynamic_reduct(a)
+            assert generalized_dynamic_reduct_lambda(a, 1) == literal_generalized_dynamic_reduct(a)
 
 
 class TestDynamicCore:
@@ -237,7 +241,7 @@ class TestDynamicCoreLambda:
         s, b1, b2, b3 = fam
         for members in [(b1,), (b1, b2), (b1, b2, b3)]:
             a = analyze(s, *members)
-            assert dynamic_core_lambda(a, 1) == dynamic_core(a)
+            assert dynamic_core_lambda(a, 1) == literal_dynamic_core(a)
 
     def test_boundary_tie_uses_at_least(self, fam):
         # support 3 of 4 at threshold 3/4: 3*4 >= 3*4 holds, so kept
@@ -381,3 +385,53 @@ def test_random_families_satisfy_all_laws(seed, lam):
     for attr in generalized_dynamic_core_lambda(a, lam):
         assert all(attr in r for r in generalized_dynamic_reduct_lambda(a, lam))
     assert dynamic_core(a) <= intersect_all(dr, n)
+
+
+def _scanned_lambda_sets(a, lam):
+    """The four thresholded sets, support counted by scanning every member."""
+
+    def held(count):
+        return Fraction(count, a.family_size) >= lam
+
+    def reduct_support(r):
+        return sum(r in m.reducts for m in a.per_member)
+
+    def core_support(attr):
+        return sum(attr in m.core for m in a.per_member)
+
+    member_reducts = {r for m in a.per_member for r in m.reducts}
+    return (
+        tuple(r for r in a.red_s if held(reduct_support(r))),
+        tuple(sorted((r for r in member_reducts if held(reduct_support(r))), key=sorted)),
+        frozenset(attr for attr in a.core_s if held(core_support(attr))),
+        frozenset(attr for attr in range(a.n_attrs) if held(core_support(attr))),
+    )
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 10 ** 9),
+    st.fractions(Fraction(1, 2), 1, max_denominator=12).filter(lambda f: f > Fraction(1, 2)),
+)
+def test_all_eight_sets_match_the_oracle(seed, lam):
+    # Repeated and full-table members are the cases where the engine's
+    # shared member analyses and support counts could drift from a scan.
+    rng = random.Random(seed)
+    s = random_system(rng, max_objects=8, max_attrs=5)
+    members = list(random_family(rng, s, max_members=4).members)
+    members += rng.choices(members, k=rng.randint(0, 3))
+    members += [full_subsystem(s)] * rng.randint(0, 2)
+    rng.shuffle(members)
+    a = analyze(s, *members)
+
+    plain = (dynamic_reduct(a), generalized_dynamic_reduct(a),
+             dynamic_core(a), generalized_dynamic_core(a))
+    assert plain == (literal_dynamic_reduct(a), literal_generalized_dynamic_reduct(a),
+                     literal_dynamic_core(a), literal_generalized_dynamic_core(a))
+    thresholded = (dynamic_reduct_lambda(a, lam), generalized_dynamic_reduct_lambda(a, lam),
+                   dynamic_core_lambda(a, lam), generalized_dynamic_core_lambda(a, lam))
+    assert thresholded == _scanned_lambda_sets(a, lam)
+
+    sl = stability_report(a, [lam]).per_lambda[0]
+    assert (sl.dr, sl.gdr, sl.dcore, sl.gdcore) == plain
+    assert (sl.dr_lambda, sl.gdr_lambda, sl.dcore_lambda, sl.gdcore_lambda) == thresholded
