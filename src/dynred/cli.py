@@ -3,24 +3,30 @@
 Subcommands: ``reducts`` and ``core`` for the static analysis, ``dynamic``
 for the family-level sets, ``verify`` to run the containment-law checks.
 One canonically ordered JSON document goes to stdout (sorted keys, sorted
-attribute-name arrays, reduct lists in canonical order), diagnostics to
-stderr. Exit codes: 0 success, 1 usage error, 2 parse/schema error,
-3 capacity limit, 4 non-vacuous verification failure, 70 self-check
-mismatch under --exact.
+attribute-name arrays, reduct lists ordered by their name arrays),
+diagnostics to stderr. Its text is exactly
+``json.dumps(report, sort_keys=True, indent=2)``, ASCII escapes included,
+plus one trailing newline; a one-pass writer produces it, since ``indent``
+forces the json module onto its pure-Python encoder. Exit codes: 0
+success, 1 usage error (including a decimal exponent above 1000 in
+magnitude in --fractions or --lambda), 2 parse/schema error, 3 capacity
+limit, 4 non-vacuous verification failure, 70 self-check mismatch under
+--exact.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .dynamic import (
     FamilyAnalysis,
     analyze_family,
     parse_lambda,
+    parse_rational,
     stability_report,
     verify_theorems,
 )
@@ -123,14 +129,7 @@ def _witness_names(system: DecisionSystem, witness: dict | None) -> dict | None:
 
 
 def _parse_fractions(text: str) -> list[Fraction]:
-    out = []
-    for piece in text.split(","):
-        try:
-            f = Fraction(piece.strip())
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParameterError(f"cannot parse fraction {piece.strip()!r}") from exc
-        out.append(f)
-    return out
+    return [parse_rational(piece.strip(), "fraction") for piece in text.split(",")]
 
 
 def _static_reducts(system: DecisionSystem, args) -> tuple:
@@ -189,12 +188,18 @@ def _family_sections(system: DecisionSystem, analysis: FamilyAnalysis,
                      family: Family, lam: Fraction) -> dict:
     report = stability_report(analysis, [lam])
     s = report.per_lambda[0]
+    # Repeated members and full-table members share one MemberAnalysis.
+    named = {}
+    for mem in analysis.per_member:
+        if id(mem) not in named:
+            named[id(mem)] = (_reduct_names(system, mem.reducts), _attr_names(system, mem.core))
+    support = sorted((_attr_names(system, r), count) for r, count in report.reduct_support)
     return {
         "family": [
             {
                 "indices": list(member.object_indices),
-                "reducts": _reduct_names(system, mem.reducts),
-                "core": _attr_names(system, mem.core),
+                "reducts": named[id(mem)][0],
+                "core": named[id(mem)][1],
             }
             for member, mem in zip(family.members, analysis.per_member)
         ],
@@ -214,13 +219,9 @@ def _family_sections(system: DecisionSystem, analysis: FamilyAnalysis,
                 system.cond_attrs[a]: count
                 for a, count in report.attr_core_support.items()
             },
-            "reduct_support": sorted(
-                (
-                    {"reduct": _attr_names(system, r), "support": count}
-                    for r, count in report.reduct_support
-                ),
-                key=lambda entry: entry["reduct"],
-            ),
+            "reduct_support": [
+                {"reduct": names, "support": count} for names, count in support
+            ],
         },
     }
 
@@ -273,6 +274,66 @@ def _execute(args) -> tuple[dict, int]:
     return report, EXIT_VERIFY if failed else EXIT_OK
 
 
+def _render(report) -> str:
+    """The text of ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.
+
+    ``indent`` sends ``json.dumps`` down its pure-Python encoder, one
+    generator frame per value; this writer walks the plain dict/list data
+    once into a single chunk list instead, and quotes strings with the C
+    function ``json.dumps`` itself uses, so the escaping is identical.
+    """
+    chunks: list[str] = []
+    _write(report, "\n", chunks)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _write(value, newline: str, chunks: list[str]) -> None:
+    # ``newline`` is the line break plus the indentation of ``value`` itself.
+    if isinstance(value, str):
+        chunks.append(_quote(value))
+    elif isinstance(value, list):
+        if not value:
+            chunks.append("[]")
+            return
+        inner = newline + "  "
+        try:  # a list of strings, such as an attribute set, is one join
+            body = ("," + inner).join(map(_quote, value))
+        except TypeError:  # some element is not a string
+            sep = "[" + inner
+            for item in value:
+                chunks.append(sep)
+                _write(item, inner, chunks)
+                sep = "," + inner
+        else:
+            chunks.append("[" + inner)
+            chunks.append(body)
+        chunks.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            chunks.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            chunks.append(sep)
+            chunks.append(_quote(key))
+            chunks.append(": ")
+            _write(item, inner, chunks)
+            sep = "," + inner
+        chunks.append(newline + "}")
+    elif value is None:
+        chunks.append("null")
+    elif value is True:
+        chunks.append("true")
+    elif value is False:
+        chunks.append("false")
+    elif isinstance(value, int):
+        chunks.append(int.__repr__(value))
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} in a report")
+
+
 def run(argv=None) -> int:
     """Parse flags, run the selected pipeline, print one JSON document."""
     parser = build_parser()
@@ -297,7 +358,7 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"dynred: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    sys.stdout.write(_render(report))
     return status
 
 

@@ -60,13 +60,36 @@ def check_lambda(value: Fraction | int | str) -> Fraction:
     return lam
 
 
+# ``Fraction`` expands a decimal exponent into 10**exponent before any range
+# check can run, so "1e-99999999" would take minutes. Nothing is lost by the
+# cap: a fraction below 1/rows samples one row, as 1e-1000 already does,
+# and a value with a larger positive exponent is out of range.
+MAX_EXPONENT = 1000
+
+
+def parse_rational(text: str, what: str) -> Fraction:
+    """Exact rational from decimal or ``p/q`` text; ``what`` names the value in errors.
+
+    Raises ParameterError for text ``Fraction`` rejects and for a decimal
+    exponent outside [-MAX_EXPONENT, MAX_EXPONENT], refused before it is
+    expanded.
+    """
+    # Valid text has at most one "e", which starts an integer exponent.
+    _, e, exponent = text.lower().rpartition("e")
+    try:
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ParameterError(
+                f"{what} {text!r} has a decimal exponent outside "
+                f"[-{MAX_EXPONENT}, {MAX_EXPONENT}]"
+            )
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"cannot parse {what} {text!r}") from exc
+
+
 def parse_lambda(text: str) -> Fraction:
     """Exact rational from a decimal string, range-checked."""
-    try:
-        lam = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"cannot parse precision coefficient {text!r}") from exc
-    return check_lambda(lam)
+    return check_lambda(parse_rational(text, "precision coefficient"))
 
 
 @dataclass(frozen=True)

@@ -56,13 +56,18 @@ def _mask(attrs: frozenset[int]) -> int:
     return m
 
 
-def _unmask(mask: int) -> frozenset[int]:
+def _indices(mask: int) -> list[int]:
+    """Set bits of ``mask`` in ascending order."""
     out = []
     while mask:
         low = mask & -mask
         out.append(low.bit_length() - 1)
         mask ^= low
-    return frozenset(out)
+    return out
+
+
+def _unmask(mask: int) -> frozenset[int]:
+    return frozenset(_indices(mask))
 
 
 def _minimal_masks(masks: Iterable[int]) -> list[int]:
@@ -147,7 +152,9 @@ def all_reducts(
                 kept.append(uncov & hit)
                 stack.append((chosen | v, kept, cand, uncov & ~hit))
             cand |= v
-    return canonical_reducts(_unmask(m) for m in found)
+    # Each reduct is found exactly once, so sorting the ascending index
+    # lists gives the canonical order with no deduplication.
+    return tuple(map(frozenset, sorted(map(_indices, found))))
 
 
 def core_of(table: Table) -> frozenset[int]:

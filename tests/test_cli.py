@@ -6,10 +6,18 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from dynred.cli import run
+from dynred.cli import _render, run
 
 from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv
+
+# Condition names with an accent, a CSV-escaped double quote, a backslash,
+# and one holding a tab, an astral character and U+2028.
+NON_ASCII_CSV = (
+    'café,"q""uote",back\\slash,"t\tab \U0001d538\u2028",d\n'
+    "0,0,0,0,0\n1,0,0,1,1\n0,1,1,0,1\n1,1,0,1,0\n0,0,1,1,1\n"
+)
 
 
 @pytest.fixture
@@ -23,6 +31,15 @@ def run_json(capsys, argv):
     status = run(argv)
     out = capsys.readouterr().out
     return status, out
+
+
+def run_module(argv, cwd=None, timeout=60, **env_vars):
+    """``python -m dynred`` in a fresh interpreter, importing this checkout."""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, **env_vars)
+    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.run([sys.executable, "-m", "dynred", *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 class TestReductsCommand:
@@ -51,6 +68,32 @@ class TestReductsCommand:
         _, out = run_json(capsys, ["reducts", "--input", fixa_path, "--decision", "d"])
         report = json.loads(out)
         assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+
+# Strings mixing arbitrary characters with the ones JSON escapes specially:
+# quotes, backslashes, control characters, U+2028/9, a lone surrogate.
+_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é\U0001f600\ud800'), max_size=6
+)
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(_TEXT, max_size=4)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_render_matches_json_dumps(value):
+    assert _render(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+def test_render_refuses_values_json_would_reshape():
+    # The report holds no tuples or floats, so the writer refuses them.
+    for value in ({"a": (1, 2)}, [0.5]):
+        with pytest.raises(TypeError):
+            _render(value)
 
 
 class TestCoreCommand:
@@ -110,6 +153,20 @@ class TestDynamicCommand:
         status, _ = run_json(capsys, argv)
         assert status == 0
 
+    def test_non_ascii_names_render_as_json_dumps(self, capsys, tmp_path):
+        p = tmp_path / "names.csv"
+        p.write_text(NON_ASCII_CSV, encoding="utf-8")
+        argv = ["dynamic", "--input", str(p), "--decision", "d", "--fractions", "0.5,1",
+                "--samples", "2", "--seed", "3", "--lambda", "0.6"]
+        status, out = run_json(capsys, argv)
+        assert status == 0
+        report = json.loads(out)
+        assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+        assert report["input"]["attributes"] == [
+            "café", 'q"uote', "back\\slash", "t\tab \U0001d538\u2028"
+        ]
+        assert set(report["stability"]["attr_core_support"]) == set(report["input"]["attributes"])
+
 
 class TestVerifyCommand:
     def test_fixture_all_green(self, capsys, fixa_path):
@@ -144,6 +201,30 @@ class TestGoldenBytes:
         status, out = run_json(capsys, [command, *self.ARGS])
         assert status == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("command,table,digest", [
+        ("reducts", "fixa.csv", "d9be0f5fa0d860cc6fd65c41d5280547874c16b53ad09b108125352d7416638e"),
+        ("core", "fixa.csv", "fe3091a048bd4b2eae4f84257b4bae1ef05eecb9773a8f135e884b1625b1851c"),
+        ("reducts", "matching.csv",
+         "a730950bc4d12a3c113e389b48e7d63341a669f13f38519df8066cafb4255eb6"),
+    ], ids=["reducts-fixa", "core-fixa", "reducts-matching8"])
+    def test_static_digest(self, capsys, tmp_path, monkeypatch, command, table, digest):
+        (tmp_path / "fixa.csv").write_text(FIX_A_CSV)
+        (tmp_path / "matching.csv").write_text(matching_csv(8))  # 256 reducts
+        monkeypatch.chdir(tmp_path)
+        status, out = run_json(capsys, [command, "--input", table, "--decision", "d"])
+        assert status == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("csv_text", [FIX_A_CSV, NON_ASCII_CSV], ids=["fixa", "non_ascii"])
+    def test_bytes_identical_across_hash_seeds(self, tmp_path, csv_text):
+        # String hashing, and so set and dict iteration order, varies by seed.
+        (tmp_path / "t.csv").write_text(csv_text, encoding="utf-8")
+        argv = ["dynamic", "--input", "t.csv", "--decision", "d", "--fractions", "0.5,1",
+                "--samples", "2", "--seed", "3", "--lambda", "0.6"]
+        runs = [run_module(argv, cwd=tmp_path, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+        assert [r.returncode for r in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout
 
 
 class TestExitCodes:
@@ -273,31 +354,49 @@ class TestExitCodes:
         )
         assert status == expected
 
-    def test_verify_failure_exits_4(self, capsys, fixa_path, monkeypatch):
-        # The laws hold on real data, so force a failing check to cover the path.
+    def test_verify_failure_exits_4(self, capsys, tmp_path, monkeypatch):
+        # The laws hold on real data, so force a failing check to cover the
+        # path, with a witness shaped like the verifier's own. The report
+        # bytes are pinned; the relative --input keeps input.path stable.
         import dynred.cli as cli_mod
         from dynred import TheoremCheck
 
+        witness = {"attribute": 0, "subset": [0, 2], "superset": [2], "lambda_low": "3/4"}
         monkeypatch.setattr(
             cli_mod,
             "verify_theorems",
-            lambda analysis, lam: (TheoremCheck("T1", "fail", "forced", None),),
+            lambda analysis, lam: (TheoremCheck("T1", "fail", "forced", witness),),
         )
-        argv = ["verify", "--input", fixa_path, "--decision", "d",
+        (tmp_path / "fixa.csv").write_text(FIX_A_CSV)
+        monkeypatch.chdir(tmp_path)
+        argv = ["verify", "--input", "fixa.csv", "--decision", "d",
                 "--fractions", "0.5", "--lambda", "0.75"]
         status, out = run_json(capsys, argv)
         assert status == 4
-        assert json.loads(out)["verification"][0]["status"] == "fail"
+        check = json.loads(out)["verification"][0]
+        assert check["status"] == "fail"
+        assert check["witness"] == {"attribute": "a", "subset": ["a", "c"],
+                                    "superset": ["c"], "lambda_low": "3/4"}
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "6c6e60000839d24f4dae04c3e5807c8acc61ade016e8e107e8cff8c2013321eb"
+        )
+
+    @pytest.mark.parametrize("flag", ["--lambda", "--fractions"])
+    def test_huge_exponent_usage_error(self, fixa_path, flag):
+        # Expanding 10**99999999 would hang, so the exponent is refused first;
+        # the subprocess timeout turns a regression into a failure.
+        values = {"--lambda": "0.75", "--fractions": "0.5", flag: "1e-99999999"}
+        argv = ["dynamic", "--input", fixa_path, "--decision", "d"]
+        for name, value in values.items():
+            argv += [name, value]
+        proc = run_module(argv, timeout=10)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("dynred: ")
+        assert "exponent" in proc.stderr
 
 
 def test_module_entry_point(fixa_path):
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "dynred", "reducts", "--input", fixa_path,
-         "--decision", "d"],
-        capture_output=True, text=True, env=env,
-    )
+    proc = run_module(["reducts", "--input", fixa_path, "--decision", "d"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["static"]["core"] == ["a"]

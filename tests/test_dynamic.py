@@ -34,6 +34,8 @@ from dynred import (
     verify_theorems,
 )
 
+from dynred.dynamic import parse_rational
+
 from conftest import idx, random_family, random_system, reduct_names
 
 
@@ -58,9 +60,17 @@ class TestLambdaParsing:
 
     @pytest.mark.parametrize("text,value", [("0.51", Fraction(51, 100)),
                                             ("0.6", Fraction(3, 5)),
-                                            ("1", Fraction(1))])
+                                            ("1", Fraction(1)),
+                                            ("75E-2", Fraction(3, 4))])
     def test_exact_rationals(self, text, value):
         assert parse_lambda(text) == value
+
+    def test_exponent_cap(self):
+        # The cap is checked before Fraction expands 10**exponent.
+        assert parse_rational("1e-1000", "fraction") == Fraction(1, 10 ** 1000)
+        for text in ("1e-1001", "1E+1001", "1e-" + "9" * 4000, "1e" + "9" * 5000):
+            with pytest.raises(ParameterError):
+                parse_rational(text, "fraction")
 
     def test_garbage_rejected(self):
         with pytest.raises(ParameterError):
