@@ -38,7 +38,8 @@ from .reducts import (
     canonical_reducts,
     intersect_all,
 )
-from .table import DecisionSystem, Family
+# MAX_EXPONENT and parse_rational are re-exported for callers importing them from here.
+from .table import MAX_EXPONENT, DecisionSystem, Family, parse_rational
 
 ONE_HALF = Fraction(1, 2)
 
@@ -53,38 +54,17 @@ LAMBDA_GRID = (
 
 
 def check_lambda(value: Fraction | int | str) -> Fraction:
-    """Validate a precision coefficient; admissible range is (1/2, 1]."""
+    """Validate a precision coefficient; admissible range is (1/2, 1].
+
+    String input is read by ``parse_rational``, so malformed text and a huge
+    decimal exponent raise ParameterError.
+    """
+    if isinstance(value, str):
+        value = parse_rational(value, "precision coefficient")
     lam = Fraction(value)
     if not ONE_HALF < lam <= 1:
         raise ParameterError(f"precision coefficient {lam} outside (1/2, 1]")
     return lam
-
-
-# ``Fraction`` expands a decimal exponent into 10**exponent before any range
-# check can run, so "1e-99999999" would take minutes. Nothing is lost by the
-# cap: a fraction below 1/rows samples one row, as 1e-1000 already does,
-# and a value with a larger positive exponent is out of range.
-MAX_EXPONENT = 1000
-
-
-def parse_rational(text: str, what: str) -> Fraction:
-    """Exact rational from decimal or ``p/q`` text; ``what`` names the value in errors.
-
-    Raises ParameterError for text ``Fraction`` rejects and for a decimal
-    exponent outside [-MAX_EXPONENT, MAX_EXPONENT], refused before it is
-    expanded.
-    """
-    # Valid text has at most one "e", which starts an integer exponent.
-    _, e, exponent = text.lower().rpartition("e")
-    try:
-        if e and abs(int(exponent)) > MAX_EXPONENT:
-            raise ParameterError(
-                f"{what} {text!r} has a decimal exponent outside "
-                f"[-{MAX_EXPONENT}, {MAX_EXPONENT}]"
-            )
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"cannot parse {what} {text!r}") from exc
 
 
 def parse_lambda(text: str) -> Fraction:

@@ -11,8 +11,9 @@ soon as some chosen attribute is left without a critical clause (one that
 no other chosen attribute hits). Every leaf is a reduct and no partial
 implicant outlives its branch, so memory beyond the reducts found grows
 with the search depth, and the reduct cap ends the search at the first
-reduct past it. The core needs no clauses: it is read off the positive
-region with one attribute deleted at a time. Internally clauses and
+reduct past it. The core needs no clauses: it is the attributes whose
+deletion fails the positive-region probe of the table's labelled class
+table (``rough.preserves``), one probe per attribute. Internally clauses and
 attribute sets are bitmasks; the public surface speaks frozensets.
 """
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import CapacityError
-from .rough import Table, base_system, discernibility_masks, positive_region
+from .rough import Table, base_system, class_table, discernibility_masks, preserves
 
 DEFAULT_MAX_ATTRS = 24
 DEFAULT_MAX_REDUCTS = 100_000
@@ -160,13 +161,12 @@ def all_reducts(
 def core_of(table: Table) -> frozenset[int]:
     """Attributes whose deletion from C shrinks the positive region.
 
-    Takes m + 1 partition passes and no clauses. The positive region is
-    monotone in the attribute set, so this equals the singleton clauses of
-    the discernibility function and the intersection of all reducts (empty
-    when the sole reduct is the empty set), without enumeration.
+    Takes m probes of one class table and no clauses. The positive region
+    is monotone in the attribute set, so this equals the singleton clauses
+    of the discernibility function and the intersection of all reducts
+    (empty when the sole reduct is the empty set), without enumeration.
     """
-    attrs = range(base_system(table).n_attrs)
-    target = positive_region(table, attrs)
-    return frozenset(
-        a for a in attrs if positive_region(table, (b for b in attrs if b != a)) != target
-    )
+    n = base_system(table).n_attrs
+    classes = class_table(table)
+    full = (1 << n) - 1
+    return frozenset(a for a in range(n) if not preserves(classes, full & ~(1 << a)))

@@ -1,14 +1,23 @@
 """Classical rough-set primitives over decision tables and sub-tables.
 
-Indiscernibility partitions, the generalized decision of inconsistent
-tables, decision-positive regions, the discernibility clauses built over
-condition classes, and the reduct predicate. Everything here is a pure
-function; attribute sets are frozensets of condition-attribute indices,
-and clauses are int bitmasks over the same indices.
+Two layers. The primitives: indiscernibility partitions, the generalized
+decision of inconsistent tables and decision-positive regions, kept as
+library functions and as the oracle's reference. The engine reads one
+labelled class table per table instead (``class_table``): each distinct
+full-attribute condition class, packed into an int, maps to its decision
+code or to ``BOUNDARY`` when its objects disagree. One rule then answers
+both engine questions: two classes must be split exactly when their labels
+differ, and an attribute set preserves the positive region exactly when
+every block it induces on the classes carries a single label
+(``preserves``). The discernibility clauses and the reduct predicate are
+built on it. Everything here is a pure function; attribute sets are
+frozensets of condition-attribute indices, and clauses and probe masks are
+int bitmasks over the same indices.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Union
 
 from .errors import DomainError
@@ -74,48 +83,92 @@ def positive_region(table: Table, attrs: Iterable[int]) -> frozenset[int]:
     return frozenset(region)
 
 
+BOUNDARY = -1  # label of a class whose objects disagree on the decision
+
+
+@dataclass(frozen=True)
+class ClassTable:
+    """Distinct full-attribute condition classes of one table, packed and labelled.
+
+    ``labels`` maps each packed class row to its decision code, or to
+    ``BOUNDARY`` when the class's objects disagree. ``fields[a]`` is the bit
+    range of attribute ``a`` in a packed row, its guard bit included, and
+    ``guard`` holds every field's guard bit, which no packed row sets.
+    """
+
+    labels: dict[int, int]
+    fields: tuple[int, ...]
+    guard: int
+
+
+def class_table(table: Table) -> ClassTable:
+    """Pack and label the table's full-attribute condition classes.
+
+    Each class row gets one fixed-width field per attribute, wide enough for
+    the largest code plus a guard bit above it.
+    """
+    parent = base_system(table)
+    by_row: dict[tuple[int, ...], int] = {}
+    for i in universe(table):
+        d = parent.decisions[i]
+        if by_row.setdefault(parent.rows[i], d) != d:
+            by_row[parent.rows[i]] = BOUNDARY
+    width = max((code for row in by_row for code in row), default=0).bit_length() + 1
+    fields = tuple(((1 << width) - 1) << (a * width) for a in range(parent.n_attrs))
+    labels = {
+        sum(code << (a * width) for a, code in enumerate(row)): label
+        for row, label in by_row.items()
+    }
+    guard = sum(1 << (a * width + width - 1) for a in range(parent.n_attrs))
+    return ClassTable(labels, fields, guard)
+
+
+def preserves(classes: ClassTable, mask: int) -> bool:
+    """True iff the attributes in ``mask`` keep the full positive region.
+
+    That holds exactly when every block the attributes induce on the classes
+    carries a single label: a positive class shares its block with no other
+    label, and boundary classes may share one. One AND and one dict probe per
+    class, stopping at the first block with two labels.
+    """
+    keep = 0
+    for a, field in enumerate(classes.fields):
+        if mask >> a & 1:
+            keep |= field
+    seen: dict[int, int] = {}
+    for packed, label in classes.labels.items():
+        if seen.setdefault(packed & keep, label) != label:
+            return False
+    return True
+
+
 def discernibility_masks(table: Table) -> set[int]:
     """Distinct attribute masks of the condition-class pairs a reduct must split.
 
     Works on distinct full-attribute condition classes, not on object pairs:
-    objects of one class never need splitting, and whether two classes must
-    be split depends only on their positive-region status and decision. A
-    pair qualifies when at least one class lies in the positive region and
-    either the other does not or their decisions differ. Bit ``a`` of a
-    mask is set when the two classes differ on attribute ``a``.
+    objects of one class never need splitting, and two classes must be split
+    exactly when their labels (decision code or ``BOUNDARY``) differ. Bit
+    ``a`` of a mask is set when the two classes differ on attribute ``a``.
 
-    Each class row is packed into one fixed-width field per attribute, with
-    a guard bit above the widest code. For packed rows x and y,
-    ``((x ^ y) + low) & guard`` keeps the guard bit of exactly the fields
-    where they differ: a field of x ^ y plus its all-ones ``low`` part never
-    carries past its own guard bit. Only distinct guard patterns are
-    unpacked into attribute masks.
+    For packed rows x and y, ``((x ^ y) + low) & guard`` keeps the guard bit
+    of exactly the fields where they differ: a field of x ^ y plus its
+    all-ones ``low`` part never carries past its own guard bit. Only
+    distinct guard patterns are unpacked into attribute masks.
     """
-    parent = base_system(table)
-    n = parent.n_attrs
-    classes = [
-        (parent.rows[block[0]], decisions)
-        for block, decisions in generalized_decision(table).items()
-    ]
-    width = max((code for row, _ in classes for code in row), default=0).bit_length() + 1
-    low = sum(((1 << (width - 1)) - 1) << (a * width) for a in range(n))
-    guard = sum(1 << (a * width + width - 1) for a in range(n))
-    positive: dict[int, list[int]] = {}
-    boundary: list[int] = []
-    for row, decisions in classes:
-        packed = sum(code << (a * width) for a, code in enumerate(row))
-        if len(decisions) == 1:
-            positive.setdefault(next(iter(decisions)), []).append(packed)
-        else:
-            boundary.append(packed)
+    classes = class_table(table)
+    guard = classes.guard
+    low = sum(classes.fields) ^ guard
+    by_label: dict[int, list[int]] = {}
+    for packed, label in classes.labels.items():
+        by_label.setdefault(label, []).append(packed)
 
-    groups = list(positive.values())
+    groups = list(by_label.values())
     patterns: set[int] = set()
     for k, xs in enumerate(groups):
-        for ys in groups[k + 1 :] + [boundary]:
+        for ys in groups[k + 1 :]:
             patterns |= {((x ^ y) + low) & guard for x in xs for y in ys}
     return {
-        sum(1 << a for a in range(n) if p >> (a * width + width - 1) & 1) for p in patterns
+        sum(1 << a for a, field in enumerate(classes.fields) if p & field) for p in patterns
     }
 
 
@@ -124,11 +177,12 @@ def is_reduct(table: Table, attrs: Iterable[int]) -> bool:
 
     Minimality is checked on one-attribute deletions only; the positive
     region is monotone in the attribute set, so that is equivalent to
-    minimality over all proper subsets.
+    minimality over all proper subsets. Takes |attrs| + 1 probes of one
+    class table.
     """
-    candidate = frozenset(_checked_attrs(table, attrs))
-    parent = base_system(table)
-    target = positive_region(table, range(parent.n_attrs))
-    if positive_region(table, candidate) != target:
-        return False
-    return all(positive_region(table, candidate - {a}) != target for a in candidate)
+    candidate = _checked_attrs(table, attrs)
+    mask = sum(1 << a for a in candidate)
+    classes = class_table(table)
+    return preserves(classes, mask) and not any(
+        preserves(classes, mask & ~(1 << a)) for a in candidate
+    )

@@ -204,6 +204,33 @@ def _draw_indices(rng: SplitMix64, n: int, m: int) -> tuple[int, ...]:
     return tuple(sorted(pool[:m]))
 
 
+# ``Fraction`` expands a decimal exponent into 10**exponent before any range
+# check can run, so "1e-99999999" would take minutes. Nothing is lost by the
+# cap: a fraction below 1/rows samples one row, as 1e-1000 already does,
+# and a value with a larger positive exponent is out of range.
+MAX_EXPONENT = 1000
+
+
+def parse_rational(text: str, what: str) -> Fraction:
+    """Exact rational from decimal or ``p/q`` text; ``what`` names the value in errors.
+
+    Raises ParameterError for text ``Fraction`` rejects and for a decimal
+    exponent outside [-MAX_EXPONENT, MAX_EXPONENT], refused before it is
+    expanded.
+    """
+    # Valid text has at most one "e", which starts an integer exponent.
+    _, e, exponent = text.lower().rpartition("e")
+    try:
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ParameterError(
+                f"{what} {text!r} has a decimal exponent outside "
+                f"[-{MAX_EXPONENT}, {MAX_EXPONENT}]"
+            )
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParameterError(f"cannot parse {what} {text!r}") from exc
+
+
 @dataclass(frozen=True)
 class SamplingPlan:
     """Deterministic sampling plan: seed, sample-size fractions, repeat count."""
@@ -213,7 +240,10 @@ class SamplingPlan:
     samples_per_fraction: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fractions", tuple(Fraction(f) for f in self.fractions))
+        object.__setattr__(self, "fractions", tuple(
+            parse_rational(f, "fraction") if isinstance(f, str) else Fraction(f)
+            for f in self.fractions
+        ))
         if not 0 <= self.seed <= MASK64:
             raise ParameterError("seed must fit in an unsigned 64-bit integer")
         if not self.fractions:

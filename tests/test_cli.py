@@ -51,6 +51,16 @@ class TestReductsCommand:
         assert report["static"]["core"] == ["a"]
         assert report["input"]["rows"] == 3
 
+    @pytest.mark.parametrize("body", ["0\n0\n", "0\n1\n"], ids=["consistent", "inconsistent"])
+    def test_no_condition_attributes(self, capsys, tmp_path, body):
+        p = tmp_path / "decision_only.csv"
+        p.write_text("d\n" + body)
+        status, out = run_json(capsys, ["reducts", "--input", str(p), "--decision", "d"])
+        assert status == 0
+        report = json.loads(out)
+        assert report["input"]["attributes"] == []
+        assert report["static"] == {"core": [], "reducts": [[]]}
+
     def test_deterministic_bytes(self, capsys, fixa_path):
         argv = ["reducts", "--input", fixa_path, "--decision", "d"]
         _, first = run_json(capsys, argv)

@@ -1,4 +1,5 @@
-"""The package runs on the standard library alone and declares no dependencies."""
+"""The package runs on the standard library alone and declares no dependencies,
+and the engine and the oracle share nothing but the positive-region primitives."""
 
 import ast
 import re
@@ -28,3 +29,42 @@ def test_package_imports_only_the_standard_library():
 def test_pyproject_declares_no_dependencies():
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.search(r"^dependencies = \[\]$", text, re.MULTILINE)
+
+
+PRIMITIVES = {"positive_region", "condition_classes", "generalized_decision"}
+ENGINE_PROBES = {"class_table", "preserves", "discernibility_masks"}
+
+
+def _names(tree):
+    """Every identifier a syntax tree names: variables, attributes, imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.alias):
+            yield node.lineno, node.name.rpartition(".")[2]
+
+
+def test_engine_and_oracle_stay_apart():
+    # The primitives are defined in rough.py, read by the oracle, and
+    # re-exported by the package's public surface; no engine path reads them.
+    package = ROOT / "src" / "dynred"
+    crossings = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name == "rough.py":
+            trees = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                     and f.name in ENGINE_PROBES | {"is_reduct"}]
+            assert {f.name for f in trees} == ENGINE_PROBES | {"is_reduct"}
+            forbidden = PRIMITIVES
+        elif path.name == "oracle.py":
+            trees, forbidden = [tree], ENGINE_PROBES
+        elif path.name == "__init__.py":
+            continue
+        else:
+            trees, forbidden = [tree], PRIMITIVES
+        for t in trees:
+            crossings += [f"{path.name}:{line}: {name}"
+                          for line, name in _names(t) if name in forbidden]
+    assert crossings == []

@@ -1,5 +1,9 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +13,7 @@ from dynred import (
     Family,
     MemberAnalysis,
     ParameterError,
+    SamplingPlan,
     all_reducts,
     analyze_family,
     check_lambda,
@@ -78,6 +83,32 @@ class TestLambdaParsing:
 
     def test_check_accepts_fraction(self):
         assert check_lambda(Fraction(3, 4)) == Fraction(3, 4)
+
+
+class TestLibraryStringInput:
+    """``check_lambda`` and ``SamplingPlan`` read strings as the CLI does."""
+
+    @pytest.mark.parametrize("call", [
+        'dynred.check_lambda("1e-99999999")',
+        'dynred.SamplingPlan(seed=0, fractions=("1e-99999999",), samples_per_fraction=1)',
+    ])
+    def test_huge_exponent_refused_before_expansion(self, call):
+        # Expanding 10**99999999 would hang; the subprocess timeout turns a
+        # regression into a failure.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        code = f"import dynred\ntry:\n    {call}\nexcept dynred.ParameterError as exc:\n    print(exc)\n"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert "exponent" in proc.stdout
+
+    @pytest.mark.parametrize("text", ["abc", "1/0"])
+    def test_malformed_text_is_a_parameter_error(self, text):
+        with pytest.raises(ParameterError, match="cannot parse"):
+            check_lambda(text)
+        with pytest.raises(ParameterError, match="cannot parse"):
+            SamplingPlan(seed=0, fractions=(text,), samples_per_fraction=1)
 
 
 class TestAnalyzeFamily:

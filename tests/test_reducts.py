@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dynred import (
     CapacityError,
+    DecisionSystem,
     absorb,
     all_reducts,
     brute_force_core,
@@ -19,7 +20,9 @@ from dynred import (
     is_reduct,
     make_subsystem,
     parse_decision_table,
+    positive_region,
 )
+from dynred.rough import class_table, preserves
 
 from conftest import idx, matching_csv, random_system, reduct_names
 
@@ -152,15 +155,32 @@ def _coded_table(rng, n_rows, n_attrs, *, d_arity=2, conflicts=0, wide_rows=0):
     return parse_decision_table(header + "\n" + body, "d")
 
 
+def _attrs(mask):
+    return [a for a in range(mask.bit_length()) if mask >> a & 1]
+
+
 def _assert_engine_matches_oracle(system, table):
-    """Class-level clauses and the partition core against the pairwise cells."""
+    """Class-level clauses, the class-table probe, the core and the reduct
+    predicate against the pairwise cells, the positive region and the subset
+    oracle. Every attribute mask is probed up to 8 attributes, a fixed sample
+    of 64 above that.
+    """
     cells = [cell for _, cell in discernibility_matrix(table).cells]
     assert discernibility_function(table) == absorb(cells)
     core = core_of(table)
     assert core == frozenset(next(iter(c)) for c in cells if len(c) == 1)
+    m = system.n_attrs
+    masks = range(1 << m) if m <= 8 else random.Random(0).sample(range(1 << m), 64)
+    classes = class_table(table)
+    full = positive_region(table, range(m))
+    for mask in masks:
+        assert preserves(classes, mask) == (positive_region(table, _attrs(mask)) == full)
     # The subset oracle is exponential in |C|; keep it to small tables.
-    if system.n_attrs <= 8 and table.n_objects <= 64:
+    if m <= 8 and table.n_objects <= 64:
         assert core == brute_force_core(table)
+        reducts = set(brute_force_reducts(table))
+        for mask in masks:
+            assert is_reduct(table, _attrs(mask)) == (frozenset(_attrs(mask)) in reducts)
 
 
 class TestClauseOracleAgreement:
@@ -204,11 +224,39 @@ class TestClauseOracleAgreement:
         member = make_subsystem(s, high[:20] + rng.sample(range(s.n_objects), 20))
         _assert_engine_matches_oracle(s, member)
 
+    @pytest.mark.parametrize("decisions", ["0,0,0", "0,1,0"], ids=["consistent", "inconsistent"])
+    def test_no_condition_attributes(self, decisions):
+        # Every row packs to the empty class; the sole reduct is the empty set.
+        s = parse_decision_table("d\n" + decisions.replace(",", "\n") + "\n", "d")
+        assert s.n_attrs == 0
+        assert discernibility_function(s) == ()
+        assert all_reducts(s) == (frozenset(),)
+        assert is_reduct(s, ())
+        _assert_engine_matches_oracle(s, s)
+        _assert_engine_matches_oracle(s, make_subsystem(s, {1, 2}))
+
     def test_twenty_four_attributes(self):
         rng = random.Random(15)
         s = _coded_table(rng, 30, 24, conflicts=3)
         _assert_engine_matches_oracle(s, s)
         _assert_engine_matches_oracle(s, make_subsystem(s, rng.sample(range(s.n_objects), 12)))
+
+
+@pytest.mark.parametrize("arities", [(3,) * 16, (2,) * 4 + (3,) * 12], ids=["arity3", "mixed"])
+def test_core_past_the_oracle_limit(arities):
+    # 2,000 rows is past the subset oracle's 64; the core is checked against
+    # the reduct intersection and against the positive-region formula itself.
+    # The uniform arity-3 table has an empty core; the mixed one has a proper
+    # non-empty core and two boundary objects.
+    rng = random.Random(1)
+    n, m = 2000, len(arities)
+    rows = tuple(tuple(rng.randrange(k) for k in arities) for _ in range(n))
+    decisions = tuple(rng.randrange(2) for _ in range(n))
+    s = DecisionSystem("uniform", tuple(f"c{a}" for a in range(m)), "d", rows, decisions, {})
+    core = core_of(s)
+    assert core == intersect_all(all_reducts(s), m)
+    full = positive_region(s, range(m))
+    assert core == {a for a in range(m) if positive_region(s, set(range(m)) - {a}) != full}
 
 
 class TestEnumeratorOracleAgreement:
