@@ -18,17 +18,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .dynamic import (
     FamilyAnalysis,
+    StabilityReport,
     analyze_family,
-    parse_lambda,
-    parse_rational,
+    check_lambda,
     stability_report,
-    verify_theorems,
+    verify_slice,
 )
 from .errors import (
     CapacityError,
@@ -41,6 +40,7 @@ from .errors import (
 )
 from .oracle import brute_force_core, brute_force_reducts
 from .reducts import DEFAULT_MAX_ATTRS, DEFAULT_MAX_REDUCTS, all_reducts, core_of, intersect_all
+from .rough import universe
 from .table import DecisionSystem, Family, SamplingPlan, parse_decision_table, sample_family
 
 EXIT_OK = 0
@@ -128,37 +128,34 @@ def _witness_names(system: DecisionSystem, witness: dict | None) -> dict | None:
     return out
 
 
-def _parse_fractions(text: str) -> list[Fraction]:
-    return [parse_rational(piece.strip(), "fraction") for piece in text.split(",")]
+def _cross_check(results) -> None:
+    """Compare (label, table, reducts, core) results, in order, with the exhaustive oracle.
 
-
-def _static_reducts(system: DecisionSystem, args) -> tuple:
-    reducts = all_reducts(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
-    core = intersect_all(reducts, system.n_attrs)
-    if args.exact:
-        _cross_check(system, reducts, core, what="base system")
-    return reducts, core
-
-
-def _cross_check(table, reducts, core, what: str) -> None:
-    expected = brute_force_reducts(table)
-    if tuple(reducts) != expected:
-        raise SelfCheckError(f"{what}: engine reducts disagree with the exhaustive oracle")
-    if core != brute_force_core(table):
-        raise SelfCheckError(f"{what}: engine core disagrees with the exhaustive oracle")
+    The oracle runs once per distinct table (by row indices); its core is
+    the intersection of its reducts.
+    """
+    oracle: dict[tuple[int, ...], tuple[frozenset[int], ...]] = {}
+    for what, table, reducts, core in results:
+        rows = universe(table)
+        if rows not in oracle:
+            oracle[rows] = brute_force_reducts(table)
+        if tuple(reducts) != oracle[rows]:
+            raise SelfCheckError(f"{what}: engine reducts disagree with the exhaustive oracle")
+        if core != frozenset.intersection(*oracle[rows]):
+            raise SelfCheckError(f"{what}: engine core disagrees with the exhaustive oracle")
 
 
 def _analyze(system: DecisionSystem, args) -> tuple[FamilyAnalysis, Family]:
-    fractions = _parse_fractions(args.fractions)
-    plan = SamplingPlan(seed=args.seed, fractions=tuple(fractions),
-                        samples_per_fraction=args.samples)
+    fractions = tuple(piece.strip() for piece in args.fractions.split(","))
+    plan = SamplingPlan(seed=args.seed, fractions=fractions, samples_per_fraction=args.samples)
     family = sample_family(system, plan)
     analysis = analyze_family(system, family,
                               max_attrs=args.max_attrs, max_reducts=args.max_reducts)
     if args.exact:
-        _cross_check(system, analysis.red_s, analysis.core_s, what="base system")
+        results = [("base system", system, analysis.red_s, analysis.core_s)]
         for i, (member, mem) in enumerate(zip(family.members, analysis.per_member)):
-            _cross_check(member, mem.reducts, mem.core, what=f"family member {i}")
+            results.append((f"family member {i}", member, mem.reducts, mem.core))
+        _cross_check(results)
     return analysis, family
 
 
@@ -185,8 +182,7 @@ def _base_report(system: DecisionSystem, args) -> dict:
 
 
 def _family_sections(system: DecisionSystem, analysis: FamilyAnalysis,
-                     family: Family, lam: Fraction) -> dict:
-    report = stability_report(analysis, [lam])
+                     family: Family, report: StabilityReport) -> dict:
     s = report.per_lambda[0]
     # Repeated members and full-table members share one MemberAnalysis.
     named = {}
@@ -235,7 +231,10 @@ def _execute(args) -> tuple[dict, int]:
     report = _base_report(system, args)
 
     if args.command == "reducts":
-        reducts, core = _static_reducts(system, args)
+        reducts = all_reducts(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
+        core = intersect_all(reducts, system.n_attrs)
+        if args.exact:
+            _cross_check([("base system", system, reducts, core)])
         report["static"] = {
             "reducts": _reduct_names(system, reducts),
             "core": _attr_names(system, core),
@@ -249,18 +248,20 @@ def _execute(args) -> tuple[dict, int]:
         report["static"] = {"core": _attr_names(system, core)}
         return report, EXIT_OK
 
-    lam = parse_lambda(args.lam)
+    lam = check_lambda(args.lam)
     analysis, family = _analyze(system, args)
+    # One slice at the requested threshold feeds the report and the laws.
+    stability = stability_report(analysis, [lam])
     report["static"] = {
         "reducts": _reduct_names(system, analysis.red_s),
         "core": _attr_names(system, analysis.core_s),
     }
-    report.update(_family_sections(system, analysis, family, lam))
+    report.update(_family_sections(system, analysis, family, stability))
 
     if args.command == "dynamic":
         return report, EXIT_OK
 
-    checks = verify_theorems(analysis, lam)
+    checks = verify_slice(analysis, stability.per_lambda[0])
     report["verification"] = [
         {
             "check": c.check,

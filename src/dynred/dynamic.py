@@ -19,7 +19,8 @@ reference. Threshold comparisons are exact: lambda is a rational and
 support/|F| >= lambda is decided by integer cross-multiplication, so
 boundary ties are deterministic. The module also exposes the raw support
 counts and a verifier for the containment laws tying the eight sets
-together.
+together; it reads the eight sets at one threshold as one ``LambdaSlice``,
+which a caller reporting that slice hands over (``verify_slice``).
 """
 
 from __future__ import annotations
@@ -38,8 +39,7 @@ from .reducts import (
     canonical_reducts,
     intersect_all,
 )
-# MAX_EXPONENT and parse_rational are re-exported for callers importing them from here.
-from .table import MAX_EXPONENT, DecisionSystem, Family, parse_rational
+from .table import DecisionSystem, Family, parse_rational
 
 ONE_HALF = Fraction(1, 2)
 
@@ -53,23 +53,17 @@ LAMBDA_GRID = (
 )
 
 
-def check_lambda(value: Fraction | int | str) -> Fraction:
-    """Validate a precision coefficient; admissible range is (1/2, 1].
+def check_lambda(value: Fraction | int | float | str) -> Fraction:
+    """Read and validate a precision coefficient; admissible range is (1/2, 1].
 
-    String input is read by ``parse_rational``, so malformed text and a huge
-    decimal exponent raise ParameterError.
+    The value is read by ``parse_rational``, as the CLI flag is: a float by
+    its ``repr``, so ``0.6`` is 3/5, and malformed text, NaN, infinities and
+    a huge decimal exponent raise ParameterError.
     """
-    if isinstance(value, str):
-        value = parse_rational(value, "precision coefficient")
-    lam = Fraction(value)
+    lam = parse_rational(value, "precision coefficient")
     if not ONE_HALF < lam <= 1:
         raise ParameterError(f"precision coefficient {lam} outside (1/2, 1]")
     return lam
-
-
-def parse_lambda(text: str) -> Fraction:
-    """Exact rational from a decimal string, range-checked."""
-    return check_lambda(parse_rational(text, "precision coefficient"))
 
 
 @dataclass(frozen=True)
@@ -313,7 +307,11 @@ def verify_theorems(
     intersection in ``oracle.py``, since the engine's plain core is that
     same filter.
     """
-    s = _slice(analysis, lam)
+    return verify_slice(analysis, _slice(analysis, lam))
+
+
+def verify_slice(analysis: FamilyAnalysis, s: LambdaSlice) -> tuple[TheoremCheck, ...]:
+    """``verify_theorems`` on the eight sets already evaluated at ``s.lam``."""
     n = analysis.n_attrs
     members = analysis.family.members
 
@@ -336,7 +334,7 @@ def verify_theorems(
     checks.append(
         _equality(
             "T2b",
-            dynamic_core_lambda(analysis, 1),
+            s.dcore,
             literal_dynamic_core(analysis),
             "threshold 1 collapses the thresholded core to the plain stable core",
         )

@@ -4,9 +4,10 @@ The brute-force route enumerates every attribute subset against the positive
 region and keeps the minimal preserving ones; it is exponential on purpose
 and guarded by hard size limits. The pairwise discernibility matrix is the
 textbook object-pair form of the engine's class-level clauses, quadratic in
-the rows. Both deliberately share nothing with the clause-based engine
-beyond the positive-region primitive, so the routes can catch each other's
-bugs.
+the rows, and ``absorb`` is subset absorption by its literal rule on
+frozensets, the reference for the clauses the engine absorbs on bitmasks.
+All of them deliberately share nothing with the clause-based engine beyond
+the positive-region primitive, so the routes can catch each other's bugs.
 
 The four plain family-level sets are given here by their literal
 definitions, membership in every member intersected member by member. The
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterable
 
 from .errors import CapacityError
 from .rough import Table, base_system, positive_region, universe
@@ -83,6 +85,13 @@ def discernibility_matrix(table: Table) -> DiscernibilityMatrix:
             assert diff, "pair needing separation cannot share all condition values"
             cells.append(((x, y), diff))
     return DiscernibilityMatrix(tuple(cells))
+
+
+def absorb(clauses: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
+    """Drop every clause that has a strict subset present; canonical order, idempotent."""
+    distinct = set(clauses)
+    kept = [c for c in distinct if not any(d < c for d in distinct)]
+    return tuple(sorted(kept, key=sorted))
 
 
 def literal_dynamic_reduct(analysis) -> tuple[frozenset[int], ...]:

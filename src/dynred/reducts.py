@@ -1,10 +1,11 @@
 """Exact reduct enumeration as minimal hitting sets of the discernibility clauses.
 
 The clauses, one attribute mask per pair of condition classes that a reduct
-must split (``rough.discernibility_masks``), form a monotone CNF over
-condition attributes; its prime implicants, the minimal attribute sets
-hitting every clause, are exactly the reducts. The clauses are absorbed
-once per table, then the minimal hitting sets are enumerated with MMCS
+must split, form a monotone CNF over condition attributes; its prime
+implicants, the minimal attribute sets hitting every clause, are exactly
+the reducts. ``rough.discernibility_masks`` hands over the clauses already
+absorbed, so this module reads them as they come and never absorbs; the
+minimal hitting sets are enumerated with MMCS
 (Murakami & Uno, Discrete Applied Math. 2014): a depth-first search that
 adds one attribute of an uncovered clause at a time and prunes a branch as
 soon as some chosen attribute is left without a critical clause (one that
@@ -50,13 +51,6 @@ def intersect_all(sets: Iterable[frozenset[int]], n_attrs: int) -> frozenset[int
     return out
 
 
-def _mask(attrs: frozenset[int]) -> int:
-    m = 0
-    for a in attrs:
-        m |= 1 << a
-    return m
-
-
 def _indices(mask: int) -> list[int]:
     """Set bits of ``mask`` in ascending order."""
     out = []
@@ -67,28 +61,9 @@ def _indices(mask: int) -> list[int]:
     return out
 
 
-def _unmask(mask: int) -> frozenset[int]:
-    return frozenset(_indices(mask))
-
-
-def _minimal_masks(masks: Iterable[int]) -> list[int]:
-    # Subset absorption: keep only masks with no strict subset present.
-    ordered = sorted(set(masks), key=int.bit_count)
-    kept: list[int] = []
-    for m in ordered:
-        if not any(k & m == k for k in kept):
-            kept.append(m)
-    return kept
-
-
-def absorb(clauses: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    """Drop every clause that contains another one; idempotent."""
-    return canonical_reducts(_unmask(m) for m in _minimal_masks(map(_mask, clauses)))
-
-
 def discernibility_function(table: Table) -> tuple[frozenset[int], ...]:
-    """Absorbed clause list of the table's discernibility function."""
-    return canonical_reducts(_unmask(m) for m in _minimal_masks(discernibility_masks(table)))
+    """Absorbed clause list of the table's discernibility function, canonical order."""
+    return tuple(map(frozenset, sorted(map(_indices, discernibility_masks(table)))))
 
 
 def all_reducts(
@@ -108,12 +83,10 @@ def all_reducts(
     if n > max_attrs:
         raise CapacityError(f"|C| = {n} exceeds the enumeration limit max_attrs = {max_attrs}")
 
-    clauses = sorted(
-        _minimal_masks(discernibility_masks(table)), key=lambda m: (m.bit_count(), m)
-    )
+    clauses = discernibility_masks(table)
     edges = [0] * n  # edges[a]: mask of the clauses containing attribute a
     for i, clause in enumerate(clauses):
-        for a in _unmask(clause):
+        for a in _indices(clause):
             edges[a] |= 1 << i
 
     found: list[int] = []

@@ -12,7 +12,7 @@ every block it induces on the classes carries a single label
 (``preserves``). The discernibility clauses and the reduct predicate are
 built on it. Everything here is a pure function; attribute sets are
 frozensets of condition-attribute indices, and clauses and probe masks are
-int bitmasks over the same indices.
+int bitmasks over the same indices; clauses are absorbed where they are made.
 """
 
 from __future__ import annotations
@@ -142,18 +142,30 @@ def preserves(classes: ClassTable, mask: int) -> bool:
     return True
 
 
-def discernibility_masks(table: Table) -> set[int]:
-    """Distinct attribute masks of the condition-class pairs a reduct must split.
+def _minimal_masks(masks: set[int]) -> list[int]:
+    """Masks with no strict subset present, ordered by popcount, then value."""
+    kept: list[int] = []
+    for m in sorted(masks, key=lambda m: (m.bit_count(), m)):
+        if not any(k & m == k for k in kept):
+            kept.append(m)
+    return kept
+
+
+def discernibility_masks(table: Table) -> list[int]:
+    """Minimal clauses of the table's discernibility function, as attribute masks.
 
     Works on distinct full-attribute condition classes, not on object pairs:
     objects of one class never need splitting, and two classes must be split
     exactly when their labels (decision code or ``BOUNDARY``) differ. Bit
-    ``a`` of a mask is set when the two classes differ on attribute ``a``.
+    ``a`` of a clause is set when the two classes differ on attribute ``a``.
+    Clauses come ordered by size, then by mask value.
 
     For packed rows x and y, ``((x ^ y) + low) & guard`` keeps the guard bit
     of exactly the fields where they differ: a field of x ^ y plus its
-    all-ones ``low`` part never carries past its own guard bit. Only
-    distinct guard patterns are unpacked into attribute masks.
+    all-ones ``low`` part never carries past its own guard bit. Each
+    attribute owns one guard bit, in attribute order, so the distinct
+    patterns are absorbed and ordered as their masks would be, and only the
+    survivors are unpacked.
     """
     classes = class_table(table)
     guard = classes.guard
@@ -167,9 +179,10 @@ def discernibility_masks(table: Table) -> set[int]:
     for k, xs in enumerate(groups):
         for ys in groups[k + 1 :]:
             patterns |= {((x ^ y) + low) & guard for x in xs for y in ys}
-    return {
-        sum(1 << a for a, field in enumerate(classes.fields) if p & field) for p in patterns
-    }
+    return [
+        sum(1 << a for a, field in enumerate(classes.fields) if p & field)
+        for p in _minimal_masks(patterns)
+    ]
 
 
 def is_reduct(table: Table, attrs: Iterable[int]) -> bool:

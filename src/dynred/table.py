@@ -211,16 +211,19 @@ def _draw_indices(rng: SplitMix64, n: int, m: int) -> tuple[int, ...]:
 MAX_EXPONENT = 1000
 
 
-def parse_rational(text: str, what: str) -> Fraction:
-    """Exact rational from decimal or ``p/q`` text; ``what`` names the value in errors.
+def parse_rational(value: Fraction | int | float | str, what: str) -> Fraction:
+    """Exact rational from decimal or ``p/q`` text, or from a number read as its text.
 
-    Raises ParameterError for text ``Fraction`` rejects and for a decimal
-    exponent outside [-MAX_EXPONENT, MAX_EXPONENT], refused before it is
-    expanded.
+    ``what`` names the value in errors. A float's text is its ``repr``, so
+    ``0.1`` is 1/10, not the binary value nearest to it. Raises
+    ParameterError for text ``Fraction`` rejects, NaN and infinities
+    included, and for a decimal exponent outside [-MAX_EXPONENT,
+    MAX_EXPONENT], refused before it is expanded.
     """
-    # Valid text has at most one "e", which starts an integer exponent.
-    _, e, exponent = text.lower().rpartition("e")
     try:
+        text = value if isinstance(value, str) else str(value)
+        # Valid text has at most one "e", which starts an integer exponent.
+        _, e, exponent = text.lower().rpartition("e")
         if e and abs(int(exponent)) > MAX_EXPONENT:
             raise ParameterError(
                 f"{what} {text!r} has a decimal exponent outside "
@@ -228,7 +231,7 @@ def parse_rational(text: str, what: str) -> Fraction:
             )
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ParameterError(f"cannot parse {what} {text!r}") from exc
+        raise ParameterError(f"cannot parse {what} {value!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -240,10 +243,12 @@ class SamplingPlan:
     samples_per_fraction: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "fractions", tuple(
-            parse_rational(f, "fraction") if isinstance(f, str) else Fraction(f)
-            for f in self.fractions
-        ))
+        object.__setattr__(
+            self, "fractions", tuple(parse_rational(f, "fraction") for f in self.fractions)
+        )
+        for name in ("seed", "samples_per_fraction"):
+            if not isinstance(getattr(self, name), int):
+                raise ParameterError(f"{name} must be an int")
         if not 0 <= self.seed <= MASK64:
             raise ParameterError("seed must fit in an unsigned 64-bit integer")
         if not self.fractions:

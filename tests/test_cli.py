@@ -374,8 +374,8 @@ class TestExitCodes:
         witness = {"attribute": 0, "subset": [0, 2], "superset": [2], "lambda_low": "3/4"}
         monkeypatch.setattr(
             cli_mod,
-            "verify_theorems",
-            lambda analysis, lam: (TheoremCheck("T1", "fail", "forced", witness),),
+            "verify_slice",
+            lambda analysis, s: (TheoremCheck("T1", "fail", "forced", witness),),
         )
         (tmp_path / "fixa.csv").write_text(FIX_A_CSV)
         monkeypatch.chdir(tmp_path)
@@ -404,6 +404,96 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr.startswith("dynred: ")
         assert "exponent" in proc.stderr
+
+
+class TestEachIntermediateOnce:
+    """``--exact`` runs the oracle once per distinct table and ``verify`` builds one slice.
+
+    Seed 5 draws the FIX-A rows (1, 2), (0, 2), (0, 1), (0, 2) and four
+    full-table members: eight members, four distinct tables, and member 1
+    repeated at 3.
+    """
+
+    ARGS = ["--decision", "d", "--fractions", "0.6,1", "--samples", "4", "--seed", "5",
+            "--lambda", "0.75"]
+
+    @pytest.fixture
+    def family(self):
+        import dynred
+
+        system = dynred.parse_decision_table(FIX_A_CSV, "d")
+        plan = dynred.SamplingPlan(seed=5, fractions=("0.6", "1"), samples_per_fraction=4)
+        return dynred.sample_family(system, plan).members
+
+    @staticmethod
+    def _counting(monkeypatch, module, name):
+        calls = []
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("command", ["dynamic", "verify"])
+    def test_oracle_runs_once_per_distinct_table(self, capsys, monkeypatch, fixa_path,
+                                                 family, command):
+        import dynred.cli
+        import dynred.oracle
+
+        # brute_force_core reaches the oracle through its own module, the CLI through its own.
+        calls = self._counting(monkeypatch, dynred.oracle, "brute_force_reducts")
+        monkeypatch.setattr(dynred.cli, "brute_force_reducts", dynred.oracle.brute_force_reducts)
+        status, _ = run_json(capsys, [command, "--input", fixa_path, "--exact", *self.ARGS])
+        assert status == 0
+        distinct = {m.object_indices for m in family} | {(0, 1, 2)}
+        assert len(family) == 8 and len(distinct) == 4
+        assert len(calls) == len(distinct)
+
+    @pytest.mark.parametrize("command", ["dynamic", "verify"])
+    def test_one_slice_per_run(self, capsys, monkeypatch, fixa_path, command):
+        import dynred.dynamic
+
+        calls = self._counting(monkeypatch, dynred.dynamic, "_slice")
+        status, out = run_json(capsys, [command, "--input", fixa_path, *self.ARGS])
+        assert status == 0 and out
+        assert len(calls) == 1
+
+    def test_dropped_reduct_of_a_repeated_member_exits_70(self, capsys, monkeypatch,
+                                                          fixa_path, family):
+        import dynred.dynamic
+
+        rows = [m.object_indices for m in family]
+        first = next(i for i, r in enumerate(rows) if r in rows[i + 1:] and len(r) < 3)
+        assert first == 1
+        original = dynred.dynamic.all_reducts
+
+        def dropping(table, **kwargs):
+            reducts = original(table, **kwargs)
+            return reducts[1:] if getattr(table, "object_indices", None) == rows[first] else reducts
+
+        monkeypatch.setattr(dynred.dynamic, "all_reducts", dropping)
+        status = run(["dynamic", "--input", fixa_path, "--exact", *self.ARGS])
+        out, err = capsys.readouterr()
+        assert status == 70
+        assert out == ""
+        assert err == (
+            f"dynred: family member {first}: engine reducts disagree with the exhaustive oracle\n"
+        )
+
+    def test_wrong_core_exits_70(self, capsys, monkeypatch, fixa_path):
+        import dynred.cli
+
+        monkeypatch.setattr(dynred.cli, "core_of", lambda table: frozenset())
+        status = run(["core", "--input", fixa_path, "--decision", "d", "--exact"])
+        out, err = capsys.readouterr()
+        assert status == 70
+        assert out == ""
+        assert err == (
+            "dynred: base system: engine core disagrees with the exhaustive oracle\n"
+        )
 
 
 def test_module_entry_point(fixa_path):

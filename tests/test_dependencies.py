@@ -59,7 +59,8 @@ def test_engine_and_oracle_stay_apart():
             assert {f.name for f in trees} == ENGINE_PROBES | {"is_reduct"}
             forbidden = PRIMITIVES
         elif path.name == "oracle.py":
-            trees, forbidden = [tree], ENGINE_PROBES
+            # The oracle's absorb is the literal frozenset rule, not the engine's.
+            trees, forbidden = [tree], ENGINE_PROBES | {"_minimal_masks"}
         elif path.name == "__init__.py":
             continue
         else:
@@ -68,3 +69,16 @@ def test_engine_and_oracle_stay_apart():
             crossings += [f"{path.name}:{line}: {name}"
                           for line, name in _names(t) if name in forbidden]
     assert crossings == []
+
+
+def test_clauses_are_absorbed_only_where_they_are_made():
+    definitions, callers = [], []
+    for path in sorted((ROOT / "src" / "dynred").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "_minimal_masks":
+                    definitions.append(path.name)
+                callers += [f"{path.name}:{node.name}" for _, name in _names(node)
+                            if name == "_minimal_masks"]
+    assert definitions == ["rough.py"]
+    assert callers == ["rough.py:discernibility_masks"]

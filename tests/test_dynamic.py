@@ -34,12 +34,13 @@ from dynred import (
     literal_generalized_dynamic_core,
     literal_generalized_dynamic_reduct,
     make_subsystem,
-    parse_lambda,
+    parse_decision_table,
+    sample_family,
     stability_report,
     verify_theorems,
 )
 
-from dynred.dynamic import parse_rational
+from dynred.table import parse_rational
 
 from conftest import idx, random_family, random_system, reduct_names
 
@@ -61,14 +62,14 @@ class TestLambdaParsing:
     @pytest.mark.parametrize("text", ["0.5", "0.49", "1.01", "0", "2"])
     def test_out_of_range_rejected(self, text):
         with pytest.raises(ParameterError):
-            parse_lambda(text)
+            check_lambda(text)
 
     @pytest.mark.parametrize("text,value", [("0.51", Fraction(51, 100)),
                                             ("0.6", Fraction(3, 5)),
                                             ("1", Fraction(1)),
                                             ("75E-2", Fraction(3, 4))])
     def test_exact_rationals(self, text, value):
-        assert parse_lambda(text) == value
+        assert check_lambda(text) == value
 
     def test_exponent_cap(self):
         # The cap is checked before Fraction expands 10**exponent.
@@ -79,7 +80,7 @@ class TestLambdaParsing:
 
     def test_garbage_rejected(self):
         with pytest.raises(ParameterError):
-            parse_lambda("half")
+            check_lambda("half")
 
     def test_check_accepts_fraction(self):
         assert check_lambda(Fraction(3, 4)) == Fraction(3, 4)
@@ -109,6 +110,40 @@ class TestLibraryStringInput:
             check_lambda(text)
         with pytest.raises(ParameterError, match="cannot parse"):
             SamplingPlan(seed=0, fractions=(text,), samples_per_fraction=1)
+
+
+class TestLibraryNumberInput:
+    """Numbers reach ``check_lambda`` and ``SamplingPlan`` through the same reader as text."""
+
+    @pytest.mark.parametrize("value,exact", [(0.6, Fraction(3, 5)), (0.51, Fraction(51, 100)),
+                                             (1.0, Fraction(1))])
+    def test_float_read_as_its_decimal(self, value, exact):
+        assert check_lambda(value) == exact
+        assert check_lambda(value) == check_lambda(repr(value))
+
+    def test_float_fraction_samples_like_its_text(self):
+        # Fraction(0.1) lies just above 1/10, so its ceiling would draw 2 of 10 rows.
+        s = parse_decision_table("a,d\n" + "".join(f"{i},{i % 2}\n" for i in range(10)), "d")
+        plan = SamplingPlan(seed=0, fractions=(0.1,), samples_per_fraction=1)
+        assert plan.fractions == (Fraction(1, 10),)
+        assert sample_family(s, plan) == sample_family(
+            s, SamplingPlan(seed=0, fractions=("0.1",), samples_per_fraction=1))
+        assert sample_family(s, plan).members[0].n_objects == 1
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nan_and_infinity_are_parameter_errors(self, value):
+        with pytest.raises(ParameterError):
+            check_lambda(value)
+        with pytest.raises(ParameterError):
+            SamplingPlan(seed=0, fractions=(value,), samples_per_fraction=1)
+
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", "7"),
+                                             ("samples_per_fraction", 2.0)])
+    def test_non_int_counts_are_parameter_errors(self, field, value):
+        kwargs = dict(seed=0, fractions=("0.5",), samples_per_fraction=1)
+        kwargs[field] = value
+        with pytest.raises(ParameterError, match=field):
+            SamplingPlan(**kwargs)
 
 
 class TestAnalyzeFamily:
