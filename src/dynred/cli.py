@@ -7,7 +7,11 @@ attribute-name arrays, reduct lists ordered by their name arrays),
 diagnostics to stderr. Its text is exactly
 ``json.dumps(report, sort_keys=True, indent=2)``, ASCII escapes included,
 plus one trailing newline; a one-pass writer produces it, since ``indent``
-forces the json module onto its pure-Python encoder. Exit codes: 0
+forces the json module onto its pure-Python encoder. ``reducts`` names the
+search's bitmasks directly, through one 16-entry name table per 4
+attributes, and sorts the name arrays once; ``--exact`` alone builds the
+frozenset view the oracle compares. The family subcommands name the
+frozensets of ``FamilyAnalysis``. Exit codes: 0
 success, 1 usage error (including a decimal exponent above 1000 in
 magnitude in --fractions or --lambda), 2 parse/schema error, 3 capacity
 limit, 4 non-vacuous verification failure, 70 self-check mismatch under
@@ -39,7 +43,7 @@ from .errors import (
     SelfCheckError,
 )
 from .oracle import brute_force_core, brute_force_reducts
-from .reducts import DEFAULT_MAX_ATTRS, DEFAULT_MAX_REDUCTS, all_reducts, core_of, intersect_all
+from .reducts import DEFAULT_MAX_ATTRS, DEFAULT_MAX_REDUCTS, core_of, reduct_masks, reduct_sets
 from .rough import universe
 from .table import DecisionSystem, Family, SamplingPlan, parse_decision_table, sample_family
 
@@ -112,6 +116,30 @@ def _attr_names(system: DecisionSystem, attrs) -> list[str]:
 
 def _reduct_names(system: DecisionSystem, sets) -> list[list[str]]:
     return sorted(_attr_names(system, s) for s in sets)
+
+
+def _namer(names):
+    """Map an attribute bitmask to the sorted names of its set bits.
+
+    One 16-entry table of name lists per 4 attributes is built up front, so
+    a mask costs one lookup per non-zero nibble and a sort of its few names.
+    """
+    tables = []
+    for base in range(0, len(names), 4):
+        chunk = names[base:base + 4]
+        tables.append([[n for b, n in enumerate(chunk) if v >> b & 1] for v in range(16)])
+
+    def name(mask: int) -> list[str]:
+        out: list[str] = []
+        for table in tables:
+            if not mask:
+                break
+            out += table[mask & 15]
+            mask >>= 4
+        out.sort()
+        return out
+
+    return name
 
 
 def _witness_names(system: DecisionSystem, witness: dict | None) -> dict | None:
@@ -231,14 +259,15 @@ def _execute(args) -> tuple[dict, int]:
     report = _base_report(system, args)
 
     if args.command == "reducts":
-        reducts = all_reducts(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
-        core = intersect_all(reducts, system.n_attrs)
+        masks = reduct_masks(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
+        core = masks[0]  # there is always a reduct, the empty mask when no clause exists
+        for mask in masks:
+            core &= mask
         if args.exact:
-            _cross_check([("base system", system, reducts, core)])
-        report["static"] = {
-            "reducts": _reduct_names(system, reducts),
-            "core": _attr_names(system, core),
-        }
+            _cross_check([("base system", system, reduct_sets(masks),
+                           frozenset(a for a in range(system.n_attrs) if core >> a & 1))])
+        name = _namer(system.cond_attrs)
+        report["static"] = {"reducts": sorted(map(name, masks)), "core": name(core)}
         return report, EXIT_OK
 
     if args.command == "core":

@@ -5,7 +5,8 @@ region and keeps the minimal preserving ones; it is exponential on purpose
 and guarded by hard size limits. The pairwise discernibility matrix is the
 textbook object-pair form of the engine's class-level clauses, quadratic in
 the rows, and ``absorb`` is subset absorption by its literal rule on
-frozensets, the reference for the clauses the engine absorbs on bitmasks.
+frozensets, the reference for the clauses the engine absorbs on bitmasks;
+``is_antichain`` is the matching test that no set contains another.
 All of them deliberately share nothing with the clause-based engine beyond
 the positive-region primitive, so the routes can catch each other's bugs.
 
@@ -92,6 +93,12 @@ def absorb(clauses: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
     distinct = set(clauses)
     kept = [c for c in distinct if not any(d < c for d in distinct)]
     return tuple(sorted(kept, key=sorted))
+
+
+def is_antichain(sets: Iterable[frozenset[int]]) -> bool:
+    """No set in the collection is a strict subset of another."""
+    items = list(sets)
+    return not any(a < b for a in items for b in items)
 
 
 def literal_dynamic_reduct(analysis) -> tuple[frozenset[int], ...]:

@@ -15,7 +15,10 @@ with the search depth, and the reduct cap ends the search at the first
 reduct past it. The core needs no clauses: it is the attributes whose
 deletion fails the positive-region probe of the table's labelled class
 table (``rough.preserves``), one probe per attribute. Internally clauses and
-attribute sets are bitmasks; the public surface speaks frozensets.
+attribute sets are bitmasks. ``reduct_masks`` is the search itself and
+returns the masks in emission order, for callers that name them directly
+(the CLI's ``reducts``); ``all_reducts`` is its canonical frozenset view,
+the form the public surface and the family analysis speak.
 """
 
 from __future__ import annotations
@@ -32,11 +35,6 @@ DEFAULT_MAX_REDUCTS = 100_000
 def canonical_reducts(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
     """Deduplicate and order lexicographically by ascending index sequence."""
     return tuple(sorted(set(sets), key=sorted))
-
-
-def is_antichain(sets: Iterable[frozenset[int]]) -> bool:
-    items = list(sets)
-    return not any(a < b for a in items for b in items)
 
 
 def intersect_all(sets: Iterable[frozenset[int]], n_attrs: int) -> frozenset[int]:
@@ -66,18 +64,18 @@ def discernibility_function(table: Table) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, sorted(map(_indices, discernibility_masks(table)))))
 
 
-def all_reducts(
+def reduct_masks(
     table: Table,
     *,
     max_attrs: int = DEFAULT_MAX_ATTRS,
     max_reducts: int = DEFAULT_MAX_REDUCTS,
-) -> tuple[frozenset[int], ...]:
-    """Every reduct of the table, in canonical order.
+) -> list[int]:
+    """Every reduct of the table as an attribute bitmask, in the order the search emits them.
 
-    A table with no clauses reduces to the empty attribute set. Raises
-    CapacityError rather than truncating when |C| exceeds ``max_attrs`` or
-    more than ``max_reducts`` reducts are found; the search stops at that
-    reduct instead of finishing the enumeration.
+    Each reduct appears exactly once; a table with no clauses yields the
+    single empty mask. Raises CapacityError rather than truncating when |C|
+    exceeds ``max_attrs`` or more than ``max_reducts`` reducts are found;
+    the search stops at that reduct instead of finishing the enumeration.
     """
     n = base_system(table).n_attrs
     if n > max_attrs:
@@ -126,9 +124,26 @@ def all_reducts(
                 kept.append(uncov & hit)
                 stack.append((chosen | v, kept, cand, uncov & ~hit))
             cand |= v
-    # Each reduct is found exactly once, so sorting the ascending index
-    # lists gives the canonical order with no deduplication.
-    return tuple(map(frozenset, sorted(map(_indices, found))))
+    return found
+
+
+def reduct_sets(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """The canonical frozenset view of a mask list: sets sorted by ascending index list.
+
+    It does not deduplicate: ``reduct_masks`` emits each reduct once, and a
+    repeated mask stays visible to a comparison with the oracle.
+    """
+    return tuple(map(frozenset, sorted(map(_indices, masks))))
+
+
+def all_reducts(
+    table: Table,
+    *,
+    max_attrs: int = DEFAULT_MAX_ATTRS,
+    max_reducts: int = DEFAULT_MAX_REDUCTS,
+) -> tuple[frozenset[int], ...]:
+    """Every reduct of the table, in canonical order; ``reduct_masks`` with its caps."""
+    return reduct_sets(reduct_masks(table, max_attrs=max_attrs, max_reducts=max_reducts))
 
 
 def core_of(table: Table) -> frozenset[int]:

@@ -90,17 +90,19 @@ def parse_decision_table(text: str, decision_column: str, name: str = "table") -
 
     Condition attributes keep header order (decision column excluded); value
     dictionaries are built in first-occurrence order; duplicate rows are kept.
-    Blank lines are ignored, and so is one leading byte-order mark. A
-    document the csv module rejects, such as one with a field over its size
-    limit, raises ParseError.
+    Blank lines are ignored, and so is one leading byte-order mark. Errors
+    name the physical line a record ends on, blank lines and quoted line
+    breaks counted. A document the csv module rejects, such as one with a
+    field over its size limit, raises ParseError.
     """
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
-        records = [rec for rec in csv.reader(io.StringIO(text.removeprefix("\ufeff"))) if rec]
+        records = [(reader.line_num, rec) for rec in reader if rec]
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}") from exc
     if not records:
         raise ParseError("empty document: header row missing")
-    header = records[0]
+    header = records[0][1]
     if len(set(header)) != len(header):
         raise SchemaError("duplicate attribute names in header")
     if decision_column not in header:
@@ -114,7 +116,7 @@ def parse_decision_table(text: str, decision_column: str, name: str = "table") -
     dictionaries: dict[str, dict[str, int]] = {h: {} for h in header}
     rows: list[tuple[int, ...]] = []
     decisions: list[int] = []
-    for lineno, rec in enumerate(data, start=2):
+    for lineno, rec in data:
         if len(rec) != len(header):
             raise ParseError(f"row at line {lineno} has {len(rec)} cells, expected {len(header)}")
         codes = []

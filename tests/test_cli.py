@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynred.cli import _render, run
+from dynred.cli import _namer, _render, run
 
 from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv
 
@@ -78,6 +78,47 @@ class TestReductsCommand:
         _, out = run_json(capsys, ["reducts", "--input", fixa_path, "--decision", "d"])
         report = json.loads(out)
         assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
+
+    @pytest.mark.parametrize("wrong", ["dropped", "superset"])
+    def test_exact_catches_a_wrong_reduct_collection(self, capsys, monkeypatch, tmp_path, wrong):
+        import dynred.cli
+
+        original = dynred.cli.reduct_masks
+
+        def mutated(table, **kwargs):
+            masks = original(table, **kwargs)
+            if wrong == "dropped":
+                return masks[1:]
+            r = masks[0]
+            return masks + [r | (~r & (r + 1))]  # r plus its lowest unset attribute
+
+        p = tmp_path / "matching.csv"
+        p.write_text(matching_csv(3))
+        monkeypatch.setattr(dynred.cli, "reduct_masks", mutated)
+        status = run(["reducts", "--input", str(p), "--decision", "d", "--exact"])
+        out, err = capsys.readouterr()
+        assert status == 70
+        assert out == ""
+        assert err == "dynred: base system: engine reducts disagree with the exhaustive oracle\n"
+
+
+# Names that are prefixes of one another, and non-ASCII ones, so that the
+# name order differs from both the index order and the code-point order of
+# the first character.
+_NAME = st.sampled_from(("a", "a0", "a10")) | st.text("a01é\U0001d538", min_size=1, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_namer_names_every_mask_in_name_order(data):
+    m = data.draw(st.integers(0, 40), label="m")
+    names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
+    full = (1 << m) - 1
+    masks = data.draw(st.lists(st.integers(0, full), max_size=12), label="masks") + [0, full]
+    name = _namer(names)
+    expected = [sorted(names[a] for a in range(m) if mask >> a & 1) for mask in masks]
+    assert [name(mask) for mask in masks] == expected
+    assert sorted(map(name, masks)) == sorted(expected)
 
 
 # Strings mixing arbitrary characters with the ones JSON escapes specially:

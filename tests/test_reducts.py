@@ -22,6 +22,7 @@ from dynred import (
     parse_decision_table,
     positive_region,
 )
+from dynred.reducts import reduct_masks, reduct_sets
 from dynred.rough import class_table, preserves
 
 from conftest import idx, matching_csv, random_system, reduct_names
@@ -275,7 +276,9 @@ class TestEnumeratorOracleAgreement:
         )
         member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
         for table in (s, member):
-            assert all_reducts(table) == brute_force_reducts(table)
+            masks = reduct_masks(table)
+            assert len(set(masks)) == len(masks)
+            assert reduct_sets(masks) == all_reducts(table) == brute_force_reducts(table)
 
     def test_inconsistent_table(self):
         rng = random.Random(21)

@@ -50,6 +50,16 @@ class TestParsing:
         with pytest.raises(MissingValueError):
             parse_decision_table("a,b,d\n0,,1\n", "d")
 
+    def test_short_row_names_its_physical_line(self):
+        # Blank lines still count as lines of the file.
+        with pytest.raises(ParseError, match="row at line 5 has 2 cells"):
+            parse_decision_table("a,b,d\n\n0,1,0\n\n0,1\n", "d")
+
+    def test_empty_cell_names_its_physical_line(self):
+        # The quoted line break in the first record moves the second to line 4.
+        with pytest.raises(MissingValueError, match="column 'b' at line 4$"):
+            parse_decision_table('a,b,d\n"x\ny",1,0\n0,,1\n', "d")
+
     def test_duplicate_header_names(self):
         with pytest.raises(SchemaError):
             parse_decision_table("a,a,d\n0,1,0\n", "d")
