@@ -7,11 +7,12 @@ attribute-name arrays, reduct lists ordered by their name arrays),
 diagnostics to stderr. Its text is exactly
 ``json.dumps(report, sort_keys=True, indent=2)``, ASCII escapes included,
 plus one trailing newline; a one-pass writer produces it, since ``indent``
-forces the json module onto its pure-Python encoder. ``reducts`` names the
-search's bitmasks directly, through one 16-entry name table per 4
-attributes, and sorts the name arrays once; ``--exact`` alone builds the
-frozenset view the oracle compares. The family subcommands name the
-frozensets of ``FamilyAnalysis``. Exit codes: 0
+forces the json module onto its pure-Python encoder. Every attribute set
+of the engine is a bitmask (``reducts.table_reducts``, ``FamilyAnalysis``),
+and every set in a report is named by one function (``_namer``), through
+one 16-entry name table per 4 attributes; each reduct list is sorted once,
+by name. ``--exact`` turns the oracle's reducts into sorted masks once per
+distinct table and compares them with the engine's. Exit codes: 0
 success, 1 usage error (including a decimal exponent above 1000 in
 magnitude in --fractions or --lambda), 2 parse/schema error, 3 capacity
 limit, 4 non-vacuous verification failure, 70 self-check mismatch under
@@ -43,9 +44,16 @@ from .errors import (
     SelfCheckError,
 )
 from .oracle import brute_force_core, brute_force_reducts
-from .reducts import DEFAULT_MAX_ATTRS, DEFAULT_MAX_REDUCTS, core_of, reduct_masks, reduct_sets
-from .rough import universe
-from .table import DecisionSystem, Family, SamplingPlan, parse_decision_table, sample_family
+from .reducts import (
+    DEFAULT_MAX_ATTRS,
+    DEFAULT_MAX_REDUCTS,
+    attr_mask,
+    core_of,
+    intersect_all,
+    table_reducts,
+)
+from .rough import base_system, universe
+from .table import DecisionSystem, SamplingPlan, parse_decision_table, sample_family
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -110,14 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _attr_names(system: DecisionSystem, attrs) -> list[str]:
-    return sorted(system.cond_attrs[a] for a in attrs)
-
-
-def _reduct_names(system: DecisionSystem, sets) -> list[list[str]]:
-    return sorted(_attr_names(system, s) for s in sets)
-
-
 def _namer(names):
     """Map an attribute bitmask to the sorted names of its set bits.
 
@@ -142,49 +142,51 @@ def _namer(names):
     return name
 
 
-def _witness_names(system: DecisionSystem, witness: dict | None) -> dict | None:
+def _witness_names(system: DecisionSystem, name, witness: dict | None) -> dict | None:
+    """A law's witness with its attribute index and index lists named; other values as they are."""
     if witness is None:
         return None
     out = {}
     for key, value in witness.items():
         if isinstance(value, int):
             out[key] = system.cond_attrs[value]
-        elif isinstance(value, (list, tuple, frozenset, set)):
-            out[key] = _attr_names(system, value)
+        elif isinstance(value, list):
+            out[key] = name(attr_mask(value))
         else:
             out[key] = value
     return out
 
 
 def _cross_check(results) -> None:
-    """Compare (label, table, reducts, core) results, in order, with the exhaustive oracle.
+    """Compare (label, table, reducts, core) mask results, in order, with the exhaustive oracle.
 
-    The oracle runs once per distinct table (by row indices); its core is
-    the intersection of its reducts.
+    The oracle runs once per distinct table (by row indices), and its
+    reducts become sorted masks once; its core is their AND. The engine's
+    masks come sorted and are not deduplicated, so a repeated one shows.
     """
-    oracle: dict[tuple[int, ...], tuple[frozenset[int], ...]] = {}
+    oracle: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     for what, table, reducts, core in results:
         rows = universe(table)
         if rows not in oracle:
-            oracle[rows] = brute_force_reducts(table)
-        if tuple(reducts) != oracle[rows]:
+            masks = tuple(sorted(map(attr_mask, brute_force_reducts(table))))
+            oracle[rows] = masks, intersect_all(masks, base_system(table).n_attrs)
+        if reducts != oracle[rows][0]:
             raise SelfCheckError(f"{what}: engine reducts disagree with the exhaustive oracle")
-        if core != frozenset.intersection(*oracle[rows]):
+        if core != oracle[rows][1]:
             raise SelfCheckError(f"{what}: engine core disagrees with the exhaustive oracle")
 
 
-def _analyze(system: DecisionSystem, args) -> tuple[FamilyAnalysis, Family]:
+def _analyze(system: DecisionSystem, args) -> FamilyAnalysis:
     fractions = tuple(piece.strip() for piece in args.fractions.split(","))
     plan = SamplingPlan(seed=args.seed, fractions=fractions, samples_per_fraction=args.samples)
-    family = sample_family(system, plan)
-    analysis = analyze_family(system, family,
+    analysis = analyze_family(system, sample_family(system, plan),
                               max_attrs=args.max_attrs, max_reducts=args.max_reducts)
     if args.exact:
         results = [("base system", system, analysis.red_s, analysis.core_s)]
-        for i, (member, mem) in enumerate(zip(family.members, analysis.per_member)):
+        for i, (member, mem) in enumerate(zip(analysis.family.members, analysis.per_member)):
             results.append((f"family member {i}", member, mem.reducts, mem.core))
         _cross_check(results)
-    return analysis, family
+    return analysis
 
 
 def _base_report(system: DecisionSystem, args) -> dict:
@@ -209,38 +211,39 @@ def _base_report(system: DecisionSystem, args) -> dict:
     }
 
 
-def _family_sections(system: DecisionSystem, analysis: FamilyAnalysis,
-                     family: Family, report: StabilityReport) -> dict:
+def _family_sections(name, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
+    """The static, family, dynamic and stability sections, every set named by ``name``."""
     s = report.per_lambda[0]
     # Repeated members and full-table members share one MemberAnalysis.
     named = {}
     for mem in analysis.per_member:
         if id(mem) not in named:
-            named[id(mem)] = (_reduct_names(system, mem.reducts), _attr_names(system, mem.core))
-    support = sorted((_attr_names(system, r), count) for r, count in report.reduct_support)
+            named[id(mem)] = (sorted(map(name, mem.reducts)), name(mem.core))
+    support = sorted((name(r), count) for r, count in report.reduct_support)
     return {
+        "static": {"reducts": sorted(map(name, analysis.red_s)), "core": name(analysis.core_s)},
         "family": [
             {
                 "indices": list(member.object_indices),
                 "reducts": named[id(mem)][0],
                 "core": named[id(mem)][1],
             }
-            for member, mem in zip(family.members, analysis.per_member)
+            for member, mem in zip(analysis.family.members, analysis.per_member)
         ],
         "dynamic": {
-            "dr": _reduct_names(system, s.dr),
-            "dr_lambda": _reduct_names(system, s.dr_lambda),
-            "gdr": _reduct_names(system, s.gdr),
-            "gdr_lambda": _reduct_names(system, s.gdr_lambda),
-            "dcore": _attr_names(system, s.dcore),
-            "dcore_lambda": _attr_names(system, s.dcore_lambda),
-            "gdcore": _attr_names(system, s.gdcore),
-            "gdcore_lambda": _attr_names(system, s.gdcore_lambda),
+            "dr": sorted(map(name, s.dr)),
+            "dr_lambda": sorted(map(name, s.dr_lambda)),
+            "gdr": sorted(map(name, s.gdr)),
+            "gdr_lambda": sorted(map(name, s.gdr_lambda)),
+            "dcore": name(s.dcore),
+            "dcore_lambda": name(s.dcore_lambda),
+            "gdcore": name(s.gdcore),
+            "gdcore_lambda": name(s.gdcore_lambda),
         },
         "stability": {
             "family_size": report.family_size,
             "attr_core_support": {
-                system.cond_attrs[a]: count
+                analysis.system.cond_attrs[a]: count
                 for a, count in report.attr_core_support.items()
             },
             "reduct_support": [
@@ -257,16 +260,12 @@ def _execute(args) -> tuple[dict, int]:
         raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     system = parse_decision_table(text, args.decision, name=Path(args.input).stem)
     report = _base_report(system, args)
+    name = _namer(system.cond_attrs)
 
     if args.command == "reducts":
-        masks = reduct_masks(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
-        core = masks[0]  # there is always a reduct, the empty mask when no clause exists
-        for mask in masks:
-            core &= mask
+        masks, core = table_reducts(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
         if args.exact:
-            _cross_check([("base system", system, reduct_sets(masks),
-                           frozenset(a for a in range(system.n_attrs) if core >> a & 1))])
-        name = _namer(system.cond_attrs)
+            _cross_check([("base system", system, masks, core)])
         report["static"] = {"reducts": sorted(map(name, masks)), "core": name(core)}
         return report, EXIT_OK
 
@@ -274,18 +273,14 @@ def _execute(args) -> tuple[dict, int]:
         core = core_of(system)
         if args.exact and core != brute_force_core(system):
             raise SelfCheckError("base system: engine core disagrees with the exhaustive oracle")
-        report["static"] = {"core": _attr_names(system, core)}
+        report["static"] = {"core": name(attr_mask(core))}
         return report, EXIT_OK
 
     lam = check_lambda(args.lam)
-    analysis, family = _analyze(system, args)
+    analysis = _analyze(system, args)
     # One slice at the requested threshold feeds the report and the laws.
     stability = stability_report(analysis, [lam])
-    report["static"] = {
-        "reducts": _reduct_names(system, analysis.red_s),
-        "core": _attr_names(system, analysis.core_s),
-    }
-    report.update(_family_sections(system, analysis, family, stability))
+    report.update(_family_sections(name, analysis, stability))
 
     if args.command == "dynamic":
         return report, EXIT_OK
@@ -296,7 +291,7 @@ def _execute(args) -> tuple[dict, int]:
             "check": c.check,
             "status": c.status,
             "detail": c.detail,
-            "witness": _witness_names(system, c.witness),
+            "witness": _witness_names(system, name, c.witness),
         }
         for c in checks
     ]

@@ -20,7 +20,9 @@ support/|F| >= lambda is decided by integer cross-multiplication, so
 boundary ties are deterministic. The module also exposes the raw support
 counts and a verifier for the containment laws tying the eight sets
 together; it reads the eight sets at one threshold as one ``LambdaSlice``,
-which a caller reporting that slice hands over (``verify_slice``).
+which a caller reporting that slice hands over (``verify_slice``). Every
+attribute set is a bitmask (bit ``a`` is condition attribute ``a``) and
+every reduct collection a tuple of masks in ascending order.
 """
 
 from __future__ import annotations
@@ -35,9 +37,10 @@ from .oracle import literal_dynamic_core
 from .reducts import (
     DEFAULT_MAX_ATTRS,
     DEFAULT_MAX_REDUCTS,
-    all_reducts,
-    canonical_reducts,
+    attr_mask,
     intersect_all,
+    mask_indices,
+    table_reducts,
 )
 from .table import DecisionSystem, Family, parse_rational
 
@@ -68,24 +71,26 @@ def check_lambda(value: Fraction | int | float | str) -> Fraction:
 
 @dataclass(frozen=True)
 class MemberAnalysis:
-    reducts: tuple[frozenset[int], ...]
-    core: frozenset[int]
+    """One table's reduct masks in ascending order and its core mask."""
+
+    reducts: tuple[int, ...]
+    core: int
 
 
 @dataclass(frozen=True)
 class FamilyAnalysis:
     """Cached reducts and cores of a system and of every family member.
 
-    ``reduct_support`` counts, per attribute set, the members having it as
-    a reduct; ``core_support`` counts, per attribute, the members having it
-    in their core. Both respect multiplicity and are derived once from
-    ``per_member``.
+    ``reduct_support`` counts, per attribute mask, the members having it as
+    a reduct; ``core_support`` counts, per attribute index, the members
+    having it in their core. Both respect multiplicity and are derived once
+    from ``per_member``.
     """
 
     system: DecisionSystem
     family: Family
-    red_s: tuple[frozenset[int], ...]
-    core_s: frozenset[int]
+    red_s: tuple[int, ...]
+    core_s: int
     per_member: tuple[MemberAnalysis, ...]
     reduct_support: Counter = field(init=False, repr=False, compare=False)
     core_support: Counter = field(init=False, repr=False, compare=False)
@@ -93,7 +98,8 @@ class FamilyAnalysis:
     def __post_init__(self) -> None:
         members = self.per_member
         object.__setattr__(self, "reduct_support", Counter(r for m in members for r in m.reducts))
-        object.__setattr__(self, "core_support", Counter(a for m in members for a in m.core))
+        cores = Counter(a for m in members for a in mask_indices(m.core))
+        object.__setattr__(self, "core_support", cores)
 
     @property
     def family_size(self) -> int:
@@ -113,29 +119,29 @@ def analyze_family(
 ) -> FamilyAnalysis:
     """Enumerate reducts and cores for the system and each distinct member once.
 
-    Each core is the intersection of that table's reducts, so it costs no
-    pass over the rows. Members are keyed by their object indices: a
-    repeated member shares the analysis of its first occurrence, and a
-    member covering the whole universe shares the system's.
+    Each table goes through ``table_reducts``, whose core is the AND of the
+    reduct masks. Members are keyed by their object indices: a repeated
+    member shares the analysis of its first occurrence, and a member
+    covering the whole universe shares the system's.
     """
     if family.parent != system:
         raise DomainError("family members do not belong to the analyzed system")
     try:
-        red_s = all_reducts(system, max_attrs=max_attrs, max_reducts=max_reducts)
+        base = MemberAnalysis(*table_reducts(system, max_attrs=max_attrs, max_reducts=max_reducts))
     except CapacityError as exc:
         raise CapacityError(f"base system: {exc}") from exc
-    core_s = intersect_all(red_s, system.n_attrs)
-    seen = {tuple(range(system.n_objects)): MemberAnalysis(red_s, core_s)}
+    seen = {tuple(range(system.n_objects)): base}
     for i, member in enumerate(family.members):
         if member.object_indices in seen:
             continue
         try:
-            red_b = all_reducts(member, max_attrs=max_attrs, max_reducts=max_reducts)
+            seen[member.object_indices] = MemberAnalysis(
+                *table_reducts(member, max_attrs=max_attrs, max_reducts=max_reducts)
+            )
         except CapacityError as exc:
             raise CapacityError(f"family member {i}: {exc}") from exc
-        seen[member.object_indices] = MemberAnalysis(red_b, intersect_all(red_b, system.n_attrs))
     per_member = tuple(seen[m.object_indices] for m in family.members)
-    return FamilyAnalysis(system, family, red_s, core_s, per_member)
+    return FamilyAnalysis(system, family, base.reducts, base.core, per_member)
 
 
 def _supported(
@@ -148,55 +154,50 @@ def _supported(
     return [x for x in pool if support[x] * den >= need]
 
 
-def dynamic_reduct_lambda(
-    analysis: FamilyAnalysis, lam: Fraction | int | str
-) -> tuple[frozenset[int], ...]:
+def dynamic_reduct_lambda(analysis: FamilyAnalysis, lam: Fraction | int | str) -> tuple[int, ...]:
     """Reducts of the system recurring in at least a ``lam`` share of members."""
     return tuple(_supported(analysis, analysis.red_s, analysis.reduct_support, lam))
 
 
 def generalized_dynamic_reduct_lambda(
     analysis: FamilyAnalysis, lam: Fraction | int | str
-) -> tuple[frozenset[int], ...]:
+) -> tuple[int, ...]:
     """Member reducts recurring in at least a ``lam`` share of members.
 
     Candidates are the union of the members' reduct sets; anything with
     non-zero support lies there, so the pool is lossless.
     """
     support = analysis.reduct_support
-    return canonical_reducts(_supported(analysis, support, support, lam))
+    return tuple(sorted(_supported(analysis, support, support, lam)))
 
 
-def dynamic_core_lambda(
-    analysis: FamilyAnalysis, lam: Fraction | int | str
-) -> frozenset[int]:
+def dynamic_core_lambda(analysis: FamilyAnalysis, lam: Fraction | int | str) -> int:
     """Core attributes of the system recurring in at least a ``lam`` share of member cores."""
-    return frozenset(_supported(analysis, analysis.core_s, analysis.core_support, lam))
+    return analysis.core_s & generalized_dynamic_core_lambda(analysis, lam)
 
 
-def generalized_dynamic_core_lambda(
-    analysis: FamilyAnalysis, lam: Fraction | int | str
-) -> frozenset[int]:
+def generalized_dynamic_core_lambda(analysis: FamilyAnalysis, lam: Fraction | int | str) -> int:
     """Any condition attribute recurring in at least a ``lam`` share of member cores."""
-    return frozenset(_supported(analysis, range(analysis.n_attrs), analysis.core_support, lam))
+    support = analysis.core_support
+    return attr_mask(_supported(analysis, range(analysis.n_attrs), support, lam))
 
 
-def dynamic_reduct(analysis: FamilyAnalysis) -> tuple[frozenset[int], ...]:
+def dynamic_reduct(analysis: FamilyAnalysis) -> tuple[int, ...]:
     """Reducts of the system that survive as reducts of every member."""
     return dynamic_reduct_lambda(analysis, 1)
 
 
-def generalized_dynamic_reduct(analysis: FamilyAnalysis) -> tuple[frozenset[int], ...]:
+def generalized_dynamic_reduct(analysis: FamilyAnalysis) -> tuple[int, ...]:
     """Attribute sets that are reducts of every member; the system is not consulted."""
     return generalized_dynamic_reduct_lambda(analysis, 1)
 
 
-def dynamic_core(analysis: FamilyAnalysis) -> frozenset[int]:
+def dynamic_core(analysis: FamilyAnalysis) -> int:
     """Core attributes of the system that stay core in every member."""
     return dynamic_core_lambda(analysis, 1)
 
 
-def generalized_dynamic_core(analysis: FamilyAnalysis) -> frozenset[int]:
+def generalized_dynamic_core(analysis: FamilyAnalysis) -> int:
     """Attributes that are core in every member, regardless of the system."""
     return generalized_dynamic_core_lambda(analysis, 1)
 
@@ -206,14 +207,14 @@ class LambdaSlice:
     """All eight family-level sets evaluated at one threshold."""
 
     lam: Fraction
-    dr: tuple[frozenset[int], ...]
-    dr_lambda: tuple[frozenset[int], ...]
-    gdr: tuple[frozenset[int], ...]
-    gdr_lambda: tuple[frozenset[int], ...]
-    dcore: frozenset[int]
-    dcore_lambda: frozenset[int]
-    gdcore: frozenset[int]
-    gdcore_lambda: frozenset[int]
+    dr: tuple[int, ...]
+    dr_lambda: tuple[int, ...]
+    gdr: tuple[int, ...]
+    gdr_lambda: tuple[int, ...]
+    dcore: int
+    dcore_lambda: int
+    gdcore: int
+    gdcore_lambda: int
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ class StabilityReport:
 
     family_size: int
     attr_core_support: dict[int, int]
-    reduct_support: tuple[tuple[frozenset[int], int], ...]
+    reduct_support: tuple[tuple[int, int], ...]
     per_lambda: tuple[LambdaSlice, ...]
 
 
@@ -246,7 +247,7 @@ def stability_report(
     analysis: FamilyAnalysis, lambdas: Sequence[Fraction | int | str] = ()
 ) -> StabilityReport:
     """Support counts for every attribute and reduct candidate; counts respect multiplicity."""
-    candidates = canonical_reducts([*analysis.red_s, *analysis.reduct_support])
+    candidates = sorted({*analysis.red_s, *analysis.reduct_support})
     return StabilityReport(
         family_size=analysis.family_size,
         attr_core_support={a: analysis.core_support[a] for a in range(analysis.n_attrs)},
@@ -266,29 +267,29 @@ class TheoremCheck:
 
 
 def _containment(
-    check: str,
-    small: frozenset[int],
-    big: frozenset[int],
-    detail: str,
-    vacuous: bool = False,
+    check: str, small: int, big: int, detail: str, vacuous: bool = False, **context: str
 ) -> TheoremCheck:
-    missing = sorted(small - big)
+    """``small`` lies inside ``big``; a failure names the lowest attribute outside it."""
+    missing = small & ~big
     if missing:
         witness = {
-            "attribute": missing[0],
-            "subset": sorted(small),
-            "superset": sorted(big),
+            "attribute": mask_indices(missing)[0],
+            **context,
+            "subset": mask_indices(small),
+            "superset": mask_indices(big),
         }
         return TheoremCheck(check, "fail", detail, witness)
     return TheoremCheck(check, "vacuous" if vacuous else "pass", detail)
 
 
-def _equality(
-    check: str, left: frozenset[int], right: frozenset[int], detail: str
-) -> TheoremCheck:
-    diff = sorted(left ^ right)
+def _equality(check: str, left: int, right: int, detail: str) -> TheoremCheck:
+    diff = left ^ right
     if diff:
-        witness = {"attribute": diff[0], "left": sorted(left), "right": sorted(right)}
+        witness = {
+            "attribute": mask_indices(diff)[0],
+            "left": mask_indices(left),
+            "right": mask_indices(right),
+        }
         return TheoremCheck(check, "fail", detail, witness)
     return TheoremCheck(check, "pass", detail)
 
@@ -340,29 +341,20 @@ def verify_slice(analysis: FamilyAnalysis, s: LambdaSlice) -> tuple[TheoremCheck
         )
     )
 
+    # Each step of the ladder is one containment; the first failing step reports.
     ladder = sorted(set(LAMBDA_GRID) | {s.lam})
-    t2c = TheoremCheck(
-        "T2c", "pass", "thresholded cores shrink as the threshold grows"
-    )
-    for low, high in zip(ladder, ladder[1:]):
-        core_low = dynamic_core_lambda(analysis, low)
-        core_high = dynamic_core_lambda(analysis, high)
-        extra = sorted(core_high - core_low)
-        if extra:
-            t2c = TheoremCheck(
-                "T2c",
-                "fail",
-                t2c.detail,
-                {
-                    "attribute": extra[0],
-                    "lambda_low": str(low),
-                    "lambda_high": str(high),
-                    "subset": sorted(core_high),
-                    "superset": sorted(core_low),
-                },
-            )
-            break
-    checks.append(t2c)
+    steps = [
+        _containment(
+            "T2c",
+            dynamic_core_lambda(analysis, high),
+            dynamic_core_lambda(analysis, low),
+            "thresholded cores shrink as the threshold grows",
+            lambda_low=str(low),
+            lambda_high=str(high),
+        )
+        for low, high in zip(ladder, ladder[1:])
+    ]
+    checks.append(next((c for c in steps if c.status == "fail"), steps[0]))
 
     checks.append(
         _containment(

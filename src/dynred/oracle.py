@@ -14,7 +14,8 @@ The four plain family-level sets are given here by their literal
 definitions, membership in every member intersected member by member. The
 engine computes them as its support filter at threshold 1 instead, so these
 are the reference that keeps the threshold-1 laws from comparing a
-function with itself. They read a ``dynamic.FamilyAnalysis``.
+function with itself. They read a ``dynamic.FamilyAnalysis`` and speak its
+form: attribute sets are bitmasks and ``&`` intersects them.
 """
 
 from __future__ import annotations
@@ -101,21 +102,21 @@ def is_antichain(sets: Iterable[frozenset[int]]) -> bool:
     return not any(a < b for a in items for b in items)
 
 
-def literal_dynamic_reduct(analysis) -> tuple[frozenset[int], ...]:
+def literal_dynamic_reduct(analysis) -> tuple[int, ...]:
     """Reducts of the system that survive as reducts of every member."""
     member_sets = [set(m.reducts) for m in analysis.per_member]
     return tuple(r for r in analysis.red_s if all(r in s for s in member_sets))
 
 
-def literal_generalized_dynamic_reduct(analysis) -> tuple[frozenset[int], ...]:
-    """Attribute sets that are reducts of every member, in canonical order."""
+def literal_generalized_dynamic_reduct(analysis) -> tuple[int, ...]:
+    """Attribute sets that are reducts of every member, in ascending mask order."""
     common = set(analysis.per_member[0].reducts)
     for m in analysis.per_member[1:]:
         common &= set(m.reducts)
-    return tuple(sorted(common, key=sorted))
+    return tuple(sorted(common))
 
 
-def literal_dynamic_core(analysis) -> frozenset[int]:
+def literal_dynamic_core(analysis) -> int:
     """Core attributes of the system that stay core in every member."""
     out = analysis.core_s
     for m in analysis.per_member:
@@ -123,7 +124,7 @@ def literal_dynamic_core(analysis) -> frozenset[int]:
     return out
 
 
-def literal_generalized_dynamic_core(analysis) -> frozenset[int]:
+def literal_generalized_dynamic_core(analysis) -> int:
     """Attributes that are core in every member, regardless of the system."""
     members = analysis.per_member
     out = members[0].core

@@ -14,11 +14,11 @@ implicant outlives its branch, so memory beyond the reducts found grows
 with the search depth, and the reduct cap ends the search at the first
 reduct past it. The core needs no clauses: it is the attributes whose
 deletion fails the positive-region probe of the table's labelled class
-table (``rough.preserves``), one probe per attribute. Internally clauses and
-attribute sets are bitmasks. ``reduct_masks`` is the search itself and
-returns the masks in emission order, for callers that name them directly
-(the CLI's ``reducts``); ``all_reducts`` is its canonical frozenset view,
-the form the public surface and the family analysis speak.
+table (``rough.preserves``), one probe per attribute. Clauses and
+attribute sets are bitmasks (bit ``a`` is condition attribute ``a``):
+``table_reducts`` is the per-table result the family analysis and the CLI
+read. ``all_reducts`` and ``core_of`` are the library's frozenset views,
+the form the oracle's references compare with.
 """
 
 from __future__ import annotations
@@ -32,24 +32,19 @@ DEFAULT_MAX_ATTRS = 24
 DEFAULT_MAX_REDUCTS = 100_000
 
 
-def canonical_reducts(sets: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
-    """Deduplicate and order lexicographically by ascending index sequence."""
-    return tuple(sorted(set(sets), key=sorted))
-
-
-def intersect_all(sets: Iterable[frozenset[int]], n_attrs: int) -> frozenset[int]:
-    """Intersection of a reduct collection; the full attribute set when empty.
+def intersect_all(masks: Iterable[int], n_attrs: int) -> int:
+    """AND of a collection of attribute masks; the full mask when it is empty.
 
     The full set is the identity of intersection over subsets of C, which
     keeps containment checks meaningful when a dynamic reduct set is empty.
     """
-    out = frozenset(range(n_attrs))
-    for s in sets:
-        out &= s
+    out = (1 << n_attrs) - 1
+    for mask in masks:
+        out &= mask
     return out
 
 
-def _indices(mask: int) -> list[int]:
+def mask_indices(mask: int) -> list[int]:
     """Set bits of ``mask`` in ascending order."""
     out = []
     while mask:
@@ -59,9 +54,14 @@ def _indices(mask: int) -> list[int]:
     return out
 
 
+def attr_mask(attrs: Iterable[int]) -> int:
+    """The bitmask of some attribute indices; the inverse of ``mask_indices``."""
+    return sum(1 << a for a in attrs)
+
+
 def discernibility_function(table: Table) -> tuple[frozenset[int], ...]:
     """Absorbed clause list of the table's discernibility function, canonical order."""
-    return tuple(map(frozenset, sorted(map(_indices, discernibility_masks(table)))))
+    return tuple(map(frozenset, sorted(map(mask_indices, discernibility_masks(table)))))
 
 
 def reduct_masks(
@@ -84,7 +84,7 @@ def reduct_masks(
     clauses = discernibility_masks(table)
     edges = [0] * n  # edges[a]: mask of the clauses containing attribute a
     for i, clause in enumerate(clauses):
-        for a in _indices(clause):
+        for a in mask_indices(clause):
             edges[a] |= 1 << i
 
     found: list[int] = []
@@ -127,13 +127,24 @@ def reduct_masks(
     return found
 
 
+def table_reducts(
+    table: Table,
+    *,
+    max_attrs: int = DEFAULT_MAX_ATTRS,
+    max_reducts: int = DEFAULT_MAX_REDUCTS,
+) -> tuple[tuple[int, ...], int]:
+    """``reduct_masks`` sorted in ascending order, and the core as their AND; same caps."""
+    masks = tuple(sorted(reduct_masks(table, max_attrs=max_attrs, max_reducts=max_reducts)))
+    return masks, intersect_all(masks, base_system(table).n_attrs)
+
+
 def reduct_sets(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
     """The canonical frozenset view of a mask list: sets sorted by ascending index list.
 
-    It does not deduplicate: ``reduct_masks`` emits each reduct once, and a
-    repeated mask stays visible to a comparison with the oracle.
+    It does not deduplicate: ``reduct_masks`` emits each reduct once, so a
+    repeated mask is a fault, and it stays visible to a comparison.
     """
-    return tuple(map(frozenset, sorted(map(_indices, masks))))
+    return tuple(map(frozenset, sorted(map(mask_indices, masks))))
 
 
 def all_reducts(

@@ -44,6 +44,28 @@ def reduct_names(system: DecisionSystem, sets) -> list[list[str]]:
     return sorted(sorted(system.cond_attrs[a] for a in s) for s in sets)
 
 
+# The family layer speaks attribute bitmasks: bit a is condition attribute a.
+def as_mask(attrs) -> int:
+    """Bitmask of an iterable of attribute indices."""
+    return sum(1 << a for a in attrs)
+
+
+def mask(system: DecisionSystem, names: str) -> int:
+    """Attribute bitmask from a compact name string like 'ab'."""
+    return as_mask(idx(system, names))
+
+
+def mask_names(system: DecisionSystem, masks) -> list[list[str]]:
+    """Sorted name arrays of a mask collection, as ``reduct_names`` gives for sets."""
+    n = system.n_attrs
+    return reduct_names(system, ([a for a in range(n) if m >> a & 1] for m in masks))
+
+
+def inside(small: int, big: int) -> bool:
+    """Mask containment: every attribute of ``small`` is in ``big``."""
+    return small & ~big == 0
+
+
 def random_table_csv(rng: random.Random, max_objects: int = 10, max_attrs: int = 6) -> str:
     """Random decision table: arity 2..3 per attribute, decision arity 2..3."""
     n_u = rng.randint(1, max_objects)

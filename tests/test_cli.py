@@ -1,13 +1,19 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dynred import Family, brute_force_reducts, cli, make_subsystem, parse_decision_table
 from dynred.cli import _namer, _render, run
 
 from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv
@@ -79,22 +85,25 @@ class TestReductsCommand:
         report = json.loads(out)
         assert out == json.dumps(report, sort_keys=True, indent=2) + "\n"
 
-    @pytest.mark.parametrize("wrong", ["dropped", "superset"])
+    @pytest.mark.parametrize("wrong", ["dropped", "superset", "repeated"])
     def test_exact_catches_a_wrong_reduct_collection(self, capsys, monkeypatch, tmp_path, wrong):
-        import dynred.cli
+        import dynred.reducts
 
-        original = dynred.cli.reduct_masks
+        # The search call inside reducts.table_reducts, which every table goes through.
+        original = dynred.reducts.reduct_masks
 
         def mutated(table, **kwargs):
             masks = original(table, **kwargs)
             if wrong == "dropped":
                 return masks[1:]
+            if wrong == "repeated":
+                return masks + masks[:1]
             r = masks[0]
             return masks + [r | (~r & (r + 1))]  # r plus its lowest unset attribute
 
         p = tmp_path / "matching.csv"
         p.write_text(matching_csv(3))
-        monkeypatch.setattr(dynred.cli, "reduct_masks", mutated)
+        monkeypatch.setattr(dynred.reducts, "reduct_masks", mutated)
         status = run(["reducts", "--input", str(p), "--decision", "d", "--exact"])
         out, err = capsys.readouterr()
         assert status == 70
@@ -119,6 +128,103 @@ def test_namer_names_every_mask_in_name_order(data):
     expected = [sorted(names[a] for a in range(m) if mask >> a & 1) for mask in masks]
     assert [name(mask) for mask in masks] == expected
     assert sorted(map(name, masks)) == sorted(expected)
+
+
+def _literal_sections(system, members, lam):
+    """The sections ``dynamic`` reports, from the brute-force oracle and the frozenset definitions.
+
+    Every member's reducts come from ``brute_force_reducts`` and every core
+    is their intersection; support is counted member by member, so repeats
+    count separately.
+    """
+    everything = frozenset(range(system.n_attrs))
+
+    def named(attrs):
+        return sorted(system.cond_attrs[a] for a in attrs)
+
+    def named_all(sets):
+        return sorted(named(s) for s in sets)
+
+    red_s = brute_force_reducts(system)
+    core_s = everything.intersection(*red_s)
+    reds = [brute_force_reducts(m) for m in members]
+    cores = [everything.intersection(*r) for r in reds]
+
+    def held(count):
+        return Fraction(count, len(members)) >= lam
+
+    def support(r):
+        return sum(r in member for member in reds)
+
+    def core_support(a):
+        return sum(a in core for core in cores)
+
+    candidates = set(red_s).union(*reds)
+    return {
+        "static": {"reducts": named_all(red_s), "core": named(core_s)},
+        "family": [
+            {"indices": list(m.object_indices), "reducts": named_all(r), "core": named(c)}
+            for m, r, c in zip(members, reds, cores)
+        ],
+        "dynamic": {
+            "dr": named_all(r for r in red_s if all(r in member for member in reds)),
+            "dr_lambda": named_all(r for r in red_s if held(support(r))),
+            "gdr": named_all(set(reds[0]).intersection(*reds)),
+            "gdr_lambda": named_all(r for r in candidates if held(support(r))),
+            "dcore": named(core_s.intersection(*cores)),
+            "dcore_lambda": named(a for a in core_s if held(core_support(a))),
+            "gdcore": named(cores[0].intersection(*cores)),
+            "gdcore_lambda": named(a for a in everything if held(core_support(a))),
+        },
+        "reduct_support": [{"reduct": named(r), "support": support(r)}
+                           for r in sorted(candidates, key=named)],
+        "attr_core_support": {system.cond_attrs[a]: core_support(a) for a in everything},
+    }
+
+
+# Names whose order differs from their column order.
+_COLUMNS = ("b", "a10", "a", "z", "a0", "caf\u00e9", "B", "m")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_dynamic_report_names_the_literal_sets(data):
+    m = data.draw(st.integers(0, 8), label="attributes")
+    n = data.draw(st.integers(1, 24), label="row count")
+    arities = data.draw(st.lists(st.integers(1, 3), min_size=m + 1, max_size=m + 1))
+    rows = data.draw(st.lists(st.tuples(*(st.integers(0, k - 1) for k in arities)),
+                              min_size=n, max_size=n), label="rows")
+    names = data.draw(st.permutations(_COLUMNS), label="names")[:m]
+    text = "\n".join([",".join([*names, "d"])] + [",".join(map(str, r)) for r in rows]) + "\n"
+    system = parse_decision_table(text, "d")
+
+    # A family with repeated and full-table members, handed to the CLI in place of a sample.
+    drawn = data.draw(st.lists(st.sets(st.integers(0, n - 1), min_size=1), min_size=1, max_size=4))
+    drawn += data.draw(st.lists(st.sampled_from(drawn), max_size=3), label="repeats")
+    drawn += [range(n)] * data.draw(st.integers(0, 2), label="full members")
+    drawn = data.draw(st.permutations(drawn), label="family")
+    lam = data.draw(st.sampled_from(["0.51", "0.6", "0.67", "0.75", "0.8", "1"]), label="lambda")
+
+    def family(parsed, plan):
+        return Family(tuple(make_subsystem(parsed, rows) for rows in drawn))
+
+    members = family(system, None).members
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "sample_family", family):
+        path = Path(tmp) / "t.csv"
+        path.write_text(text, encoding="utf-8")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            status = run(["dynamic", "--input", str(path), "--decision", "d",
+                          "--fractions", "1", "--lambda", lam])
+    assert status == 0
+    report = json.loads(out.getvalue())
+    expected = _literal_sections(system, members, Fraction(lam))
+    assert report["static"] == expected["static"]
+    assert report["family"] == expected["family"]
+    assert report["dynamic"] == expected["dynamic"]
+    assert report["stability"]["reduct_support"] == expected["reduct_support"]
+    assert report["stability"]["attr_core_support"] == expected["attr_core_support"]
+    assert report["stability"]["family_size"] == len(members)
 
 
 # Strings mixing arbitrary characters with the ones JSON escapes specially:
@@ -504,18 +610,18 @@ class TestEachIntermediateOnce:
 
     def test_dropped_reduct_of_a_repeated_member_exits_70(self, capsys, monkeypatch,
                                                           fixa_path, family):
-        import dynred.dynamic
+        import dynred.reducts
 
         rows = [m.object_indices for m in family]
         first = next(i for i, r in enumerate(rows) if r in rows[i + 1:] and len(r) < 3)
         assert first == 1
-        original = dynred.dynamic.all_reducts
+        original = dynred.reducts.reduct_masks
 
         def dropping(table, **kwargs):
-            reducts = original(table, **kwargs)
-            return reducts[1:] if getattr(table, "object_indices", None) == rows[first] else reducts
+            masks = original(table, **kwargs)
+            return masks[1:] if getattr(table, "object_indices", None) == rows[first] else masks
 
-        monkeypatch.setattr(dynred.dynamic, "all_reducts", dropping)
+        monkeypatch.setattr(dynred.reducts, "reduct_masks", dropping)
         status = run(["dynamic", "--input", fixa_path, "--exact", *self.ARGS])
         out, err = capsys.readouterr()
         assert status == 70

@@ -82,3 +82,17 @@ def test_clauses_are_absorbed_only_where_they_are_made():
                             if name == "_minimal_masks"]
     assert definitions == ["rough.py"]
     assert callers == ["rough.py:discernibility_masks"]
+
+
+FROZENSET_PATH = {"frozenset", "all_reducts", "reduct_sets", "canonical_reducts"}
+
+
+def test_family_layer_and_cli_speak_masks_only():
+    # The family analysis and the CLI read the search's bitmasks; the
+    # frozenset views are for library callers, not a second path beside them.
+    package = ROOT / "src" / "dynred"
+    found = []
+    for name in ("dynamic.py", "cli.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        found += [f"{name}:{line}: {n}" for line, n in _names(tree) if n in FROZENSET_PATH]
+    assert found == []

@@ -40,9 +40,10 @@ from dynred import (
     verify_theorems,
 )
 
+from dynred.reducts import reduct_sets
 from dynred.table import parse_rational
 
-from conftest import idx, random_family, random_system, reduct_names
+from conftest import as_mask, inside, mask, mask_names, random_family, random_system
 
 
 @pytest.fixture
@@ -150,10 +151,10 @@ class TestAnalyzeFamily:
     def test_single_member(self, fam):
         s, b1, _, _ = fam
         a = analyze(s, b1)
-        assert reduct_names(s, a.red_s) == [["a", "b"], ["a", "c"]]
-        assert a.core_s == idx(s, "a")
-        assert reduct_names(s, a.per_member[0].reducts) == [["a"]]
-        assert a.per_member[0].core == idx(s, "a")
+        assert mask_names(s, a.red_s) == [["a", "b"], ["a", "c"]]
+        assert a.core_s == mask(s, "a")
+        assert mask_names(s, a.per_member[0].reducts) == [["a"]]
+        assert a.per_member[0].core == mask(s, "a")
 
     def test_full_member_mirrors_system(self, fam):
         s, *_ = fam
@@ -164,8 +165,8 @@ class TestAnalyzeFamily:
     def test_constant_decision_member(self, fam):
         s, _, _, b3 = fam
         a = analyze(s, b3)
-        assert a.per_member[0].reducts == (frozenset(),)
-        assert a.per_member[0].core == frozenset()
+        assert a.per_member[0].reducts == (0,)
+        assert a.per_member[0].core == 0
 
     def test_foreign_member_rejected(self, fix_a, fix_b):
         family = Family((make_subsystem(fix_b, {0, 1}),))
@@ -192,8 +193,10 @@ class TestAnalyzeFamily:
             members += [full_subsystem(s)] + rng.choices(members, k=3) + [full_subsystem(s)]
             rng.shuffle(members)
             a = analyze(s, *members)
+            # The frozenset views, read back as masks in ascending order.
             assert a.per_member == tuple(
-                MemberAnalysis(all_reducts(m), core_of(m)) for m in members
+                MemberAnalysis(tuple(sorted(map(as_mask, all_reducts(m)))), as_mask(core_of(m)))
+                for m in members
             )
 
     def test_capacity_error_names_first_of_repeated_members(self):
@@ -248,7 +251,7 @@ class TestDynamicReductLambda:
         s, _, b2, _ = fam
         full = full_subsystem(s)
         a = analyze(s, full, full, b2)
-        assert reduct_names(s, dynamic_reduct_lambda(a, Fraction(3, 5))) == [
+        assert mask_names(s, dynamic_reduct_lambda(a, Fraction(3, 5))) == [
             ["a", "b"],
             ["a", "c"],
         ]
@@ -257,7 +260,7 @@ class TestDynamicReductLambda:
 class TestGeneralizedDynamicReduct:
     def test_repeated_member(self, fam):
         s, b1, *_ = fam
-        assert reduct_names(s, generalized_dynamic_reduct(analyze(s, b1, b1))) == [["a"]]
+        assert mask_names(s, generalized_dynamic_reduct(analyze(s, b1, b1))) == [["a"]]
 
     def test_disjoint_members(self, fam):
         s, b1, b2, _ = fam
@@ -273,7 +276,7 @@ class TestGeneralizedDynamicReductLambda:
     def test_majority_support(self, fam):
         s, b1, _, b3 = fam
         a = analyze(s, b1, b1, b3)
-        assert reduct_names(s, generalized_dynamic_reduct_lambda(a, Fraction(3, 5))) == [["a"]]
+        assert mask_names(s, generalized_dynamic_reduct_lambda(a, Fraction(3, 5))) == [["a"]]
 
     def test_all_below_threshold(self, fam):
         s, b1, b2, b3 = fam
@@ -295,23 +298,23 @@ class TestDynamicCore:
 
     def test_shared_core(self, fam):
         s, b1, *_ = fam
-        assert dynamic_core(analyze(s, b1)) == idx(s, "a")
+        assert dynamic_core(analyze(s, b1)) == mask(s, "a")
 
     def test_empty_member_core_empties_result(self, fam):
         s, b1, b2, _ = fam
-        assert dynamic_core(analyze(s, b1, b2)) == frozenset()
+        assert dynamic_core(analyze(s, b1, b2)) == 0
 
 
 class TestDynamicCoreLambda:
     def test_majority_support(self, fam):
         s, b1, b2, _ = fam
         a = analyze(s, b1, b1, b2)
-        assert dynamic_core_lambda(a, Fraction(3, 5)) == idx(s, "a")
+        assert dynamic_core_lambda(a, Fraction(3, 5)) == mask(s, "a")
 
     def test_minority_support(self, fam):
         s, b1, b2, b3 = fam
         a = analyze(s, b1, b2, b3)
-        assert dynamic_core_lambda(a, Fraction(3, 5)) == frozenset()
+        assert dynamic_core_lambda(a, Fraction(3, 5)) == 0
 
     def test_threshold_one_equals_plain(self, fam):
         s, b1, b2, b3 = fam
@@ -323,20 +326,20 @@ class TestDynamicCoreLambda:
         # support 3 of 4 at threshold 3/4: 3*4 >= 3*4 holds, so kept
         s, b1, b2, _ = fam
         a = analyze(s, b1, b1, b1, b2)
-        assert dynamic_core_lambda(a, Fraction(3, 4)) == idx(s, "a")
+        assert dynamic_core_lambda(a, Fraction(3, 4)) == mask(s, "a")
         # support 1 of 2 at 51/100 fails: 1*100 < 51*2
         a2 = analyze(s, b1, b2)
-        assert dynamic_core_lambda(a2, Fraction(51, 100)) == frozenset()
+        assert dynamic_core_lambda(a2, Fraction(51, 100)) == 0
 
 
 class TestGeneralizedDynamicCore:
     def test_repeated_member(self, fam):
         s, b1, *_ = fam
-        assert generalized_dynamic_core(analyze(s, b1, b1)) == idx(s, "a")
+        assert generalized_dynamic_core(analyze(s, b1, b1)) == mask(s, "a")
 
     def test_empty_on_disjoint_cores(self, fam):
         s, b1, b2, _ = fam
-        assert generalized_dynamic_core(analyze(s, b1, b2)) == frozenset()
+        assert generalized_dynamic_core(analyze(s, b1, b2)) == 0
 
     def test_family_containing_system_matches_plain(self, fam):
         s, b1, *_ = fam
@@ -348,18 +351,18 @@ class TestGeneralizedDynamicCoreLambda:
     def test_majority_support(self, fam):
         s, b1, _, b3 = fam
         a = analyze(s, b1, b1, b3)
-        assert generalized_dynamic_core_lambda(a, Fraction(3, 5)) == idx(s, "a")
+        assert generalized_dynamic_core_lambda(a, Fraction(3, 5)) == mask(s, "a")
 
     def test_all_supports_zero(self, fam):
         s, _, b2, _ = fam
         a = analyze(s, b2, b2)
-        assert generalized_dynamic_core_lambda(a, Fraction(3, 4)) == frozenset()
+        assert generalized_dynamic_core_lambda(a, Fraction(3, 4)) == 0
 
     def test_contains_plain_lambda_variant(self, fam):
         s, b1, b2, b3 = fam
         a = analyze(s, b1, b1, b3)
         for lam in (Fraction(51, 100), Fraction(3, 4), Fraction(1)):
-            assert dynamic_core_lambda(a, lam) <= generalized_dynamic_core_lambda(a, lam)
+            assert inside(dynamic_core_lambda(a, lam), generalized_dynamic_core_lambda(a, lam))
 
 
 class TestStabilityReport:
@@ -374,7 +377,7 @@ class TestStabilityReport:
         a = analyze(s, full_subsystem(s))
         rep = stability_report(a)
         assert all(
-            (count == 1) == (attr in a.core_s)
+            (count == 1) == bool(a.core_s >> attr & 1)
             for attr, count in rep.attr_core_support.items()
         )
 
@@ -382,9 +385,9 @@ class TestStabilityReport:
         s, b1, b2, b3 = fam
         rep = stability_report(analyze(s, b1, b2, b3))
         support = dict(rep.reduct_support)
-        assert support[idx(s, "a")] == 1
-        assert support[frozenset()] == 1
-        assert support[idx(s, "ab")] == 0
+        assert support[mask(s, "a")] == 1
+        assert support[0] == 1
+        assert support[mask(s, "ab")] == 0
 
     def test_per_lambda_slices(self, fam):
         s, b1, _, b3 = fam
@@ -423,13 +426,13 @@ class TestVerifyTheorems:
 
         s, _, b2, _ = fam
         a = analyze(s, b2, b2)
-        fake = tuple(MemberAnalysis(m.reducts, idx(s, "a")) for m in a.per_member)
+        fake = tuple(MemberAnalysis(m.reducts, mask(s, "a")) for m in a.per_member)
         bad = dataclasses.replace(a, per_member=fake)
         checks = {c.check: c for c in verify_theorems(bad, 1)}
         assert checks["T5a"].status == "fail"
         witness = checks["T5a"].witness
-        assert witness["attribute"] == next(iter(idx(s, "a")))
-        assert witness["subset"] == [next(iter(idx(s, "a")))]
+        assert witness["attribute"] == s.cond_attrs.index("a")
+        assert witness["subset"] == [s.cond_attrs.index("a")]
 
 
 @settings(deadline=None, max_examples=60)
@@ -451,16 +454,17 @@ def test_random_families_satisfy_all_laws(seed, lam):
     for collection in (dr, dynamic_reduct_lambda(a, lam),
                        generalized_dynamic_reduct(a),
                        generalized_dynamic_reduct_lambda(a, lam)):
-        assert is_antichain(collection)
+        assert is_antichain(reduct_sets(collection))
     # threshold ladder shrinks both thresholded cores
     grid = [Fraction(51, 100), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
     for low, high in zip(grid, grid[1:]):
-        assert dynamic_core_lambda(a, high) <= dynamic_core_lambda(a, low)
-        assert generalized_dynamic_core_lambda(a, high) <= generalized_dynamic_core_lambda(a, low)
+        assert inside(dynamic_core_lambda(a, high), dynamic_core_lambda(a, low))
+        assert inside(generalized_dynamic_core_lambda(a, high),
+                      generalized_dynamic_core_lambda(a, low))
     # majority thresholds force every kept attribute into every kept reduct
-    for attr in generalized_dynamic_core_lambda(a, lam):
-        assert all(attr in r for r in generalized_dynamic_reduct_lambda(a, lam))
-    assert dynamic_core(a) <= intersect_all(dr, n)
+    kept = generalized_dynamic_core_lambda(a, lam)
+    assert all(inside(kept, r) for r in generalized_dynamic_reduct_lambda(a, lam))
+    assert inside(dynamic_core(a), intersect_all(dr, n))
 
 
 def _scanned_lambda_sets(a, lam):
@@ -473,14 +477,15 @@ def _scanned_lambda_sets(a, lam):
         return sum(r in m.reducts for m in a.per_member)
 
     def core_support(attr):
-        return sum(attr in m.core for m in a.per_member)
+        return sum(m.core >> attr & 1 for m in a.per_member)
 
     member_reducts = {r for m in a.per_member for r in m.reducts}
+    attrs = range(a.n_attrs)
     return (
         tuple(r for r in a.red_s if held(reduct_support(r))),
-        tuple(sorted((r for r in member_reducts if held(reduct_support(r))), key=sorted)),
-        frozenset(attr for attr in a.core_s if held(core_support(attr))),
-        frozenset(attr for attr in range(a.n_attrs) if held(core_support(attr))),
+        tuple(sorted(r for r in member_reducts if held(reduct_support(r)))),
+        as_mask(x for x in attrs if a.core_s >> x & 1 and held(core_support(x))),
+        as_mask(x for x in attrs if held(core_support(x))),
     )
 
 

@@ -10,7 +10,6 @@ from dynred import (
     all_reducts,
     brute_force_core,
     brute_force_reducts,
-    canonical_reducts,
     core_of,
     discernibility_function,
     discernibility_matrix,
@@ -22,7 +21,7 @@ from dynred import (
     parse_decision_table,
     positive_region,
 )
-from dynred.reducts import reduct_masks, reduct_sets
+from dynred.reducts import mask_indices, reduct_masks, reduct_sets
 from dynred.rough import class_table, preserves
 
 from conftest import idx, matching_csv, random_system, reduct_names
@@ -63,18 +62,18 @@ class TestAbsorption:
 
 class TestCanonicalOrder:
     def test_lexicographic_by_index_sequence(self):
-        sets = [frozenset({1}), frozenset({0, 2}), frozenset({0, 1})]
-        assert canonical_reducts(sets) == (
+        # {1}, {0, 2}, {0, 1} as masks: the frozenset view orders by index list, not by mask.
+        assert reduct_sets([0b010, 0b101, 0b011]) == (
             frozenset({0, 1}),
             frozenset({0, 2}),
             frozenset({1}),
         )
 
     def test_intersect_all_empty_collection_is_full_set(self):
-        assert intersect_all([], 3) == frozenset({0, 1, 2})
+        assert intersect_all([], 3) == 0b111
 
     def test_intersect_all_over_empty_reduct(self):
-        assert intersect_all([frozenset()], 3) == frozenset()
+        assert intersect_all([0], 3) == 0
 
 
 class TestCapacityLimits:
@@ -255,7 +254,7 @@ def test_core_past_the_oracle_limit(arities):
     decisions = tuple(rng.randrange(2) for _ in range(n))
     s = DecisionSystem("uniform", tuple(f"c{a}" for a in range(m)), "d", rows, decisions, {})
     core = core_of(s)
-    assert core == intersect_all(all_reducts(s), m)
+    assert core == frozenset(mask_indices(intersect_all(reduct_masks(s), m)))
     full = positive_region(s, range(m))
     assert core == {a for a in range(m) if positive_region(s, set(range(m)) - {a}) != full}
 
