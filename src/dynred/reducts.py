@@ -9,11 +9,16 @@ minimal hitting sets are enumerated with MMCS
 (Murakami & Uno, Discrete Applied Math. 2014): a depth-first search that
 adds one attribute of an uncovered clause at a time and prunes a branch as
 soon as some chosen attribute is left without a critical clause (one that
-no other chosen attribute hits). Every leaf is a reduct and no partial
-implicant outlives its branch, so memory beyond the reducts found grows
-with the search depth, and the reduct cap ends the search at the first
-reduct past it. The core needs no clauses: it is the attributes whose
-deletion fails the positive-region probe of the table's labelled class
+no other chosen attribute hits). Attributes in exactly the same clauses
+(twins) stand in for each other in every reduct and never share one
+(Eiter & Gottlob, SIAM J. Comput. 1995), so the search runs over the
+quotient, one representative per twin group, and each leaf expands into
+its reducts by swapping representatives for their twins. Every leaf is a
+reduct and no partial implicant outlives its branch, so memory beyond the
+reducts found grows with the search depth; the reduct cap is checked
+before each leaf and each expansion step, so the search stops without
+building a list past it. The core needs no clauses: it is the attributes
+whose deletion fails the positive-region probe of the table's labelled class
 table (``rough.preserves``), one probe per attribute. Clauses and
 attribute sets are bitmasks (bit ``a`` is condition attribute ``a``):
 ``table_reducts`` is the per-table result the family analysis and the CLI
@@ -74,8 +79,9 @@ def reduct_masks(
 
     Each reduct appears exactly once; a table with no clauses yields the
     single empty mask. Raises CapacityError rather than truncating when |C|
-    exceeds ``max_attrs`` or more than ``max_reducts`` reducts are found;
-    the search stops at that reduct instead of finishing the enumeration.
+    exceeds ``max_attrs`` or the table has more than ``max_reducts``
+    reducts; the search stops as soon as the count would pass the cap
+    instead of finishing the enumeration.
     """
     n = base_system(table).n_attrs
     if n > max_attrs:
@@ -87,20 +93,44 @@ def reduct_masks(
         for a in mask_indices(clause):
             edges[a] |= 1 << i
 
+    # Twins (equal, non-empty edges) are searched through their lowest
+    # attribute; a leaf expands by XOR with rep ^ twin for each twin, the
+    # 0 delta keeping the representative.
+    groups: dict[int, list[int]] = {}
+    for a in range(n):
+        if edges[a]:
+            groups.setdefault(edges[a], []).append(1 << a)
+    reps = 0
+    swaps: dict[int, list[int]] = {}
+    for bits in groups.values():
+        reps |= bits[0]
+        if len(bits) > 1:
+            swaps[bits[0]] = [bits[0] ^ b for b in bits]
+
+    def check_cap(count: int) -> None:
+        if count > max_reducts:
+            raise CapacityError(
+                f"more than max_reducts = {max_reducts} reducts "
+                f"({len(clauses)} absorbed clauses, |C| = {n}); raise the cap"
+            )
+
     found: list[int] = []
     # A node: chosen attributes, one critical-clause mask per chosen
     # attribute, candidate attributes, uncovered clauses. An explicit stack
     # keeps the depth (up to |C|) off the interpreter's recursion limit.
-    stack = [(0, [], (1 << n) - 1, (1 << len(clauses)) - 1)]
+    stack = [(0, [], reps, (1 << len(clauses)) - 1)]
     while stack:
         chosen, crits, cand, uncov = stack.pop()
         if not uncov:
-            found.append(chosen)
-            if len(found) > max_reducts:
-                raise CapacityError(
-                    f"more than max_reducts = {max_reducts} reducts "
-                    f"({len(clauses)} absorbed clauses, |C| = {n}); raise the cap"
-                )
+            # The cap is checked before each product is built, so no list
+            # ever grows past it.
+            check_cap(len(found) + 1)
+            leaf = [chosen]
+            for rep, deltas in swaps.items():
+                if chosen & rep:
+                    check_cap(len(found) + len(leaf) * len(deltas))
+                    leaf = [x ^ d for x in leaf for d in deltas]
+            found += leaf
             continue
         # Branch on the uncovered clause with the fewest candidates. The scan
         # may stop at one candidate: a clause with none can wait, since it

@@ -145,8 +145,12 @@ def preserves(classes: ClassTable, mask: int) -> bool:
 def _minimal_masks(masks: set[int]) -> list[int]:
     """Masks with no strict subset present, ordered by popcount, then value."""
     kept: list[int] = []
-    for m in sorted(masks, key=lambda m: (m.bit_count(), m)):
-        if not any(k & m == k for k in kept):
+    # A stable sort by popcount of the value-sorted masks.
+    for m in sorted(sorted(masks), key=int.bit_count):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
             kept.append(m)
     return kept
 

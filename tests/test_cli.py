@@ -364,10 +364,18 @@ class TestGoldenBytes:
         ("core", "fixa.csv", "fe3091a048bd4b2eae4f84257b4bae1ef05eecb9773a8f135e884b1625b1851c"),
         ("reducts", "matching.csv",
          "a730950bc4d12a3c113e389b48e7d63341a669f13f38519df8066cafb4255eb6"),
-    ], ids=["reducts-fixa", "core-fixa", "reducts-matching8"])
+        ("reducts", "twins.csv",
+         "edbd1aee404f87142f0e2798bcfcadad5e3a4249310ea4ba39302f52c9984be3"),
+    ], ids=["reducts-fixa", "core-fixa", "reducts-matching8", "reducts-twin-triple"])
     def test_static_digest(self, capsys, tmp_path, monkeypatch, command, table, digest):
         (tmp_path / "fixa.csv").write_text(FIX_A_CSV)
         (tmp_path / "matching.csv").write_text(matching_csv(8))  # 256 reducts
+        # Matching k = 6 plus z, a copy of x0: the twin group {x0, y0, z}
+        # gives 3 * 2**5 = 96 reducts.
+        lines = [line.split(",") for line in matching_csv(6).splitlines()]
+        for i, cells in enumerate(lines):
+            cells.insert(-1, cells[0] if i else "z")
+        (tmp_path / "twins.csv").write_text("".join(",".join(c) + "\n" for c in lines))
         monkeypatch.chdir(tmp_path)
         status, out = run_json(capsys, [command, "--input", table, "--decision", "d"])
         assert status == 0

@@ -434,6 +434,37 @@ class TestVerifyTheorems:
         assert witness["attribute"] == s.cond_attrs.index("a")
         assert witness["subset"] == [s.cond_attrs.index("a")]
 
+    def test_containment_witness_names_the_lowest_missing_attribute(self, fam):
+        # Cores {a, b} in members whose reducts are {b} and {c}: both a and b
+        # lie outside the empty reduct intersection, and a is the witness.
+        import dataclasses
+
+        from dynred import MemberAnalysis
+
+        s, _, b2, _ = fam
+        a = analyze(s, b2, b2)
+        fake = tuple(MemberAnalysis(m.reducts, mask(s, "ab")) for m in a.per_member)
+        check = {c.check: c for c in verify_theorems(dataclasses.replace(a, per_member=fake), 1)}
+        assert check["T5a"].status == "fail"
+        assert check["T5a"].witness["attribute"] == s.cond_attrs.index("a")
+        assert check["T5a"].witness["subset"] == [s.cond_attrs.index(n) for n in "ab"]
+
+    def test_equality_witness_names_the_lowest_differing_attribute(self, fam):
+        # A static core {a, b, c} against the member core {a}: b and c differ,
+        # and b is the witness.
+        import dataclasses
+
+        s, *_ = fam
+        a = analyze(s, full_subsystem(s))
+        bad = dataclasses.replace(a, core_s=mask(s, "abc"))
+        check = {c.check: c for c in verify_theorems(bad, 1)}
+        assert check["T2a"].status == "fail"
+        assert check["T2a"].witness == {
+            "attribute": s.cond_attrs.index("b"),
+            "left": [s.cond_attrs.index("a")],
+            "right": [s.cond_attrs.index(n) for n in "abc"],
+        }
+
 
 @settings(deadline=None, max_examples=60)
 @given(st.integers(0, 10 ** 9), st.sampled_from(

@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -110,6 +114,49 @@ class TestCapacityLimits:
             all_reducts(s, max_reducts=2)
 
 
+    def test_cap_is_exact_with_twins(self):
+        # Clauses (p|s), (q|r), (r|s) with P a copy of p and R a copy of r:
+        # quotient reducts {p, r}, {q, s}, {r, s} expand to 4 + 1 + 2.
+        s = parse_decision_table(
+            "p,q,r,s,P,R,d\n0,0,0,0,0,0,0\n1,0,0,1,1,0,1\n0,1,1,0,0,1,1\n0,0,1,1,0,1,1\n", "d"
+        )
+        assert reduct_names(s, all_reducts(s, max_reducts=7)) == [
+            ["P", "R"], ["P", "r"], ["R", "p"], ["R", "s"], ["p", "r"], ["q", "s"], ["r", "s"]
+        ]
+        for cap in range(1, 7):
+            with pytest.raises(CapacityError, match=f"max_reducts = {cap} reducts"):
+                reduct_masks(s, max_reducts=cap)
+
+    def test_product_of_twins_stops_at_the_cap(self):
+        # 20 triples of identical columns: 3**20 reducts from one quotient
+        # reduct. The cap is checked before each expansion step, so the child
+        # stops in under 1 GiB of address space; the timeout catches a hang.
+        k = 20
+        rows = ["0" * (3 * k) + "0"]
+        rows += ["000" * i + "111" + "000" * (k - 1 - i) + "1" for i in range(k)]
+        header = ",".join([f"c{a}" for a in range(3 * k)] + ["d"])
+        text = "".join(line + "\n" for line in [header] + [",".join(r) for r in rows])
+        code = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "import dynred\n"
+            "s = dynred.parse_decision_table(sys.stdin.read(), 'd')\n"
+            "try:\n"
+            "    dynred.all_reducts(s, max_attrs=60)\n"
+            "except dynred.CapacityError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run([sys.executable, "-c", code], input=text, capture_output=True,
+                              text=True, env=env, timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == (
+            "more than max_reducts = 100000 reducts "
+            "(20 absorbed clauses, |C| = 60); raise the cap\n"
+        )
+
+
 class TestOracleEquivalence:
     def test_random_instances_match_oracle(self):
         rng = random.Random(0xD15C)
@@ -152,6 +199,24 @@ def _coded_table(rng, n_rows, n_attrs, *, d_arity=2, conflicts=0, wide_rows=0):
         rows.append(rng.choice(rows)[:-1] + [rng.randrange(d_arity)])
     header = ",".join([f"c{i}" for i in range(n_attrs)] + ["d"])
     body = "".join(",".join(map(str, row)) + "\n" for row in rows)
+    return parse_decision_table(header + "\n" + body, "d")
+
+
+def _with_twins(rng, system):
+    """The table with some columns copied and every column's codes relabelled.
+
+    A copy lies in exactly the clauses of its source, so it is the source's
+    twin; relabelling keeps the partitions and changes every code string.
+    """
+    cols = list(range(system.n_attrs))
+    cols += [rng.randrange(system.n_attrs) for _ in range(rng.randint(1, 3))]
+    rng.shuffle(cols)
+    labels = [rng.sample("abcdefgh", 8) for _ in cols]
+    header = ",".join([f"k{j}" for j in range(len(cols))] + ["d"])
+    body = "".join(
+        ",".join([labels[j][row[c]] for j, c in enumerate(cols)] + [str(d)]) + "\n"
+        for row, d in zip(system.rows, system.decisions)
+    )
     return parse_decision_table(header + "\n" + body, "d")
 
 
@@ -279,6 +344,25 @@ class TestEnumeratorOracleAgreement:
             assert len(set(masks)) == len(masks)
             assert reduct_sets(masks) == all_reducts(table) == brute_force_reducts(table)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_twin_columns(self, seed):
+        # The search runs over one attribute per twin group and expands at
+        # the leaves; every expanded mask must be a distinct reduct.
+        rng = random.Random(seed)
+        s = _with_twins(rng, _coded_table(
+            rng,
+            rng.randint(1, 30),
+            rng.randint(1, 5),
+            d_arity=rng.randint(1, 3),
+            conflicts=rng.randint(0, 4),
+        ))
+        member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
+        for table in (s, member):
+            masks = reduct_masks(table)
+            assert len(set(masks)) == len(masks)
+            assert reduct_sets(masks) == brute_force_reducts(table)
+
     def test_inconsistent_table(self):
         rng = random.Random(21)
         s = _coded_table(rng, 20, 6, d_arity=3, conflicts=8)
@@ -301,6 +385,9 @@ class TestEnumeratorOracleAgreement:
 
 
 class TestMatchingTables:
+    # x_i and y_i lie in exactly the same clause, so they are twins: the
+    # search finds the one reduct of the quotient, {x_0, ..., x_{k-1}}, and
+    # the other 2**k - 1 come from swapping twins at that leaf.
     @pytest.mark.parametrize("k", [1, 8, 14])
     def test_every_transversal_of_the_pairs(self, k):
         s = parse_decision_table(matching_csv(k), "d")
