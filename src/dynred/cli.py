@@ -10,13 +10,16 @@ plus one trailing newline; a one-pass writer produces it, since ``indent``
 forces the json module onto its pure-Python encoder. Every attribute set
 of the engine is a bitmask (``reducts.table_reducts``, ``FamilyAnalysis``),
 and every set in a report is named by one function (``_namer``), through
-one 16-entry name table per 4 attributes; each reduct list is sorted once,
-by name. ``--exact`` turns the oracle's reducts into sorted masks once per
-distinct table and compares them with the engine's. Exit codes: 0
-success, 1 usage error (including a decimal exponent above 1000 in
-magnitude in --fractions or --lambda), 2 parse/schema error, 3 capacity
-limit, 4 non-vacuous verification failure, 70 self-check mismatch under
---exact.
+one 16-entry name table per 4 attributes. A family report names each
+distinct reduct once and ranks the distinct name lists with one sort, so
+every reduct list is ordered by integer rank and shares one name list per
+reduct; the writer writes each such list once per indentation depth and
+appends its text at every further mention. ``--exact`` turns the
+oracle's reducts into sorted masks once per distinct table and compares
+them with the engine's. Exit codes: 0 success, 1 usage error (including a
+decimal exponent above 1000 in magnitude in --fractions or --lambda), 2
+parse/schema error, 3 capacity limit, 4 non-vacuous verification failure,
+70 self-check mismatch under --exact.
 """
 
 from __future__ import annotations
@@ -212,16 +215,30 @@ def _base_report(system: DecisionSystem, args) -> dict:
 
 
 def _family_sections(name, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
-    """The static, family, dynamic and stability sections, every set named by ``name``."""
+    """The static, family, dynamic and stability sections, every set named by ``name``.
+
+    ``report.reduct_support`` holds every reduct of the report once: the
+    system's and every member's. Each is named once, and one sort of the
+    distinct name lists ranks the masks, so every reduct list is ordered by
+    integer rank and holds the one name list of each mask.
+    """
     s = report.per_lambda[0]
+    support = report.reduct_support
+    names = [name(r) for r, _ in support]
+    order = sorted(range(len(names)), key=names.__getitem__)
+    ranked = [names[i] for i in order]
+    rank = {support[i][0]: k for k, i in enumerate(order)}
+
+    def listed(masks):
+        return [ranked[k] for k in sorted(map(rank.__getitem__, masks))]
+
     # Repeated members and full-table members share one MemberAnalysis.
     named = {}
     for mem in analysis.per_member:
         if id(mem) not in named:
-            named[id(mem)] = (sorted(map(name, mem.reducts)), name(mem.core))
-    support = sorted((name(r), count) for r, count in report.reduct_support)
+            named[id(mem)] = (listed(mem.reducts), name(mem.core))
     return {
-        "static": {"reducts": sorted(map(name, analysis.red_s)), "core": name(analysis.core_s)},
+        "static": {"reducts": listed(analysis.red_s), "core": name(analysis.core_s)},
         "family": [
             {
                 "indices": list(member.object_indices),
@@ -231,10 +248,10 @@ def _family_sections(name, analysis: FamilyAnalysis, report: StabilityReport) ->
             for member, mem in zip(analysis.family.members, analysis.per_member)
         ],
         "dynamic": {
-            "dr": sorted(map(name, s.dr)),
-            "dr_lambda": sorted(map(name, s.dr_lambda)),
-            "gdr": sorted(map(name, s.gdr)),
-            "gdr_lambda": sorted(map(name, s.gdr_lambda)),
+            "dr": listed(s.dr),
+            "dr_lambda": listed(s.dr_lambda),
+            "gdr": listed(s.gdr),
+            "gdr_lambda": listed(s.gdr_lambda),
             "dcore": name(s.dcore),
             "dcore_lambda": name(s.dcore_lambda),
             "gdcore": name(s.gdcore),
@@ -247,7 +264,7 @@ def _family_sections(name, analysis: FamilyAnalysis, report: StabilityReport) ->
                 for a, count in report.attr_core_support.items()
             },
             "reduct_support": [
-                {"reduct": names, "support": count} for names, count in support
+                {"reduct": names[i], "support": support[i][1]} for i in order
             ],
         },
     }
@@ -306,15 +323,25 @@ def _render(report) -> str:
     generator frame per value; this writer walks the plain dict/list data
     once into a single chunk list instead, and quotes strings with the C
     function ``json.dumps`` itself uses, so the escaping is identical.
+
+    A report names each distinct attribute set with one list object, which
+    may appear many times. The writer keeps the text of every non-empty
+    list of strings it writes, keyed by indentation and ``id``, for this
+    call only, and appends that text again at each further mention. Ids are
+    unique only among live objects, and the text is read back by id alone,
+    so nothing may mutate or free any part of ``report`` while it is
+    written: the CLI builds the report, renders it and only then drops it.
     """
     chunks: list[str] = []
-    _write(report, "\n", chunks)
+    _write(report, "\n", chunks, {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _write(value, newline: str, chunks: list[str]) -> None:
-    # ``newline`` is the line break plus the indentation of ``value`` itself.
+def _write(value, newline: str, chunks: list[str], memo: dict[str, dict[int, str]]) -> None:
+    # ``newline`` is the line break plus the indentation of ``value`` itself;
+    # ``memo[newline]`` maps the id of each string list written at that
+    # indentation to its text.
     if isinstance(value, str):
         chunks.append(_quote(value))
     elif isinstance(value, list):
@@ -322,17 +349,38 @@ def _write(value, newline: str, chunks: list[str]) -> None:
             chunks.append("[]")
             return
         inner = newline + "  "
-        try:  # a list of strings, such as an attribute set, is one join
-            body = ("," + inner).join(map(_quote, value))
-        except TypeError:  # some element is not a string
-            sep = "[" + inner
-            for item in value:
-                chunks.append(sep)
-                _write(item, inner, chunks)
-                sep = "," + inner
-        else:
-            chunks.append("[" + inner)
-            chunks.append(body)
+        seen = memo.setdefault(newline, {})
+        text = seen.get(id(value))
+        if text is None:
+            try:  # a list of strings, such as an attribute set, is one join
+                text = seen[id(value)] = (
+                    "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
+                )
+            except TypeError:  # some element is not a string
+                pass
+        if text is not None:
+            chunks.append(text)
+            return
+        # The same join, inlined: a list of attribute sets is written in
+        # this one loop, with no call per set.
+        head, comma, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
+        seen = memo.setdefault(inner, {})
+        sep = "[" + inner
+        for item in value:
+            chunks.append(sep)
+            sep = "," + inner
+            key = id(item)
+            text = seen.get(key)
+            if text is None:
+                if type(item) is not list or not item:
+                    _write(item, inner, chunks, memo)
+                    continue
+                try:
+                    text = seen[key] = f"{head}{comma.join(map(_quote, item))}{tail}"
+                except TypeError:  # some element is not a string
+                    _write(item, inner, chunks, memo)
+                    continue
+            chunks.append(text)
         chunks.append(newline + "]")
     elif isinstance(value, dict):
         if not value:
@@ -344,7 +392,7 @@ def _write(value, newline: str, chunks: list[str]) -> None:
             chunks.append(sep)
             chunks.append(_quote(key))
             chunks.append(": ")
-            _write(item, inner, chunks)
+            _write(item, inner, chunks, memo)
             sep = "," + inner
         chunks.append(newline + "}")
     elif value is None:

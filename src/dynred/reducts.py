@@ -115,23 +115,27 @@ def reduct_masks(
             )
 
     found: list[int] = []
+
+    def emit(chosen: int) -> None:
+        # The cap is checked before each product is built, so no list ever
+        # grows past it.
+        check_cap(len(found) + 1)
+        leaf = [chosen]
+        for rep, deltas in swaps.items():
+            if chosen & rep:
+                check_cap(len(found) + len(leaf) * len(deltas))
+                leaf = [x ^ d for x in leaf for d in deltas]
+        found.extend(leaf)
+
+    if not clauses:
+        emit(0)
+        return found
     # A node: chosen attributes, one critical-clause mask per chosen
     # attribute, candidate attributes, uncovered clauses. An explicit stack
     # keeps the depth (up to |C|) off the interpreter's recursion limit.
     stack = [(0, [], reps, (1 << len(clauses)) - 1)]
     while stack:
         chosen, crits, cand, uncov = stack.pop()
-        if not uncov:
-            # The cap is checked before each product is built, so no list
-            # ever grows past it.
-            check_cap(len(found) + 1)
-            leaf = [chosen]
-            for rep, deltas in swaps.items():
-                if chosen & rep:
-                    check_cap(len(found) + len(leaf) * len(deltas))
-                    leaf = [x ^ d for x in leaf for d in deltas]
-            found += leaf
-            continue
         # Branch on the uncovered clause with the fewest candidates. The scan
         # may stop at one candidate: a clause with none can wait, since it
         # stays uncoverable in every descendant.
@@ -143,7 +147,9 @@ def reduct_masks(
             if c.bit_count() < width:
                 branch, width = c, c.bit_count()
         # Child v may still take the candidates tried before it, never
-        # those after it, so each reduct is reached exactly once.
+        # those after it, so each reduct is reached exactly once. A child
+        # that covers every clause and keeps its critical clauses is a
+        # leaf, emitted where it is found.
         cand &= ~branch
         while branch:
             v = branch & -branch
@@ -151,8 +157,12 @@ def reduct_masks(
             hit = edges[v.bit_length() - 1]
             kept = [c & ~hit for c in crits]
             if all(kept):
-                kept.append(uncov & hit)
-                stack.append((chosen | v, kept, cand, uncov & ~hit))
+                left = uncov & ~hit
+                if left:
+                    kept.append(uncov & hit)
+                    stack.append((chosen | v, kept, cand, left))
+                else:
+                    emit(chosen | v)
             cand |= v
     return found
 

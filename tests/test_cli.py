@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -13,7 +15,16 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dynred import Family, brute_force_reducts, cli, make_subsystem, parse_decision_table
+from dynred import (
+    Family,
+    SamplingPlan,
+    analyze_family,
+    brute_force_reducts,
+    cli,
+    make_subsystem,
+    parse_decision_table,
+    sample_family,
+)
 from dynred.cli import _namer, _render, run
 
 from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv
@@ -246,6 +257,74 @@ def test_render_matches_json_dumps(value):
     assert _render(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
+def test_render_writes_aliased_lists_as_json_dumps():
+    # The writer keeps each string list's text by indentation and id, so
+    # one list object recurs here at several depths and under several parents.
+    names = ["b", "aé", '"q"']
+    empty = []
+    pair = [names, names]
+    mixed = [1, None, {"k": names, "e": empty}, -2 ** 70, pair]
+    value = {
+        "names": names,
+        "empty": empty,
+        "pair": pair,
+        "mixed": mixed,
+        "again": [mixed, pair, names, empty],
+        # ``names`` sits at depth 2 as a dict value here and as a list
+        # element under "support", and at depth 3 as a list element here
+        # and as a dict value under "support".
+        "nested": {"reduct": names, "rows": [names, empty, names]},
+        "support": [{"reduct": names, "support": 3}, names, {"reduct": names}],
+    }
+    assert _render(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert _render([names, [names], [[names]], names]) == (
+        json.dumps([names, [names], [[names]], names], sort_keys=True, indent=2) + "\n"
+    )
+
+
+def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):
+    # Members of this family share reducts with one another and with the
+    # table, so a report that named each mention would name a mask again.
+    rng = random.Random(5)
+    text = "a,b,c,e,f,d\n" + "".join(
+        ",".join(str(rng.randrange(2)) for _ in range(6)) + "\n" for _ in range(12)
+    )
+    (tmp_path / "t.csv").write_text(text)
+    named = []
+    original = cli._namer
+
+    def counting_namer(names):
+        name = original(names)
+
+        def counted(mask):
+            named.append(mask)
+            return name(mask)
+
+        return counted
+
+    monkeypatch.setattr(cli, "_namer", counting_namer)
+    status, out = run_json(capsys, ["dynamic", "--input", str(tmp_path / "t.csv"),
+                                    "--decision", "d", "--fractions", "0.5,0.75,1",
+                                    "--samples", "4", "--seed", "3", "--lambda", "0.75"])
+    assert status == 0
+    system = parse_decision_table(text, "d")
+    plan = SamplingPlan(seed=3, fractions=("0.5", "0.75", "1"), samples_per_fraction=4)
+    analysis = analyze_family(system, sample_family(system, plan))
+    report = json.loads(out)
+    reducts = {*analysis.red_s, *analysis.reduct_support}
+    assert len(report["stability"]["reduct_support"]) == len(reducts)
+    # The report also names every core, and a core may equal a reduct.
+    cores = [report["static"]["core"], *(m["core"] for m in report["family"]),
+             *(report["dynamic"][k] for k in ("dcore", "dcore_lambda", "gdcore", "gdcore_lambda"))]
+    cores = {sum(1 << system.cond_attrs.index(a) for a in core) for core in cores}
+    mentions = Counter(r for mem in analysis.per_member for r in mem.reducts)
+    mentions.update(analysis.red_s)
+    checked = reducts - cores
+    assert sum(mentions[r] > 1 for r in checked) >= 3  # the family does share reducts
+    counted = Counter(named)
+    assert {r: counted[r] for r in checked} == dict.fromkeys(checked, 1)
+
+
 def test_render_refuses_values_json_would_reshape():
     # The report holds no tuples or floats, so the writer refuses them.
     for value in ({"a": (1, 2)}, [0.5]):
@@ -380,6 +459,24 @@ class TestGoldenBytes:
         status, out = run_json(capsys, [command, "--input", table, "--decision", "d"])
         assert status == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_shared_reduct_family_digest(self, capsys, tmp_path, monkeypatch):
+        # 40 uniform rows of 10 arity-3 conditions and a binary decision:
+        # the 15 members list 843 reducts, 285 of them distinct, and five
+        # members are the full table.
+        rng = random.Random(11)
+        lines = [",".join([*(f"a{j}" for j in range(10)), "d"])]
+        lines += [",".join(str(rng.randrange(3 if j < 10 else 2)) for j in range(11))
+                  for _ in range(40)]
+        (tmp_path / "shared.csv").write_text("\n".join(lines) + "\n")
+        monkeypatch.chdir(tmp_path)
+        status, out = run_json(capsys, [
+            "verify", "--input", "shared.csv", "--decision", "d", "--fractions", "0.5,0.75,1",
+            "--samples", "5", "--seed", "42", "--lambda", "0.75"])
+        assert status == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+            "ce2c32b671c8e973cf624e6a5d40aeb319c386f6bdf8c56860278c4cc076dfd6"
+        )
 
     @pytest.mark.parametrize("csv_text", [FIX_A_CSV, NON_ASCII_CSV], ids=["fixa", "non_ascii"])
     def test_bytes_identical_across_hash_seeds(self, tmp_path, csv_text):
