@@ -4,20 +4,31 @@ The clauses, one attribute mask per pair of condition classes that a reduct
 must split, form a monotone CNF over condition attributes; its prime
 implicants, the minimal attribute sets hitting every clause, are exactly
 the reducts. ``rough.discernibility_masks`` hands over the clauses already
-absorbed, so this module reads them as they come and never absorbs; the
-minimal hitting sets are enumerated with MMCS
-(Murakami & Uno, Discrete Applied Math. 2014): a depth-first search that
-adds one attribute of an uncovered clause at a time and prunes a branch as
-soon as some chosen attribute is left without a critical clause (one that
-no other chosen attribute hits). Attributes in exactly the same clauses
-(twins) stand in for each other in every reduct and never share one
-(Eiter & Gottlob, SIAM J. Comput. 1995), so the search runs over the
-quotient, one representative per twin group, and each leaf expands into
-its reducts by swapping representatives for their twins. Every leaf is a
-reduct and no partial implicant outlives its branch, so memory beyond the
-reducts found grows with the search depth; the reduct cap is checked
-before each leaf and each expansion step, so the search stops without
-building a list past it. The core needs no clauses: it is the attributes
+absorbed, so this module reads them as they come and never absorbs.
+Attributes in exactly the same clauses (twins) stand in for each other in
+every reduct and never share one (Eiter & Gottlob, SIAM J. Comput. 1995),
+so the search runs over the quotient, one representative per twin group,
+and each reduct of the quotient expands into its reducts by swapping
+representatives for their twins. The quotient's minimal hitting sets are
+found on one of two paths:
+
+* A quotient of at most ``LATTICE_MAX_GROUPS`` (16) groups is swept as a
+  whole subset lattice: bit S of a 2**q-bit int stands for subset S of the
+  q groups, and 2q shift-and-mask steps mark every transversal and then
+  the minimal ones, whatever the number of clauses or reducts. Each int
+  holds at most 2**16 bits (8 KiB); the per-group masks are cached once
+  per q.
+* A wider quotient is searched with MMCS (Murakami & Uno, Discrete Applied
+  Math. 2014): a depth-first search that adds one attribute of an
+  uncovered clause at a time and prunes a branch as soon as some chosen
+  attribute is left without a critical clause (one that no other chosen
+  attribute hits). Every leaf is a reduct and no partial implicant
+  outlives its branch, so memory beyond the reducts found grows with the
+  search depth.
+
+On both paths the reduct cap is checked before each quotient reduct and
+each expansion step, so the enumeration stops without building a list past
+it. The core needs no clauses: it is the attributes
 whose deletion fails the positive-region probe of the table's labelled class
 table (``rough.preserves``), one probe per attribute. Clauses and
 attribute sets are bitmasks (bit ``a`` is condition attribute ``a``):
@@ -28,6 +39,7 @@ the form the oracle's references compare with.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Iterable
 
 from .errors import CapacityError
@@ -35,6 +47,8 @@ from .rough import Table, base_system, class_table, discernibility_masks, preser
 
 DEFAULT_MAX_ATTRS = 24
 DEFAULT_MAX_REDUCTS = 100_000
+# Widest twin quotient searched by the subset-lattice sweep; MMCS takes wider ones.
+LATTICE_MAX_GROUPS = 16
 
 
 def intersect_all(masks: Iterable[int], n_attrs: int) -> int:
@@ -69,6 +83,72 @@ def discernibility_function(table: Table) -> tuple[frozenset[int], ...]:
     return tuple(map(frozenset, sorted(map(mask_indices, discernibility_masks(table)))))
 
 
+@cache
+def _subset_bits(q: int) -> tuple[int, ...]:
+    """One 2**q-bit int per group a, whose bit S is set when subset S contains a.
+
+    Cached per q: at most ``LATTICE_MAX_GROUPS`` entries of at most 8 KiB ints.
+    """
+    size, has = 1 << q, []
+    for a in range(q):
+        step = 1 << a
+        bits, width = ((1 << step) - 1) << step, 2 * step  # one period: subsets 0..2**(a+1)-1
+        while width < size:
+            bits |= bits << width
+            width *= 2
+        has.append(bits)
+    return tuple(has)
+
+
+def _minimal_transversals(subsets: Iterable[int], q: int) -> int:
+    """The minimal transversals of clauses over q groups, as a 2**q-bit int.
+
+    Each clause is the subset of groups it contains; bit S of the result is
+    set when subset S meets every clause and no proper subset of S does.
+    The complement of each clause marks the largest subset missing it, and
+    q down-steps mark every subset missing some clause; the rest are the
+    transversals, and one up-step per group marks those with a transversal
+    one group smaller. That is 2q operations on 2**q-bit ints, whatever the
+    number of clauses or reducts (the subset zeta transform; Bjorklund,
+    Husfeldt, Kaski & Koivisto, STOC 2007).
+    """
+    has = _subset_bits(q)
+    full = (1 << q) - 1
+    miss = 0
+    for cq in subsets:
+        miss |= 1 << (full ^ cq)
+    for a, bits in enumerate(has):
+        miss |= (miss & bits) >> (1 << a)
+    hits = ((1 << (1 << q)) - 1) & ~miss
+    nonminimal = 0
+    for a, bits in enumerate(has):
+        nonminimal |= (hits & ~bits) << (1 << a)
+    return hits & ~nonminimal
+
+
+def _translator(bits: list[int]):
+    """Map a mask over positions 0..len(bits)-1 to the OR of ``bits`` at its set positions.
+
+    One table per 4 positions, indexed by that nibble, as ``cli._namer``
+    names masks.
+    """
+    tables = []
+    for base in range(0, len(bits), 4):
+        table = [0]
+        for b in bits[base:base + 4]:
+            table += [x | b for x in table]
+        tables.append(table)
+
+    def translate(mask: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[mask & 15]
+            mask >>= 4
+        return out
+
+    return translate
+
+
 def reduct_masks(
     table: Table,
     *,
@@ -77,8 +157,11 @@ def reduct_masks(
 ) -> list[int]:
     """Every reduct of the table as an attribute bitmask, in the order the search emits them.
 
-    Each reduct appears exactly once; a table with no clauses yields the
-    single empty mask. Raises CapacityError rather than truncating when |C|
+    That order depends on the path: the lattice sweep emits the quotient's
+    reducts by ascending group subset, MMCS in depth-first order, and each
+    is followed by its twin swaps. ``table_reducts`` sorts. Each reduct
+    appears exactly once; a table with no clauses yields the single empty
+    mask. Raises CapacityError rather than truncating when |C|
     exceeds ``max_attrs`` or the table has more than ``max_reducts``
     reducts; the search stops as soon as the count would pass the cap
     instead of finishing the enumeration.
@@ -129,6 +212,27 @@ def reduct_masks(
 
     if not clauses:
         emit(0)
+        return found
+    q = len(groups)
+    if q <= LATTICE_MAX_GROUPS:
+        # Group g is the g-th representative in attribute order. When those
+        # are attributes 0..q-1, a subset of groups is already the mask of
+        # its representatives.
+        if reps == (1 << q) - 1:
+            to_attrs = None
+            minimal = _minimal_transversals([c & reps for c in clauses], q)
+        else:
+            rep_bits = [bits[0] for bits in groups.values()]
+            group_bit = [0] * n
+            for g, rep in enumerate(rep_bits):
+                group_bit[rep.bit_length() - 1] = 1 << g
+            to_attrs = _translator(rep_bits)
+            minimal = _minimal_transversals(map(_translator(group_bit), clauses), q)
+        subsets = bin(minimal)[:1:-1]  # character S is bit S
+        s = subsets.find("1")
+        while s >= 0:
+            emit(s if to_attrs is None else to_attrs(s))
+            s = subsets.find("1", s + 1)
         return found
     # A node: chosen attributes, one critical-clause mask per chosen
     # attribute, candidate attributes, uncovered clauses. An explicit stack

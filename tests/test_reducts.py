@@ -25,6 +25,7 @@ from dynred import (
     parse_decision_table,
     positive_region,
 )
+from dynred import reducts as reducts_module
 from dynred.reducts import mask_indices, reduct_masks, reduct_sets
 from dynred.rough import class_table, preserves
 
@@ -424,3 +425,106 @@ def test_deep_search_needs_no_recursion():
         lines.append(",".join(cells))
     s = parse_decision_table("\n".join(lines) + "\n", "d")
     assert all_reducts(s, max_attrs=n) == (frozenset(range(n)),)
+
+
+def _cycle_csv(k):
+    """3-uniform cycle table: one all-zero row with decision 0, and row i
+    with a_i = a_{i+1} = a_{i+2} = 1 (indices mod k) and decision 1.
+
+    Its clauses are the k windows of three consecutive attributes; no two
+    attributes lie in the same clauses, so there are no twins.
+    """
+    lines = [",".join([f"a{i}" for i in range(k)] + ["d"]), ",".join(["0"] * (k + 1))]
+    for i in range(k):
+        cells = ["0"] * k + ["1"]
+        for j in range(3):
+            cells[(i + j) % k] = "1"
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _search(table, width=None, **caps):
+    """``reduct_masks`` with ``LATTICE_MAX_GROUPS`` set to ``width`` (kept
+    when None), and whether the lattice sweep ran."""
+    calls = []
+    sweep = reducts_module._minimal_transversals
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reducts_module, "_minimal_transversals",
+                   lambda *args: calls.append(args) or sweep(*args))
+        if width is not None:
+            mp.setattr(reducts_module, "LATTICE_MAX_GROUPS", width)
+        masks = reduct_masks(table, **caps)
+    return masks, bool(calls)
+
+
+class TestLatticeAndMMCS:
+    """Both search paths on the same tables, against each other and the oracle.
+
+    Every table here but the 17-attribute cycle has a twin quotient of at
+    most 16 groups, so by default it takes the lattice sweep; setting
+    ``LATTICE_MAX_GROUPS`` to 0 sends it through MMCS.
+    """
+
+    @staticmethod
+    def _assert_paths_agree(table):
+        lattice, swept = _search(table)
+        # A table without clauses takes neither path: its one reduct is empty.
+        assert swept == (lattice != [0])
+        mmcs, swept = _search(table, 0)
+        assert not swept
+        for masks in (lattice, mmcs):
+            assert len(set(masks)) == len(masks)
+            assert reduct_sets(masks) == brute_force_reducts(table)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.booleans())
+    def test_random_tables_subtables_and_twins(self, seed, twins):
+        rng = random.Random(seed)
+        s = _coded_table(
+            rng,
+            rng.randint(1, 30),
+            rng.randint(1, 5 if twins else 8),
+            d_arity=rng.randint(1, 3),
+            conflicts=rng.randint(0, 4),
+        )
+        if twins:
+            s = _with_twins(rng, s)
+        member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
+        for table in (s, member):
+            self._assert_paths_agree(table)
+
+    def test_inconsistent_tables(self):
+        rng = random.Random(31)
+        for _ in range(5):
+            s = _coded_table(rng, 20, 6, d_arity=3, conflicts=8)
+            assert any(len(v) > 1 for v in generalized_decision(s).values())
+            self._assert_paths_agree(s)
+            self._assert_paths_agree(make_subsystem(s, rng.sample(range(s.n_objects), 14)))
+
+    def test_width_boundary(self):
+        # 16 groups are the widest quotient the lattice takes; at 17 the
+        # default path is MMCS. The k = 16 table is inside the oracle's limits.
+        assert reducts_module.LATTICE_MAX_GROUPS == 16
+        s = parse_decision_table(_cycle_csv(16), "d")
+        lattice, swept = _search(s)
+        assert swept and len(lattice) == 222
+        mmcs, swept = _search(s, 0)
+        assert not swept
+        assert reduct_sets(lattice) == reduct_sets(mmcs) == brute_force_reducts(s)
+
+        wide = parse_decision_table(_cycle_csv(17), "d")
+        mmcs, swept = _search(wide)
+        assert not swept and len(mmcs) == 306
+        lattice, swept = _search(wide, 17)
+        assert swept
+        assert sorted(lattice) == sorted(mmcs)
+
+    def test_cap_is_exact_without_twins(self):
+        s = parse_decision_table(_cycle_csv(12), "d")
+        masks, swept = _search(s, max_reducts=57)
+        assert swept and len(masks) == 57
+        with pytest.raises(CapacityError) as exc:
+            reduct_masks(s, max_reducts=56)
+        assert str(exc.value) == (
+            "more than max_reducts = 56 reducts (12 absorbed clauses, |C| = 12); raise the cap"
+        )
