@@ -48,6 +48,8 @@ from .rough import Table, base_system, class_table, discernibility_masks, preser
 DEFAULT_MAX_ATTRS = 24
 DEFAULT_MAX_REDUCTS = 100_000
 # Widest twin quotient searched by the subset-lattice sweep; MMCS takes wider ones.
+# Set from a crossover timed on synthetic 3-uniform cycle tables, not from
+# benchmark traffic: no benchmark workload has a quotient wider than 12.
 LATTICE_MAX_GROUPS = 16
 
 
@@ -215,23 +217,19 @@ def reduct_masks(
         return found
     q = len(groups)
     if q <= LATTICE_MAX_GROUPS:
-        # Group g is the g-th representative in attribute order. When those
-        # are attributes 0..q-1, a subset of groups is already the mask of
-        # its representatives.
-        if reps == (1 << q) - 1:
-            to_attrs = None
-            minimal = _minimal_transversals([c & reps for c in clauses], q)
-        else:
-            rep_bits = [bits[0] for bits in groups.values()]
-            group_bit = [0] * n
-            for g, rep in enumerate(rep_bits):
-                group_bit[rep.bit_length() - 1] = 1 << g
-            to_attrs = _translator(rep_bits)
-            minimal = _minimal_transversals(map(_translator(group_bit), clauses), q)
+        # Group g is the g-th representative in attribute order; a clause
+        # maps to the subset of groups it contains, a subset back to the
+        # mask of its representatives.
+        rep_bits = [bits[0] for bits in groups.values()]
+        group_bit = [0] * n
+        for g, rep in enumerate(rep_bits):
+            group_bit[rep.bit_length() - 1] = 1 << g
+        to_attrs = _translator(rep_bits)
+        minimal = _minimal_transversals(map(_translator(group_bit), clauses), q)
         subsets = bin(minimal)[:1:-1]  # character S is bit S
         s = subsets.find("1")
         while s >= 0:
-            emit(s if to_attrs is None else to_attrs(s))
+            emit(to_attrs(s))
             s = subsets.find("1", s + 1)
         return found
     # A node: chosen attributes, one critical-clause mask per chosen
