@@ -1,14 +1,17 @@
-"""Independent reference routes for reducts, cores, clauses and stable sets.
+"""The classical primitives and the independent references for the engine.
 
-The brute-force route enumerates every attribute subset against the positive
-region and keeps the minimal preserving ones; it is exponential on purpose
-and guarded by hard size limits. The pairwise discernibility matrix is the
-textbook object-pair form of the engine's class-level clauses, quadratic in
-the rows, and ``absorb`` is subset absorption by its literal rule on
-frozensets, the reference for the clauses the engine absorbs on bitmasks;
-``is_antichain`` is the matching test that no set contains another.
-All of them deliberately share nothing with the clause-based engine beyond
-the positive-region primitive, so the routes can catch each other's bugs.
+The primitives are the textbook definitions on frozensets and object-index
+tuples: indiscernibility partitions, the generalized decision and
+decision-positive regions. The brute-force route enumerates every attribute
+subset against the positive region and keeps the minimal preserving ones;
+it is exponential on purpose and guarded by hard size limits. The pairwise
+discernibility matrix is the textbook object-pair form of the engine's
+class-level clauses, quadratic in the rows; ``absorb`` is subset absorption
+by its literal rule on frozensets, and ``discernibility_function``, the two
+together, is the reference for the clauses the engine absorbs on bitmasks.
+``is_antichain`` tests that no set contains another. None of them shares
+anything with the engine beyond the table's universe and the index check,
+so the routes can catch each other's bugs.
 
 The four plain family-level sets are given here by their literal
 definitions, membership in every member intersected member by member. The
@@ -25,10 +28,48 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import CapacityError
-from .rough import Table, base_system, positive_region, universe
+from .rough import Table, base_system, checked_attrs, universe
 
 ORACLE_MAX_ATTRS = 16
 ORACLE_MAX_OBJECTS = 64
+
+
+def condition_classes(table: Table, attrs: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Equivalence classes of "equal codes on every attribute in attrs".
+
+    Blocks are ascending object-index tuples, listed in order of first
+    occurrence; the empty attribute set yields a single block.
+    """
+    attrs = checked_attrs(table, attrs)
+    parent = base_system(table)
+    blocks: dict[tuple[int, ...], list[int]] = {}
+    for i in universe(table):
+        row = parent.rows[i]
+        blocks.setdefault(tuple(row[a] for a in attrs), []).append(i)
+    return tuple(tuple(b) for b in blocks.values())
+
+
+def generalized_decision(table: Table) -> dict[tuple[int, ...], frozenset[int]]:
+    """Per full-attribute condition class, the set of decision codes in it.
+
+    Every class maps to a singleton exactly when the table is consistent.
+    """
+    parent = base_system(table)
+    return {
+        block: frozenset(parent.decisions[i] for i in block)
+        for block in condition_classes(table, range(parent.n_attrs))
+    }
+
+
+def positive_region(table: Table, attrs: Iterable[int]) -> frozenset[int]:
+    """Objects in blocks of ``attrs``-classes that agree on the decision."""
+    parent = base_system(table)
+    region: set[int] = set()
+    for block in condition_classes(table, attrs):
+        first = parent.decisions[block[0]]
+        if all(parent.decisions[i] == first for i in block[1:]):
+            region.update(block)
+    return frozenset(region)
 
 
 def brute_force_reducts(table: Table) -> tuple[frozenset[int], ...]:
@@ -94,6 +135,11 @@ def absorb(clauses: Iterable[frozenset[int]]) -> tuple[frozenset[int], ...]:
     distinct = set(clauses)
     kept = [c for c in distinct if not any(d < c for d in distinct)]
     return tuple(sorted(kept, key=sorted))
+
+
+def discernibility_function(table: Table) -> tuple[frozenset[int], ...]:
+    """Absorbed clause list of the table's discernibility function, canonical order."""
+    return absorb(cell for _, cell in discernibility_matrix(table).cells)
 
 
 def is_antichain(sets: Iterable[frozenset[int]]) -> bool:

@@ -33,8 +33,10 @@ whose deletion fails the positive-region probe of the table's labelled class
 table (``rough.preserves``), one probe per attribute. Clauses and
 attribute sets are bitmasks (bit ``a`` is condition attribute ``a``):
 ``table_reducts`` is the per-table result the family analysis and the CLI
-read. ``all_reducts`` and ``core_of`` are the library's frozenset views,
-the form the oracle's references compare with.
+read. ``all_reducts`` and ``core_of`` are the only frozenset views: the
+library's public reduct and core, in the form the benchmark's output
+checks and the oracle's references read. The clause reference is the
+oracle's ``discernibility_function``.
 """
 
 from __future__ import annotations
@@ -78,11 +80,6 @@ def mask_indices(mask: int) -> list[int]:
 def attr_mask(attrs: Iterable[int]) -> int:
     """The bitmask of some attribute indices; the inverse of ``mask_indices``."""
     return sum(1 << a for a in attrs)
-
-
-def discernibility_function(table: Table) -> tuple[frozenset[int], ...]:
-    """Absorbed clause list of the table's discernibility function, canonical order."""
-    return tuple(map(frozenset, sorted(map(mask_indices, discernibility_masks(table)))))
 
 
 @cache
@@ -280,15 +277,6 @@ def table_reducts(
     return masks, intersect_all(masks, base_system(table).n_attrs)
 
 
-def reduct_sets(masks: Iterable[int]) -> tuple[frozenset[int], ...]:
-    """The canonical frozenset view of a mask list: sets sorted by ascending index list.
-
-    It does not deduplicate: ``reduct_masks`` emits each reduct once, so a
-    repeated mask is a fault, and it stays visible to a comparison.
-    """
-    return tuple(map(frozenset, sorted(map(mask_indices, masks))))
-
-
 def all_reducts(
     table: Table,
     *,
@@ -296,7 +284,8 @@ def all_reducts(
     max_reducts: int = DEFAULT_MAX_REDUCTS,
 ) -> tuple[frozenset[int], ...]:
     """Every reduct of the table, in canonical order; ``reduct_masks`` with its caps."""
-    return reduct_sets(reduct_masks(table, max_attrs=max_attrs, max_reducts=max_reducts))
+    masks = reduct_masks(table, max_attrs=max_attrs, max_reducts=max_reducts)
+    return tuple(map(frozenset, sorted(map(mask_indices, masks))))
 
 
 def core_of(table: Table) -> frozenset[int]:

@@ -1,18 +1,15 @@
-"""Classical rough-set primitives over decision tables and sub-tables.
+"""The engine's view of a decision table: one labelled class table.
 
-Two layers. The primitives: indiscernibility partitions, the generalized
-decision of inconsistent tables and decision-positive regions, kept as
-library functions and as the oracle's reference. The engine reads one
-labelled class table per table instead (``class_table``): each distinct
-full-attribute condition class, packed into an int, maps to its decision
-code or to ``BOUNDARY`` when its objects disagree. One rule then answers
-both engine questions: two classes must be split exactly when their labels
-differ, and an attribute set preserves the positive region exactly when
-every block it induces on the classes carries a single label
-(``preserves``). The discernibility clauses and the reduct predicate are
-built on it. Everything here is a pure function; attribute sets are
-frozensets of condition-attribute indices, and clauses and probe masks are
-int bitmasks over the same indices; clauses are absorbed where they are made.
+``class_table`` packs each distinct full-attribute condition class into an
+int and maps it to its decision code, or to ``BOUNDARY`` when its objects
+disagree. One rule then answers both engine questions: two classes must be
+split exactly when their labels differ, and an attribute set preserves the
+positive region exactly when every block it induces on the classes carries
+a single label (``preserves``). The discernibility clauses and the reduct
+predicate are built on it. The classical partitions and positive regions
+these rules restate are the oracle's (``oracle.py``). Everything here is a
+pure function; clauses and probe masks are int bitmasks over
+condition-attribute indices, and clauses are absorbed where they are made.
 """
 
 from __future__ import annotations
@@ -37,50 +34,13 @@ def universe(table: Table) -> tuple[int, ...]:
     return tuple(range(table.n_objects))
 
 
-def _checked_attrs(table: Table, attrs: Iterable[int]) -> tuple[int, ...]:
+def checked_attrs(table: Table, attrs: Iterable[int]) -> tuple[int, ...]:
+    """Distinct attribute indices in ascending order; DomainError if any is out of range."""
     out = tuple(sorted(set(attrs)))
     n = base_system(table).n_attrs
     if out and (out[0] < 0 or out[-1] >= n):
         raise DomainError(f"attribute index out of range for |C| = {n}")
     return out
-
-
-def condition_classes(table: Table, attrs: Iterable[int]) -> tuple[tuple[int, ...], ...]:
-    """Equivalence classes of "equal codes on every attribute in attrs".
-
-    Blocks are ascending object-index tuples, listed in order of first
-    occurrence; the empty attribute set yields a single block.
-    """
-    attrs = _checked_attrs(table, attrs)
-    parent = base_system(table)
-    blocks: dict[tuple[int, ...], list[int]] = {}
-    for i in universe(table):
-        row = parent.rows[i]
-        blocks.setdefault(tuple(row[a] for a in attrs), []).append(i)
-    return tuple(tuple(b) for b in blocks.values())
-
-
-def generalized_decision(table: Table) -> dict[tuple[int, ...], frozenset[int]]:
-    """Per full-attribute condition class, the set of decision codes in it.
-
-    Every class maps to a singleton exactly when the table is consistent.
-    """
-    parent = base_system(table)
-    return {
-        block: frozenset(parent.decisions[i] for i in block)
-        for block in condition_classes(table, range(parent.n_attrs))
-    }
-
-
-def positive_region(table: Table, attrs: Iterable[int]) -> frozenset[int]:
-    """Objects in blocks of ``attrs``-classes that agree on the decision."""
-    parent = base_system(table)
-    region: set[int] = set()
-    for block in condition_classes(table, attrs):
-        first = parent.decisions[block[0]]
-        if all(parent.decisions[i] == first for i in block[1:]):
-            region.update(block)
-    return frozenset(region)
 
 
 BOUNDARY = -1  # label of a class whose objects disagree on the decision
@@ -197,7 +157,7 @@ def is_reduct(table: Table, attrs: Iterable[int]) -> bool:
     minimality over all proper subsets. Takes |attrs| + 1 probes of one
     class table.
     """
-    candidate = _checked_attrs(table, attrs)
+    candidate = checked_attrs(table, attrs)
     mask = sum(1 << a for a in candidate)
     classes = class_table(table)
     return preserves(classes, mask) and not any(

@@ -267,7 +267,6 @@ class Family:
     """Ordered multiset of sub-systems of one parent; duplicates count."""
 
     members: tuple[SubSystem, ...]
-    plan: SamplingPlan | None = None
 
     def __post_init__(self) -> None:
         if not self.members:
@@ -299,4 +298,4 @@ def sample_family(system: DecisionSystem, plan: SamplingPlan) -> Family:
         m = -((-f.numerator * n) // f.denominator)  # exact ceil(f*n), never 0
         for _ in range(plan.samples_per_fraction):
             members.append(SubSystem(system, _draw_indices(rng, n, m)))
-    return Family(tuple(members), plan)
+    return Family(tuple(members))

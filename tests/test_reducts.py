@@ -26,8 +26,8 @@ from dynred import (
     positive_region,
 )
 from dynred import reducts as reducts_module
-from dynred.reducts import mask_indices, reduct_masks, reduct_sets
-from dynred.rough import class_table, preserves
+from dynred.reducts import attr_mask, mask_indices, reduct_masks
+from dynred.rough import class_table, discernibility_masks, preserves
 
 from conftest import idx, matching_csv, random_system, reduct_names
 
@@ -47,6 +47,7 @@ class TestFixtureValues:
 
     def test_fix_a_function_clauses(self, fix_a):
         # (a) and (b or c); the three-attribute cell is absorbed away.
+        assert discernibility_masks(fix_a) == [0b001, 0b110]
         assert discernibility_function(fix_a) == (idx(fix_a, "a"), idx(fix_a, "bc"))
 
 
@@ -67,12 +68,11 @@ class TestAbsorption:
 
 class TestCanonicalOrder:
     def test_lexicographic_by_index_sequence(self):
-        # {1}, {0, 2}, {0, 1} as masks: the frozenset view orders by index list, not by mask.
-        assert reduct_sets([0b010, 0b101, 0b011]) == (
-            frozenset({0, 1}),
-            frozenset({0, 2}),
-            frozenset({1}),
-        )
+        # Clauses (a|b) and (b|c): reducts {b} = 0b010 and {a, c} = 0b101. The
+        # frozenset view orders them by index list, not by mask.
+        s = parse_decision_table("a,b,c,d\n0,0,0,0\n1,1,0,1\n0,1,1,1\n", "d")
+        assert sorted(reduct_masks(s)) == [0b010, 0b101]
+        assert all_reducts(s) == (frozenset({0, 2}), frozenset({1}))
 
     def test_intersect_all_empty_collection_is_full_set(self):
         assert intersect_all([], 3) == 0b111
@@ -225,14 +225,21 @@ def _attrs(mask):
     return [a for a in range(mask.bit_length()) if mask >> a & 1]
 
 
+def _oracle_masks(table):
+    """The subset oracle's reducts as sorted masks, the form ``reduct_masks`` is compared in."""
+    return sorted(map(attr_mask, brute_force_reducts(table)))
+
+
 def _assert_engine_matches_oracle(system, table):
     """Class-level clauses, the class-table probe, the core and the reduct
     predicate against the pairwise cells, the positive region and the subset
     oracle. Every attribute mask is probed up to 8 attributes, a fixed sample
     of 64 above that.
     """
+    # The engine's clauses in its own order: by size, then by mask value.
+    oracle_clauses = map(attr_mask, discernibility_function(table))
+    assert discernibility_masks(table) == sorted(oracle_clauses, key=lambda m: (m.bit_count(), m))
     cells = [cell for _, cell in discernibility_matrix(table).cells]
-    assert discernibility_function(table) == absorb(cells)
     core = core_of(table)
     assert core == frozenset(next(iter(c)) for c in cells if len(c) == 1)
     m = system.n_attrs
@@ -273,7 +280,7 @@ class TestClauseOracleAgreement:
 
     def test_constant_decision(self):
         s = _coded_table(random.Random(12), 15, 5, d_arity=1)
-        assert discernibility_function(s) == ()
+        assert discernibility_masks(s) == []
         _assert_engine_matches_oracle(s, s)
 
     def test_one_row(self):
@@ -295,7 +302,7 @@ class TestClauseOracleAgreement:
         # Every row packs to the empty class; the sole reduct is the empty set.
         s = parse_decision_table("d\n" + decisions.replace(",", "\n") + "\n", "d")
         assert s.n_attrs == 0
-        assert discernibility_function(s) == ()
+        assert discernibility_masks(s) == []
         assert all_reducts(s) == (frozenset(),)
         assert is_reduct(s, ())
         _assert_engine_matches_oracle(s, s)
@@ -342,8 +349,8 @@ class TestEnumeratorOracleAgreement:
         member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
         for table in (s, member):
             masks = reduct_masks(table)
-            assert len(set(masks)) == len(masks)
-            assert reduct_sets(masks) == all_reducts(table) == brute_force_reducts(table)
+            assert sorted(masks) == _oracle_masks(table)
+            assert all_reducts(table) == brute_force_reducts(table)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -361,8 +368,7 @@ class TestEnumeratorOracleAgreement:
         member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
         for table in (s, member):
             masks = reduct_masks(table)
-            assert len(set(masks)) == len(masks)
-            assert reduct_sets(masks) == brute_force_reducts(table)
+            assert sorted(masks) == _oracle_masks(table)
 
     def test_inconsistent_table(self):
         rng = random.Random(21)
@@ -473,8 +479,7 @@ class TestLatticeAndMMCS:
         mmcs, swept = _search(table, 0)
         assert not swept
         for masks in (lattice, mmcs):
-            assert len(set(masks)) == len(masks)
-            assert reduct_sets(masks) == brute_force_reducts(table)
+            assert sorted(masks) == _oracle_masks(table)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10 ** 6), st.booleans())
@@ -510,7 +515,7 @@ class TestLatticeAndMMCS:
         assert swept and len(lattice) == 222
         mmcs, swept = _search(s, 0)
         assert not swept
-        assert reduct_sets(lattice) == reduct_sets(mmcs) == brute_force_reducts(s)
+        assert sorted(lattice) == sorted(mmcs) == _oracle_masks(s)
 
         wide = parse_decision_table(_cycle_csv(17), "d")
         mmcs, swept = _search(wide)

@@ -94,6 +94,12 @@ class TestIsReduct:
     def test_empty_set_on_constant_decision(self, fix_c):
         assert is_reduct(fix_c, frozenset())
 
+    @pytest.mark.parametrize("attrs", [{5}, {-1}], ids=["past_the_end", "negative"])
+    def test_index_out_of_range(self, attrs):
+        s = parse_decision_table("a,b,d\n0,0,0\n1,0,1\n", "d")
+        with pytest.raises(DomainError, match=r"\|C\| = 2"):
+            is_reduct(s, attrs)
+
 
 def _refines(fine, coarse):
     lookup = {}
