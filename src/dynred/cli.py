@@ -55,7 +55,6 @@ from .reducts import (
     intersect_all,
     table_reducts,
 )
-from .rough import base_system, universe
 from .table import DecisionSystem, SamplingPlan, parse_decision_table, sample_family
 
 EXIT_OK = 0
@@ -169,10 +168,10 @@ def _cross_check(results) -> None:
     """
     oracle: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     for what, table, reducts, core in results:
-        rows = universe(table)
+        rows = table.object_indices
         if rows not in oracle:
             masks = tuple(sorted(map(attr_mask, brute_force_reducts(table))))
-            oracle[rows] = masks, intersect_all(masks, base_system(table).n_attrs)
+            oracle[rows] = masks, intersect_all(masks, table.parent.n_attrs)
         if reducts != oracle[rows][0]:
             raise SelfCheckError(f"{what}: engine reducts disagree with the exhaustive oracle")
         if core != oracle[rows][1]:
@@ -232,20 +231,22 @@ def _family_sections(name, analysis: FamilyAnalysis, report: StabilityReport) ->
     def listed(masks):
         return [ranked[k] for k in sorted(map(rank.__getitem__, masks))]
 
-    # Repeated members and full-table members share one MemberAnalysis.
-    named = {}
-    for mem in analysis.per_member:
-        if id(mem) not in named:
-            named[id(mem)] = (listed(mem.reducts), name(mem.core))
+    # Each distinct row set, the system's included, is named once.
+    system, members = analysis.system, analysis.family.members
+    named = {system.object_indices: (listed(analysis.red_s), name(analysis.core_s))}
+    for member, mem in zip(members, analysis.per_member):
+        if member.object_indices not in named:
+            named[member.object_indices] = (listed(mem.reducts), name(mem.core))
+    static_reducts, static_core = named[system.object_indices]
     return {
-        "static": {"reducts": listed(analysis.red_s), "core": name(analysis.core_s)},
+        "static": {"reducts": static_reducts, "core": static_core},
         "family": [
             {
                 "indices": list(member.object_indices),
-                "reducts": named[id(mem)][0],
-                "core": named[id(mem)][1],
+                "reducts": named[member.object_indices][0],
+                "core": named[member.object_indices][1],
             }
-            for member, mem in zip(analysis.family.members, analysis.per_member)
+            for member in members
         ],
         "dynamic": {
             "dr": listed(s.dr),
@@ -260,7 +261,7 @@ def _family_sections(name, analysis: FamilyAnalysis, report: StabilityReport) ->
         "stability": {
             "family_size": report.family_size,
             "attr_core_support": {
-                analysis.system.cond_attrs[a]: count
+                system.cond_attrs[a]: count
                 for a, count in report.attr_core_support.items()
             },
             "reduct_support": [

@@ -120,26 +120,24 @@ def analyze_family(
     """Enumerate reducts and cores for the system and each distinct member once.
 
     Each table goes through ``table_reducts``, whose core is the AND of the
-    reduct masks. Members are keyed by their object indices: a repeated
-    member shares the analysis of its first occurrence, and a member
-    covering the whole universe shares the system's.
+    reduct masks. The system, then each member, is keyed by its object indices:
+    a repeated member shares the analysis of its first occurrence, and a
+    member covering the whole universe shares the system's.
     """
     if family.parent != system:
         raise DomainError("family members do not belong to the analyzed system")
-    try:
-        base = MemberAnalysis(*table_reducts(system, max_attrs=max_attrs, max_reducts=max_reducts))
-    except CapacityError as exc:
-        raise CapacityError(f"base system: {exc}") from exc
-    seen = {tuple(range(system.n_objects)): base}
-    for i, member in enumerate(family.members):
-        if member.object_indices in seen:
+    seen: dict[tuple[int, ...], MemberAnalysis] = {}
+    for i, table in enumerate((system, *family.members), -1):
+        if table.object_indices in seen:
             continue
         try:
-            seen[member.object_indices] = MemberAnalysis(
-                *table_reducts(member, max_attrs=max_attrs, max_reducts=max_reducts)
+            seen[table.object_indices] = MemberAnalysis(
+                *table_reducts(table, max_attrs=max_attrs, max_reducts=max_reducts)
             )
         except CapacityError as exc:
-            raise CapacityError(f"family member {i}: {exc}") from exc
+            where = f"family member {i}" if i >= 0 else "base system"
+            raise CapacityError(f"{where}: {exc}") from exc
+    base = seen[system.object_indices]
     per_member = tuple(seen[m.object_indices] for m in family.members)
     return FamilyAnalysis(system, family, base.reducts, base.core, per_member)
 
@@ -282,6 +280,13 @@ def _containment(
     return TheoremCheck(check, "vacuous" if vacuous else "pass", detail)
 
 
+def _inside_reducts(
+    check: str, core: int, reducts: tuple[int, ...], n: int, detail: str
+) -> TheoremCheck:
+    """``core`` lies inside ``intersect_all(reducts, n)``; vacuous when there are no reducts."""
+    return _containment(check, core, intersect_all(reducts, n), detail, vacuous=not reducts)
+
+
 def _equality(check: str, left: int, right: int, detail: str) -> TheoremCheck:
     diff = left ^ right
     if diff:
@@ -317,12 +322,8 @@ def verify_slice(analysis: FamilyAnalysis, s: LambdaSlice) -> tuple[TheoremCheck
     members = analysis.family.members
 
     checks = [
-        _containment(
-            "T1",
-            s.dcore,
-            intersect_all(s.dr, n),
-            "stable core lies inside the intersection of stable reducts",
-            vacuous=not s.dr,
+        _inside_reducts(
+            "T1", s.dcore, s.dr, n, "stable core lies inside the intersection of stable reducts"
         )
     ]
 
@@ -365,12 +366,9 @@ def verify_slice(analysis: FamilyAnalysis, s: LambdaSlice) -> tuple[TheoremCheck
         )
     )
     checks.append(
-        _containment(
-            "T3",
-            s.dcore_lambda,
-            intersect_all(s.dr_lambda, n),
+        _inside_reducts(
+            "T3", s.dcore_lambda, s.dr_lambda, n,
             "thresholded core lies inside the intersection of thresholded reducts",
-            vacuous=not s.dr_lambda,
         )
     )
     checks.append(
@@ -397,22 +395,16 @@ def verify_slice(analysis: FamilyAnalysis, s: LambdaSlice) -> tuple[TheoremCheck
         checks.append(TheoremCheck("T4c", "not-applicable", t4c))
 
     checks.append(
-        _containment(
-            "T5a",
-            s.gdcore,
-            intersect_all(s.gdr, n),
+        _inside_reducts(
+            "T5a", s.gdcore, s.gdr, n,
             "generalized core lies inside the intersection of generalized reducts",
-            vacuous=not s.gdr,
         )
     )
     checks.append(
-        _containment(
-            "T5b",
-            s.gdcore_lambda,
-            intersect_all(s.gdr_lambda, n),
+        _inside_reducts(
+            "T5b", s.gdcore_lambda, s.gdr_lambda, n,
             "generalized thresholded core lies inside the intersection of "
             "generalized thresholded reducts",
-            vacuous=not s.gdr_lambda,
         )
     )
     return tuple(checks)

@@ -9,8 +9,8 @@ discernibility matrix is the textbook object-pair form of the engine's
 class-level clauses, quadratic in the rows; ``absorb`` is subset absorption
 by its literal rule on frozensets, and ``discernibility_function``, the two
 together, is the reference for the clauses the engine absorbs on bitmasks.
-``is_antichain`` tests that no set contains another. None of them shares
-anything with the engine beyond the table's universe and the index check,
+``is_antichain`` tests that no set contains another. The oracle shares only
+the table model (``table.py``) with the engine and imports no engine module,
 so the routes can catch each other's bugs.
 
 The four plain family-level sets are given here by their literal
@@ -28,7 +28,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .errors import CapacityError
-from .rough import Table, base_system, checked_attrs, universe
+from .table import Table, checked_attrs
 
 ORACLE_MAX_ATTRS = 16
 ORACLE_MAX_OBJECTS = 64
@@ -41,9 +41,9 @@ def condition_classes(table: Table, attrs: Iterable[int]) -> tuple[tuple[int, ..
     occurrence; the empty attribute set yields a single block.
     """
     attrs = checked_attrs(table, attrs)
-    parent = base_system(table)
+    parent = table.parent
     blocks: dict[tuple[int, ...], list[int]] = {}
-    for i in universe(table):
+    for i in table.object_indices:
         row = parent.rows[i]
         blocks.setdefault(tuple(row[a] for a in attrs), []).append(i)
     return tuple(tuple(b) for b in blocks.values())
@@ -54,7 +54,7 @@ def generalized_decision(table: Table) -> dict[tuple[int, ...], frozenset[int]]:
 
     Every class maps to a singleton exactly when the table is consistent.
     """
-    parent = base_system(table)
+    parent = table.parent
     return {
         block: frozenset(parent.decisions[i] for i in block)
         for block in condition_classes(table, range(parent.n_attrs))
@@ -63,7 +63,7 @@ def generalized_decision(table: Table) -> dict[tuple[int, ...], frozenset[int]]:
 
 def positive_region(table: Table, attrs: Iterable[int]) -> frozenset[int]:
     """Objects in blocks of ``attrs``-classes that agree on the decision."""
-    parent = base_system(table)
+    parent = table.parent
     region: set[int] = set()
     for block in condition_classes(table, attrs):
         first = parent.decisions[block[0]]
@@ -74,8 +74,8 @@ def positive_region(table: Table, attrs: Iterable[int]) -> frozenset[int]:
 
 def brute_force_reducts(table: Table) -> tuple[frozenset[int], ...]:
     """All minimal positive-region-preserving attribute subsets, canonical order."""
-    n = base_system(table).n_attrs
-    n_obj = len(universe(table))
+    n = table.parent.n_attrs
+    n_obj = table.n_objects
     if n > ORACLE_MAX_ATTRS:
         raise CapacityError(f"|C| = {n} exceeds the oracle limit {ORACLE_MAX_ATTRS}")
     if n_obj > ORACLE_MAX_OBJECTS:
@@ -112,8 +112,8 @@ def discernibility_matrix(table: Table) -> DiscernibilityMatrix:
     and either the other does not, or their decisions differ. Pairs sharing
     a condition class never qualify, so every stored cell is non-empty.
     """
-    parent = base_system(table)
-    uni = universe(table)
+    parent = table.parent
+    uni = table.object_indices
     attrs = range(parent.n_attrs)
     pos = positive_region(table, attrs)
     cells = []

@@ -45,7 +45,8 @@ from functools import cache
 from typing import Iterable
 
 from .errors import CapacityError
-from .rough import Table, base_system, class_table, discernibility_masks, preserves
+from .rough import class_table, discernibility_masks, preserves
+from .table import Table
 
 DEFAULT_MAX_ATTRS = 24
 DEFAULT_MAX_REDUCTS = 100_000
@@ -165,7 +166,7 @@ def reduct_masks(
     reducts; the search stops as soon as the count would pass the cap
     instead of finishing the enumeration.
     """
-    n = base_system(table).n_attrs
+    n = table.parent.n_attrs
     if n > max_attrs:
         raise CapacityError(f"|C| = {n} exceeds the enumeration limit max_attrs = {max_attrs}")
 
@@ -274,7 +275,7 @@ def table_reducts(
 ) -> tuple[tuple[int, ...], int]:
     """``reduct_masks`` sorted in ascending order, and the core as their AND; same caps."""
     masks = tuple(sorted(reduct_masks(table, max_attrs=max_attrs, max_reducts=max_reducts)))
-    return masks, intersect_all(masks, base_system(table).n_attrs)
+    return masks, intersect_all(masks, table.parent.n_attrs)
 
 
 def all_reducts(
@@ -296,7 +297,7 @@ def core_of(table: Table) -> frozenset[int]:
     of the discernibility function and the intersection of all reducts
     (empty when the sole reduct is the empty set), without enumeration.
     """
-    n = base_system(table).n_attrs
+    n = table.parent.n_attrs
     classes = class_table(table)
     full = (1 << n) - 1
     return frozenset(a for a in range(n) if not preserves(classes, full & ~(1 << a)))

@@ -10,38 +10,15 @@ predicate are built on it. The classical partitions and positive regions
 these rules restate are the oracle's (``oracle.py``). Everything here is a
 pure function; clauses and probe masks are int bitmasks over
 condition-attribute indices, and clauses are absorbed where they are made.
+A table is read as its ``parent`` system and its ``object_indices``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable
 
-from .errors import DomainError
-from .table import DecisionSystem, SubSystem
-
-Table = Union[DecisionSystem, SubSystem]
-
-
-def base_system(table: Table) -> DecisionSystem:
-    return table.parent if isinstance(table, SubSystem) else table
-
-
-def universe(table: Table) -> tuple[int, ...]:
-    """Object indices of the table, always in parent-row numbering."""
-    if isinstance(table, SubSystem):
-        return table.object_indices
-    return tuple(range(table.n_objects))
-
-
-def checked_attrs(table: Table, attrs: Iterable[int]) -> tuple[int, ...]:
-    """Distinct attribute indices in ascending order; DomainError if any is out of range."""
-    out = tuple(sorted(set(attrs)))
-    n = base_system(table).n_attrs
-    if out and (out[0] < 0 or out[-1] >= n):
-        raise DomainError(f"attribute index out of range for |C| = {n}")
-    return out
-
+from .table import Table, checked_attrs
 
 BOUNDARY = -1  # label of a class whose objects disagree on the decision
 
@@ -67,9 +44,9 @@ def class_table(table: Table) -> ClassTable:
     Each class row gets one fixed-width field per attribute, wide enough for
     the largest code plus a guard bit above it.
     """
-    parent = base_system(table)
+    parent = table.parent
     by_row: dict[tuple[int, ...], int] = {}
-    for i in universe(table):
+    for i in table.object_indices:
         d = parent.decisions[i]
         if by_row.setdefault(parent.rows[i], d) != d:
             by_row[parent.rows[i]] = BOUNDARY

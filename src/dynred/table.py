@@ -1,5 +1,9 @@
 """Decision-table model, CSV ingestion, sub-table views, and family sampling.
 
+A table is a row set of one system: its ``parent`` and the ``object_indices``
+it keeps. A ``DecisionSystem`` is its own parent and keeps every row, so the
+engine and the oracle read any ``Table`` through those two names alone.
+
 Sampling is bit-exact across platforms: one splitmix64 stream per plan drives
 a partial Fisher-Yates shuffle, with rejection sampling for unbiased bounded
 draws. Identical (table, plan) inputs always produce identical families.
@@ -9,9 +13,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Union
 
 from .errors import (
     DomainError,
@@ -30,7 +34,8 @@ class DecisionSystem:
 
     Value codes are dense integers assigned per attribute in first-occurrence
     order; ``dictionaries`` maps each attribute name to its raw-string -> code
-    table (the decision attribute included).
+    table (the decision attribute included). As a table it keeps every row and
+    is its own ``parent``; ``object_indices`` is no part of init, ``==`` or ``repr``.
     """
 
     name: str
@@ -39,6 +44,7 @@ class DecisionSystem:
     rows: tuple[tuple[int, ...], ...]
     decisions: tuple[int, ...]
     dictionaries: dict[str, dict[str, int]]
+    object_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -51,6 +57,11 @@ class DecisionSystem:
         names = self.cond_attrs + (self.decision_attr,)
         if len(set(names)) != len(names):
             raise SchemaError("attribute names must be unique")
+        object.__setattr__(self, "object_indices", tuple(range(len(self.rows))))
+
+    @property
+    def parent(self) -> DecisionSystem:
+        return self
 
     @property
     def n_objects(self) -> int:
@@ -83,6 +94,18 @@ class SubSystem:
 
     def covers_parent(self) -> bool:
         return len(self.object_indices) == self.parent.n_objects
+
+
+Table = Union[DecisionSystem, SubSystem]
+
+
+def checked_attrs(table: Table, attrs: Iterable[int]) -> tuple[int, ...]:
+    """Distinct attribute indices in ascending order; DomainError if any is out of range."""
+    out = tuple(sorted(set(attrs)))
+    n = table.parent.n_attrs
+    if out and (out[0] < 0 or out[-1] >= n):
+        raise DomainError(f"attribute index out of range for |C| = {n}")
+    return out
 
 
 def parse_decision_table(text: str, decision_column: str, name: str = "table") -> DecisionSystem:
@@ -168,7 +191,7 @@ def make_subsystem(system: DecisionSystem, indices: Iterable[int]) -> SubSystem:
 
 def full_subsystem(system: DecisionSystem) -> SubSystem:
     """The sub-system covering every row, equivalent to the system itself."""
-    return SubSystem(system, tuple(range(system.n_objects)))
+    return SubSystem(system, system.object_indices)
 
 
 class SplitMix64:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -282,9 +283,18 @@ def test_render_writes_aliased_lists_as_json_dumps():
     )
 
 
+def _copied_analysis(*args, **kwargs):
+    """``analyze_family`` with an equal but distinct object in every ``per_member`` slot."""
+    analysis = analyze_family(*args, **kwargs)
+    copies = tuple(dataclasses.replace(mem) for mem in analysis.per_member)
+    return dataclasses.replace(analysis, per_member=copies)
+
+
 def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):
     # Members of this family share reducts with one another and with the
     # table, so a report that named each mention would name a mask again.
+    # The second input gives every member its own equal MemberAnalysis, so
+    # the report may not rely on equal row sets sharing one object.
     rng = random.Random(5)
     text = "a,b,c,e,f,d\n" + "".join(
         ",".join(str(rng.randrange(2)) for _ in range(6)) + "\n" for _ in range(12)
@@ -303,26 +313,40 @@ def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):
         return counted
 
     monkeypatch.setattr(cli, "_namer", counting_namer)
-    status, out = run_json(capsys, ["dynamic", "--input", str(tmp_path / "t.csv"),
-                                    "--decision", "d", "--fractions", "0.5,0.75,1",
-                                    "--samples", "4", "--seed", "3", "--lambda", "0.75"])
-    assert status == 0
     system = parse_decision_table(text, "d")
     plan = SamplingPlan(seed=3, fractions=("0.5", "0.75", "1"), samples_per_fraction=4)
     analysis = analyze_family(system, sample_family(system, plan))
-    report = json.loads(out)
     reducts = {*analysis.red_s, *analysis.reduct_support}
-    assert len(report["stability"]["reduct_support"]) == len(reducts)
-    # The report also names every core, and a core may equal a reduct.
-    cores = [report["static"]["core"], *(m["core"] for m in report["family"]),
-             *(report["dynamic"][k] for k in ("dcore", "dcore_lambda", "gdcore", "gdcore_lambda"))]
-    cores = {sum(1 << system.cond_attrs.index(a) for a in core) for core in cores}
     mentions = Counter(r for mem in analysis.per_member for r in mem.reducts)
     mentions.update(analysis.red_s)
-    checked = reducts - cores
-    assert sum(mentions[r] > 1 for r in checked) >= 3  # the family does share reducts
-    counted = Counter(named)
-    assert {r: counted[r] for r in checked} == dict.fromkeys(checked, 1)
+    # The core of each distinct row set, the table's included.
+    row_cores = {system.object_indices: analysis.core_s}
+    for member, mem in zip(analysis.family.members, analysis.per_member):
+        row_cores.setdefault(member.object_indices, mem.core)
+    for analyze in (analyze_family, _copied_analysis):
+        monkeypatch.setattr(cli, "analyze_family", analyze)
+        named.clear()
+        status, out = run_json(capsys, ["dynamic", "--input", str(tmp_path / "t.csv"),
+                                        "--decision", "d", "--fractions", "0.5,0.75,1",
+                                        "--samples", "4", "--seed", "3", "--lambda", "0.75"])
+        assert status == 0
+        report = json.loads(out)
+        assert len(report["stability"]["reduct_support"]) == len(reducts)
+        # The report also names every core, and a core may equal a reduct.
+        dynamic_cores = [report["dynamic"][k]
+                         for k in ("dcore", "dcore_lambda", "gdcore", "gdcore_lambda")]
+        cores = [report["static"]["core"], *(m["core"] for m in report["family"]), *dynamic_cores]
+        cores = {sum(1 << system.cond_attrs.index(a) for a in core) for core in cores}
+        checked = reducts - cores
+        assert sum(mentions[r] > 1 for r in checked) >= 3  # the family does share reducts
+        counted = Counter(named)
+        assert {r: counted[r] for r in checked} == dict.fromkeys(checked, 1)
+        # Every name call: each reduct once, each row set's core once, and
+        # the four dynamic cores.
+        expected = Counter(reducts) + Counter(row_cores.values())
+        expected.update(sum(1 << system.cond_attrs.index(a) for a in core)
+                        for core in dynamic_cores)
+        assert counted == expected
 
 
 def test_render_refuses_values_json_would_reshape():

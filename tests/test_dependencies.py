@@ -2,9 +2,10 @@
 
 The classical primitives and the clause reference live in the oracle, and
 the engine and the oracle name none of each other's: they share only the
-table's universe and the attribute-index check. The engine speaks bitmasks
-outside its two public frozenset views, and every name the benchmark reads
-on the package resolves.
+table model, and every read of a table goes through its ``parent`` and
+``object_indices``, so only ``table.py`` tells a system from a sub-system.
+The engine speaks bitmasks outside its two public frozenset views, and every
+name the benchmark reads on the package resolves.
 """
 
 import ast
@@ -73,6 +74,52 @@ def test_engine_and_oracle_stay_apart():
                       for line, name in _names(tree) if name in forbidden]
     assert sorted(definitions) == [f"oracle.py: {name}" for name in sorted(ORACLE_ONLY)]
     assert crossings == []
+
+
+# The package modules each side may import: the engine's table reads and the
+# oracle share the table model and nothing else.
+ALLOWED_IMPORTS = {"oracle.py": {"table", "errors"}, "rough.py": {"table"}}
+
+
+def _package_imports(tree):
+    """The package modules a syntax tree imports, relative or absolute; "" is the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            yield from [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module.partition(".")[0] == "dynred":
+            yield node.module.partition(".")[2]
+        elif isinstance(node, ast.Import):
+            yield from (a.name.partition(".")[2] for a in node.names
+                        if a.name.partition(".")[0] == "dynred")
+
+
+def test_every_table_read_goes_through_the_table_model():
+    # A system is the table of all its rows, read through ``parent`` and
+    # ``object_indices`` like any other: only table.py tells the two kinds
+    # of table apart, and no module keeps an accessor that branches on it.
+    package = ROOT / "src" / "dynred"
+    crossings, type_tests, accessors = [], [], []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.name in ALLOWED_IMPORTS:
+            crossings += [f"{path.name}: {m}" for m in _package_imports(tree)
+                          if m not in ALLOWED_IMPORTS[path.name]]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+                    and path.name != "table.py"
+                    and any(name == "SubSystem" for _, name in _names(node))):
+                type_tests.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.FunctionDef):
+                defined = node.name
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                defined = node.id
+            else:
+                continue
+            if defined in {"base_system", "universe"}:
+                accessors.append(f"{path.name}:{node.lineno}: {defined}")
+    assert crossings == []
+    assert type_tests == []
+    assert accessors == []
 
 
 def test_clauses_are_absorbed_only_where_they_are_made():

@@ -43,7 +43,7 @@ from dynred import (
 from dynred.reducts import mask_indices
 from dynred.table import parse_rational
 
-from conftest import as_mask, inside, mask, mask_names, random_family, random_system
+from conftest import as_mask, inside, mask, mask_names, matching_csv, random_family, random_system
 
 
 @pytest.fixture
@@ -210,6 +210,33 @@ class TestAnalyzeFamily:
         family = Family((full_subsystem(s), make_subsystem(s, {0, 2}), bad, bad))
         with pytest.raises(CapacityError, match="family member 2:"):
             analyze_family(s, family, max_reducts=5)
+
+    def test_capacity_error_names_the_base_system(self):
+        from dynred import CapacityError
+
+        # The table's two reducts overflow a cap of one before any member runs.
+        s = parse_decision_table(matching_csv(1), "d")
+        assert len(all_reducts(s)) == 2
+        family = Family((make_subsystem(s, {0}),))
+        with pytest.raises(CapacityError, match="^base system: "):
+            analyze_family(s, family, max_reducts=1)
+
+    def test_one_search_per_distinct_row_set(self, monkeypatch):
+        import dynred.dynamic
+
+        searched = []
+        search = dynred.dynamic.table_reducts
+
+        def counted(table, **caps):
+            searched.append(table.object_indices)
+            return search(table, **caps)
+
+        monkeypatch.setattr(dynred.dynamic, "table_reducts", counted)
+        s = parse_decision_table(matching_csv(3), "d")
+        b1, b2 = make_subsystem(s, {0, 1, 2}), make_subsystem(s, {1, 3})
+        members = (b1, full_subsystem(s), b2, b1, full_subsystem(s), b2, b1)
+        analyze(s, *members)
+        assert searched == [s.object_indices, b1.object_indices, b2.object_indices]
 
     def test_sampled_identity_family(self, fix_a):
         from dynred import SamplingPlan, sample_family

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynred import (
+    DecisionSystem,
     DomainError,
     MissingValueError,
     ParameterError,
@@ -11,6 +12,7 @@ from dynred import (
     SamplingPlan,
     SchemaError,
     SplitMix64,
+    full_subsystem,
     make_subsystem,
     parse_decision_table,
     render_csv,
@@ -119,6 +121,31 @@ class TestSubsystems:
     def test_out_of_range_rejected(self, fix_a):
         with pytest.raises(DomainError):
             make_subsystem(fix_a, {0, 7})
+
+
+class TestTableInterface:
+    # A system is the table of all its rows and its own parent.
+    def test_system_keeps_every_row(self, fix_a):
+        assert fix_a.object_indices == tuple(range(fix_a.n_objects))
+        assert fix_a.parent is fix_a
+
+    def test_row_set_is_no_part_of_equality_or_repr(self):
+        text = "a,b,d\n0,1,0\n1,1,1\n"
+        s = parse_decision_table(text, "d", name="t")
+        assert s == parse_decision_table(text, "d", name="t")
+        assert s == DecisionSystem(name="t", cond_attrs=s.cond_attrs, decision_attr="d",
+                                   rows=s.rows, decisions=s.decisions,
+                                   dictionaries=s.dictionaries)
+        assert repr(s) == (
+            "DecisionSystem(name='t', cond_attrs=('a', 'b'), decision_attr='d', "
+            "rows=((0, 0), (1, 0)), decisions=(0, 1), "
+            "dictionaries={'a': {'0': 0, '1': 1}, 'b': {'1': 0}, 'd': {'0': 0, '1': 1}})"
+        )
+
+    def test_full_subsystem_keeps_the_systems_rows(self, fix_a):
+        full = full_subsystem(fix_a)
+        assert full.object_indices == fix_a.object_indices
+        assert full.parent is fix_a
 
 
 class TestSplitMix64:
