@@ -18,8 +18,8 @@ appends its text at every further mention. ``--exact`` turns the
 oracle's reducts into sorted masks once per distinct table and compares
 them with the engine's. Exit codes: 0 success, 1 usage error (including a
 decimal exponent above 1000 in magnitude in --fractions or --lambda), 2
-parse/schema error, 3 capacity limit, 4 non-vacuous verification failure,
-70 self-check mismatch under --exact.
+parse/schema error, 3 capacity limit or out of memory, 4 non-vacuous
+verification failure, 70 self-check mismatch under --exact.
 """
 
 from __future__ import annotations
@@ -417,6 +417,7 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         report, status = _execute(args)
+        text = _render(report)
     except (ParameterError, DomainError) as exc:
         print(f"dynred: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -426,13 +427,19 @@ def run(argv=None) -> int:
     except CapacityError as exc:
         print(f"dynred: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except MemoryError:
+        # No limit bounds the family size (--samples times the number of
+        # fractions) or the report, so running out of memory is reported as
+        # a capacity limit.
+        print("dynred: out of memory: the table or the family is too large", file=sys.stderr)
+        return EXIT_CAPACITY
     except SelfCheckError as exc:
         print(f"dynred: {exc}", file=sys.stderr)
         return EXIT_SELFCHECK
     except OSError as exc:
         print(f"dynred: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(_render(report))
+    sys.stdout.write(text)
     return status
 
 

@@ -15,6 +15,7 @@ import csv
 import io
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from typing import Iterable, Union
 
 from .errors import (
@@ -111,12 +112,14 @@ def checked_attrs(table: Table, attrs: Iterable[int]) -> tuple[int, ...]:
 def parse_decision_table(text: str, decision_column: str, name: str = "table") -> DecisionSystem:
     """Build a DecisionSystem from a CSV document with a header row.
 
-    Condition attributes keep header order (decision column excluded); value
-    dictionaries are built in first-occurrence order; duplicate rows are kept.
-    Blank lines are ignored, and so is one leading byte-order mark. Errors
-    name the physical line a record ends on, blank lines and quoted line
-    breaks counted. A document the csv module rejects, such as one with a
-    field over its size limit, raises ParseError.
+    Condition attributes keep header order (decision column excluded); each
+    column is coded once, its value dictionary in first-occurrence order;
+    duplicate rows are kept. Blank lines are ignored, and so is one leading
+    byte-order mark. Errors name the physical line a record ends on, blank
+    lines and quoted line breaks counted. The earliest bad record is the one
+    reported: a wrong cell count before its empty cells, and of those the
+    one in the lowest header column. A document the csv module rejects,
+    such as one with a field over its size limit, raises ParseError.
     """
     reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
     try:
@@ -134,29 +137,27 @@ def parse_decision_table(text: str, decision_column: str, name: str = "table") -
     if not data:
         raise ParseError("no data rows")
 
-    d_pos = header.index(decision_column)
-    cond_attrs = tuple(h for i, h in enumerate(header) if i != d_pos)
-    dictionaries: dict[str, dict[str, int]] = {h: {} for h in header}
-    rows: list[tuple[int, ...]] = []
-    decisions: list[int] = []
+    width = len(header)
     for lineno, rec in data:
-        if len(rec) != len(header):
-            raise ParseError(f"row at line {lineno} has {len(rec)} cells, expected {len(header)}")
-        codes = []
-        for attr, raw in zip(header, rec):
-            if raw == "":
-                raise MissingValueError(f"empty cell in column {attr!r} at line {lineno}")
-            table = dictionaries[attr]
-            codes.append(table.setdefault(raw, len(table)))
-        decisions.append(codes[d_pos])
-        rows.append(tuple(c for i, c in enumerate(codes) if i != d_pos))
+        if len(rec) != width:
+            raise ParseError(f"row at line {lineno} has {len(rec)} cells, expected {width}")
+        if "" in rec:
+            attr = header[rec.index("")]
+            raise MissingValueError(f"empty cell in column {attr!r} at line {lineno}")
 
+    dictionaries: dict[str, dict[str, int]] = {}
+    codes = []
+    for attr, column in zip(header, zip(*(rec for _, rec in data))):
+        table = dictionaries[attr] = dict(zip(dict.fromkeys(column), count()))
+        codes.append(map(table.__getitem__, column))
+    decisions = tuple(codes.pop(header.index(decision_column)))
     return DecisionSystem(
         name=name,
-        cond_attrs=cond_attrs,
+        cond_attrs=tuple(h for h in header if h != decision_column),
         decision_attr=decision_column,
-        rows=tuple(rows),
-        decisions=tuple(decisions),
+        # With no condition column, zip gives no rows; each row is then empty.
+        rows=tuple(zip(*codes)) or ((),) * len(decisions),
+        decisions=decisions,
         dictionaries=dictionaries,
     )
 

@@ -583,6 +583,20 @@ class TestExitCodes:
         assert captured.err.startswith("dynred: ")
         assert "max_reducts = 100000" in captured.err
 
+    def test_out_of_memory_exits_3(self, capsys, monkeypatch, fixa_path):
+        # Nothing bounds --samples times the fractions, so a huge family can
+        # run out of memory while it is drawn; that is a capacity exit too.
+        def exhausted(system, plan):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "sample_family", exhausted)
+        status = run(["dynamic", "--input", fixa_path, "--decision", "d",
+                      "--fractions", "1", "--samples", "100000000", "--lambda", "1"])
+        captured = capsys.readouterr()
+        assert status == 3
+        assert captured.out == ""
+        assert captured.err == "dynred: out of memory: the table or the family is too large\n"
+
     def test_max_attrs_override_admits_wide_table(self, capsys, tmp_path):
         n = 25
         header = ",".join([f"c{i}" for i in range(n)] + ["d"])

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -181,14 +182,15 @@ class TestOracleEquivalence:
         assert all(is_reduct(s, r) for r in reducts)
 
 
-def _coded_table(rng, n_rows, n_attrs, *, d_arity=2, conflicts=0, wide_rows=0):
-    """Random table with arity 1..3 conditions.
+def _coded_table(rng, n_rows, n_attrs, *, d_arity=2, conflicts=0, wide_rows=0, arities=None):
+    """Random table with arity 1..3 conditions, or the given ``arities``.
 
     ``conflicts`` extra rows copy an earlier row's conditions with a fresh
     decision, which makes boundary (inconsistent) classes likely. With
     ``wide_rows`` the first column takes that many distinct values.
     """
-    arities = [rng.randint(1, 3) for _ in range(n_attrs)]
+    if arities is None:
+        arities = [rng.randint(1, 3) for _ in range(n_attrs)]
     rows = [
         [rng.randrange(a) for a in arities] + [rng.randrange(d_arity)]
         for _ in range(max(n_rows, wide_rows))
@@ -297,6 +299,23 @@ class TestClauseOracleAgreement:
         member = make_subsystem(s, high[:20] + rng.sample(range(s.n_objects), 20))
         _assert_engine_matches_oracle(s, member)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.lists(st.sampled_from((4, 5, 8, 9, 17, 40)),
+                                             min_size=1, max_size=8))
+    def test_codes_in_up_to_six_planes(self, seed, arities):
+        # Codes of up to 6 bits: the clause build folds each pair's planes
+        # whenever a table's largest code needs 3 bits or more. Half the
+        # tables give the first column every code of the largest arity.
+        rng = random.Random(seed)
+        s = _coded_table(rng, rng.randint(1, 40), len(arities), arities=arities,
+                         d_arity=rng.randint(1, 3), conflicts=rng.randint(0, 4),
+                         wide_rows=rng.choice((0, max(arities))))
+        member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
+        for table in (s, member):
+            codes = [s.rows[i] for i in table.object_indices]
+            assert class_table(table).planes == max(map(max, codes)).bit_length()
+            _assert_engine_matches_oracle(s, table)
+
     @pytest.mark.parametrize("decisions", ["0,0,0", "0,1,0"], ids=["consistent", "inconsistent"])
     def test_no_condition_attributes(self, decisions):
         # Every row packs to the empty class; the sole reduct is the empty set.
@@ -313,6 +332,48 @@ class TestClauseOracleAgreement:
         s = _coded_table(rng, 30, 24, conflicts=3)
         _assert_engine_matches_oracle(s, s)
         _assert_engine_matches_oracle(s, make_subsystem(s, rng.sample(range(s.n_objects), 12)))
+
+
+def test_class_table_memory_follows_the_member_not_the_code_range():
+    # A 20-row member of a parent whose first column is an id with 200,000
+    # codes: packing it needs memory for its own rows, not for every code.
+    rng = random.Random(16)
+    n = 200_000
+    rows = tuple((i, i % 3, i % 2) for i in range(n))
+    decisions = tuple(rng.randrange(2) for _ in rows)
+    s = DecisionSystem("ids", ("id", "a", "b"), "d", rows, decisions, {})
+    member = make_subsystem(s, rng.sample(range(n - 1), 19) + [n - 1])
+    tracemalloc.start()
+    try:
+        classes = class_table(member)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert classes.planes == (n - 1).bit_length()
+    _assert_engine_matches_oracle(s, member)
+
+
+def test_clause_build_memory_follows_the_masks_not_the_pairs():
+    # 600 rows with 10-bit id codes. Even rows take codes 0 or 3 and odd
+    # rows 1 or 2, so each of the 90,000 pairs of differently labelled rows
+    # differs on every column, with a random XOR of 1 or 2 in each. Every
+    # pair folds to the one all-column clause, so the clause build keeps
+    # one mask, not a value per pair.
+    rng = random.Random(17)
+    n, m = 600, 16
+    rows = tuple((i,) + tuple(rng.choice(((0, 3), (1, 2))[i % 2]) for _ in range(m)) for i in range(n))
+    decisions = tuple(i % 2 for i in range(n))
+    s = DecisionSystem("pairs", ("id",) + tuple(f"c{a}" for a in range(m)), "d", rows, decisions, {})
+    assert class_table(s).planes == 10
+    tracemalloc.start()
+    try:
+        masks = discernibility_masks(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert masks == [(1 << m + 1) - 1]
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("arities", [(3,) * 16, (2,) * 4 + (3,) * 12], ids=["arity3", "mixed"])

@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, strategies as st
 from dynred import (
     DecisionSystem,
     DomainError,
+    EngineError,
     MissingValueError,
     ParameterError,
     ParseError,
@@ -62,6 +65,26 @@ class TestParsing:
         with pytest.raises(MissingValueError, match="column 'b' at line 4$"):
             parse_decision_table('a,b,d\n"x\ny",1,0\n0,,1\n', "d")
 
+    def test_empty_cell_before_a_later_short_row(self):
+        with pytest.raises(MissingValueError, match="column 'a' at line 3$"):
+            parse_decision_table("a,b,d\n0,1,0\n,1,0\n0,1\n", "d")
+
+    def test_short_row_before_a_later_empty_cell(self):
+        with pytest.raises(ParseError, match="row at line 2 has 2 cells, expected 3$"):
+            parse_decision_table("a,b,d\n0,1\n,1,0\n", "d")
+
+    def test_wrong_cell_count_before_empty_cells_of_one_row(self):
+        with pytest.raises(ParseError, match="row at line 2 has 4 cells, expected 3$"):
+            parse_decision_table("a,b,d\n0,,1,\n", "d")
+
+    def test_lowest_of_two_empty_cells_is_named(self):
+        with pytest.raises(MissingValueError, match="column 'b' at line 3$"):
+            parse_decision_table("a,b,c,d\n0,1,2,0\n0,,,0\n", "d")
+
+    def test_empty_decision_cell(self):
+        with pytest.raises(MissingValueError, match="column 'd' at line 2$"):
+            parse_decision_table("a,d,b\n0,,1\n", "d")
+
     def test_duplicate_header_names(self):
         with pytest.raises(SchemaError):
             parse_decision_table("a,a,d\n0,1,0\n", "d")
@@ -100,6 +123,92 @@ class TestParsing:
 
         s = parse_decision_table(random_table_csv(random.Random(seed)), "d")
         assert parse_decision_table(render_csv(s), "d") == s
+
+
+def _row_wise_parse(text, decision_column):
+    """Reference parser: codes the table cell by cell, record by record."""
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff")))
+    try:
+        records = [(reader.line_num, rec) for rec in reader if rec]
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}") from exc
+    if not records:
+        raise ParseError("empty document: header row missing")
+    header = records[0][1]
+    if len(set(header)) != len(header):
+        raise SchemaError("duplicate attribute names in header")
+    if decision_column not in header:
+        raise SchemaError(f"decision column {decision_column!r} not found in header")
+    if len(records) == 1:
+        raise ParseError("no data rows")
+    d_pos = header.index(decision_column)
+    dictionaries = {h: {} for h in header}
+    rows, decisions = [], []
+    for lineno, rec in records[1:]:
+        if len(rec) != len(header):
+            raise ParseError(f"row at line {lineno} has {len(rec)} cells, expected {len(header)}")
+        codes = []
+        for attr, raw in zip(header, rec):
+            if raw == "":
+                raise MissingValueError(f"empty cell in column {attr!r} at line {lineno}")
+            table = dictionaries[attr]
+            codes.append(table.setdefault(raw, len(table)))
+        decisions.append(codes[d_pos])
+        rows.append(tuple(c for i, c in enumerate(codes) if i != d_pos))
+    cond_attrs = tuple(h for i, h in enumerate(header) if i != d_pos)
+    return DecisionSystem("table", cond_attrs, decision_column, tuple(rows),
+                          tuple(decisions), dictionaries)
+
+
+def _outcome(parse, text, decision_column):
+    try:
+        s = parse(text, decision_column)
+    except EngineError as exc:
+        return type(exc), str(exc)
+    # Dictionary order is part of the result: codes follow first occurrence.
+    return s, [(attr, list(table.items())) for attr, table in s.dictionaries.items()]
+
+
+_CELLS = st.sampled_from(["x", "y", "0", "1", "a,b", "p\nq", " ", '"', ""])
+
+
+@st.composite
+def _documents(draw):
+    """CSV text with ragged rows, empty cells, blank lines, quoted line breaks
+    and maybe a byte-order mark, and the decision column to parse it with.
+    """
+    header = draw(st.lists(st.sampled_from(["a", "b", "d", "p\nq", ""]),
+                           min_size=1, max_size=4, unique=True))
+    full_rows = st.lists(_CELLS.filter(bool), min_size=len(header), max_size=len(header))
+    records = draw(st.lists(st.one_of(
+        full_rows,
+        full_rows,
+        st.lists(st.sampled_from(["", "x", "p\nq"]), min_size=len(header), max_size=len(header)),
+        st.lists(_CELLS, max_size=5),
+        st.none(),  # a blank line
+    ), max_size=8))
+    decision_column = draw(st.sampled_from(header + header + ["z"]))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        header.append(header[0])
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator=terminator)
+    for rec in [header, *records]:
+        if rec is None:
+            buf.write(terminator)
+        else:
+            writer.writerow(rec)
+    text = "\ufeff" * draw(st.booleans()) + buf.getvalue()
+    return text, decision_column
+
+
+@given(_documents())
+def test_column_coding_matches_the_row_wise_reference(document):
+    # The same error type and message, or an equal system with equal,
+    # equally ordered dictionaries.
+    text, decision_column = document
+    expected = _outcome(_row_wise_parse, text, decision_column)
+    assert _outcome(parse_decision_table, text, decision_column) == expected
 
 
 class TestSubsystems:
