@@ -4,33 +4,34 @@ The clauses, one attribute mask per pair of condition classes that a reduct
 must split, form a monotone CNF over condition attributes; its prime
 implicants, the minimal attribute sets hitting every clause, are exactly
 the reducts. ``rough.discernibility_masks`` hands over the clauses already
-absorbed, so this module reads them as they come and never absorbs.
-Attributes in exactly the same clauses (twins) stand in for each other in
-every reduct and never share one (Eiter & Gottlob, SIAM J. Comput. 1995),
-so the search runs over the quotient, one representative per twin group,
-and each reduct of the quotient expands into its reducts by swapping
-representatives for their twins. The quotient's minimal hitting sets are
-found on one of two paths:
+absorbed, so this module reads them as they come and never absorbs. The
+minimal hitting sets are found on one of two paths, chosen from |C| alone
+before any search:
 
-* A quotient of at most ``LATTICE_MAX_GROUPS`` (16) groups is swept as a
-  whole subset lattice: bit S of a 2**q-bit int stands for subset S of the
-  q groups, and 2q shift-and-mask steps mark every transversal and then
-  the minimal ones, whatever the number of clauses or reducts. Each int
-  holds at most 2**16 bits (8 KiB); the per-group masks are cached once
-  per q.
-* A wider quotient is searched with MMCS (Murakami & Uno, Discrete Applied
+* A table of at most ``LATTICE_MAX_ATTRS`` (16) condition attributes is
+  swept as a whole subset lattice: bit S of a 2**|C|-bit int stands for the
+  attribute set whose mask is S, and 2|C| shift-and-mask steps mark every
+  transversal and then the minimal ones, whatever the number of clauses or
+  reducts. Each int holds at most 2**16 bits (8 KiB); the per-attribute
+  masks are cached once per |C|. The reducts are counted against the cap
+  before any is listed, and come out in ascending mask order.
+* A wider table is searched with MMCS (Murakami & Uno, Discrete Applied
   Math. 2014): a depth-first search that adds one attribute of an
   uncovered clause at a time and prunes a branch as soon as some chosen
   attribute is left without a critical clause (one that no other chosen
   attribute hits). Every leaf is a reduct and no partial implicant
   outlives its branch, so memory beyond the reducts found grows with the
-  search depth.
+  search depth. Attributes in exactly the same clauses (twins) stand in
+  for each other in every reduct and never share one (Eiter & Gottlob,
+  SIAM J. Comput. 1995), so MMCS runs over the quotient, one
+  representative per twin group, and each leaf expands into its reducts
+  by swapping representatives for their twins. The cap is checked before
+  each leaf and each expansion step, so the enumeration stops without
+  building a list past it.
 
-On both paths the reduct cap is checked before each quotient reduct and
-each expansion step, so the enumeration stops without building a list past
-it. The core needs no clauses: it is the attributes
-whose deletion fails the positive-region probe of the table's labelled class
-table (``rough.preserves``), one probe per attribute. Clauses and
+The core needs no clauses: it is the attributes whose deletion fails the
+positive-region probe of the table's labelled class table
+(``rough.preserves``), one probe per attribute. Clauses and
 attribute sets are bitmasks (bit ``a`` is condition attribute ``a``):
 ``table_reducts`` is the per-table result the family analysis and the CLI
 read. ``all_reducts`` and ``core_of`` are the only frozenset views: the
@@ -50,10 +51,11 @@ from .table import Table
 
 DEFAULT_MAX_ATTRS = 24
 DEFAULT_MAX_REDUCTS = 100_000
-# Widest twin quotient searched by the subset-lattice sweep; MMCS takes wider ones.
-# Set from a crossover timed on synthetic 3-uniform cycle tables, not from
-# benchmark traffic: no benchmark workload has a quotient wider than 12.
-LATTICE_MAX_GROUPS = 16
+# Widest |C| searched by the subset-lattice sweep; MMCS takes wider tables.
+# Set from a crossover timed on synthetic 3-uniform cycle tables (no twins);
+# the benchmark has a workload on each side: static_rows and family_verify
+# (|C| = 12) sweep, matching (|C| = 24) runs MMCS.
+LATTICE_MAX_ATTRS = 16
 
 
 def intersect_all(masks: Iterable[int], n_attrs: int) -> int:
@@ -85,9 +87,10 @@ def attr_mask(attrs: Iterable[int]) -> int:
 
 @cache
 def _subset_bits(q: int) -> tuple[int, ...]:
-    """One 2**q-bit int per group a, whose bit S is set when subset S contains a.
+    """One 2**q-bit int per attribute a < q, whose bit S is set when mask S contains a.
 
-    Cached per q: at most ``LATTICE_MAX_GROUPS`` entries of at most 8 KiB ints.
+    Cached per |C| = q: at most 17 entries (q = 0..``LATTICE_MAX_ATTRS``)
+    of at most 8 KiB ints.
     """
     size, has = 1 << q, []
     for a in range(q):
@@ -100,23 +103,23 @@ def _subset_bits(q: int) -> tuple[int, ...]:
     return tuple(has)
 
 
-def _minimal_transversals(subsets: Iterable[int], q: int) -> int:
-    """The minimal transversals of clauses over q groups, as a 2**q-bit int.
+def _minimal_transversals(clauses: Iterable[int], q: int) -> int:
+    """The minimal transversals of clauses over q attributes, as a 2**q-bit int.
 
-    Each clause is the subset of groups it contains; bit S of the result is
-    set when subset S meets every clause and no proper subset of S does.
-    The complement of each clause marks the largest subset missing it, and
-    q down-steps mark every subset missing some clause; the rest are the
-    transversals, and one up-step per group marks those with a transversal
-    one group smaller. That is 2q operations on 2**q-bit ints, whatever the
-    number of clauses or reducts (the subset zeta transform; Bjorklund,
-    Husfeldt, Kaski & Koivisto, STOC 2007).
+    Bit S of the result is set when the attribute set S meets every clause
+    and no proper subset of S does. The complement of each clause marks
+    the largest set missing it, and q down-steps mark every set missing
+    some clause; the rest are the transversals, and one up-step per
+    attribute marks those with a transversal one attribute smaller. That
+    is 2q operations on 2**q-bit ints, whatever the number of clauses or
+    reducts (the subset zeta transform; Bjorklund, Husfeldt, Kaski &
+    Koivisto, STOC 2007).
     """
     has = _subset_bits(q)
     full = (1 << q) - 1
     miss = 0
-    for cq in subsets:
-        miss |= 1 << (full ^ cq)
+    for clause in clauses:
+        miss |= 1 << (full ^ clause)
     for a, bits in enumerate(has):
         miss |= (miss & bits) >> (1 << a)
     hits = ((1 << (1 << q)) - 1) & ~miss
@@ -124,29 +127,6 @@ def _minimal_transversals(subsets: Iterable[int], q: int) -> int:
     for a, bits in enumerate(has):
         nonminimal |= (hits & ~bits) << (1 << a)
     return hits & ~nonminimal
-
-
-def _translator(bits: list[int]):
-    """Map a mask over positions 0..len(bits)-1 to the OR of ``bits`` at its set positions.
-
-    One table per 4 positions, indexed by that nibble, as ``cli._namer``
-    names masks.
-    """
-    tables = []
-    for base in range(0, len(bits), 4):
-        table = [0]
-        for b in bits[base:base + 4]:
-            table += [x | b for x in table]
-        tables.append(table)
-
-    def translate(mask: int) -> int:
-        out = 0
-        for table in tables:
-            out |= table[mask & 15]
-            mask >>= 4
-        return out
-
-    return translate
 
 
 def reduct_masks(
@@ -157,20 +137,41 @@ def reduct_masks(
 ) -> list[int]:
     """Every reduct of the table as an attribute bitmask, in the order the search emits them.
 
-    That order depends on the path: the lattice sweep emits the quotient's
-    reducts by ascending group subset, MMCS in depth-first order, and each
-    is followed by its twin swaps. ``table_reducts`` sorts. Each reduct
+    That order depends on the path: the lattice sweep lists the reducts in
+    ascending mask order, MMCS in depth-first order with each quotient
+    reduct followed by its twin swaps. ``table_reducts`` sorts. Each reduct
     appears exactly once; a table with no clauses yields the single empty
-    mask. Raises CapacityError rather than truncating when |C|
-    exceeds ``max_attrs`` or the table has more than ``max_reducts``
-    reducts; the search stops as soon as the count would pass the cap
-    instead of finishing the enumeration.
+    mask. Raises CapacityError rather than truncating when |C| exceeds
+    ``max_attrs`` or the table has more than ``max_reducts`` reducts. The
+    lattice sweep counts its reducts before listing any; MMCS checks the
+    cap before each quotient reduct and each expansion step, so it stops as
+    soon as the count would pass the cap instead of finishing the
+    enumeration.
     """
     n = table.parent.n_attrs
     if n > max_attrs:
         raise CapacityError(f"|C| = {n} exceeds the enumeration limit max_attrs = {max_attrs}")
 
     clauses = discernibility_masks(table)
+
+    def check_cap(count: int) -> None:
+        if count > max_reducts:
+            raise CapacityError(
+                f"more than max_reducts = {max_reducts} reducts "
+                f"({len(clauses)} absorbed clauses, |C| = {n}); raise the cap"
+            )
+
+    if n <= LATTICE_MAX_ATTRS:
+        minimal = _minimal_transversals(clauses, n)
+        check_cap(minimal.bit_count())
+        masks: list[int] = []
+        marks = bin(minimal)[:1:-1]  # character S is bit S
+        s = marks.find("1")
+        while s >= 0:
+            masks.append(s)
+            s = marks.find("1", s + 1)
+        return masks
+
     edges = [0] * n  # edges[a]: mask of the clauses containing attribute a
     for i, clause in enumerate(clauses):
         for a in mask_indices(clause):
@@ -190,13 +191,6 @@ def reduct_masks(
         if len(bits) > 1:
             swaps[bits[0]] = [bits[0] ^ b for b in bits]
 
-    def check_cap(count: int) -> None:
-        if count > max_reducts:
-            raise CapacityError(
-                f"more than max_reducts = {max_reducts} reducts "
-                f"({len(clauses)} absorbed clauses, |C| = {n}); raise the cap"
-            )
-
     found: list[int] = []
 
     def emit(chosen: int) -> None:
@@ -212,23 +206,6 @@ def reduct_masks(
 
     if not clauses:
         emit(0)
-        return found
-    q = len(groups)
-    if q <= LATTICE_MAX_GROUPS:
-        # Group g is the g-th representative in attribute order; a clause
-        # maps to the subset of groups it contains, a subset back to the
-        # mask of its representatives.
-        rep_bits = [bits[0] for bits in groups.values()]
-        group_bit = [0] * n
-        for g, rep in enumerate(rep_bits):
-            group_bit[rep.bit_length() - 1] = 1 << g
-        to_attrs = _translator(rep_bits)
-        minimal = _minimal_transversals(map(_translator(group_bit), clauses), q)
-        subsets = bin(minimal)[:1:-1]  # character S is bit S
-        s = subsets.find("1")
-        while s >= 0:
-            emit(to_attrs(s))
-            s = subsets.find("1", s + 1)
         return found
     # A node: chosen attributes, one critical-clause mask per chosen
     # attribute, candidate attributes, uncovered clauses. An explicit stack

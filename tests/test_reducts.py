@@ -511,7 +511,7 @@ def _cycle_csv(k):
 
 
 def _search(table, width=None, **caps):
-    """``reduct_masks`` with ``LATTICE_MAX_GROUPS`` set to ``width`` (kept
+    """``reduct_masks`` with ``LATTICE_MAX_ATTRS`` set to ``width`` (kept
     when None), and whether the lattice sweep ran."""
     calls = []
     sweep = reducts_module._minimal_transversals
@@ -519,7 +519,7 @@ def _search(table, width=None, **caps):
         mp.setattr(reducts_module, "_minimal_transversals",
                    lambda *args: calls.append(args) or sweep(*args))
         if width is not None:
-            mp.setattr(reducts_module, "LATTICE_MAX_GROUPS", width)
+            mp.setattr(reducts_module, "LATTICE_MAX_ATTRS", width)
         masks = reduct_masks(table, **caps)
     return masks, bool(calls)
 
@@ -527,16 +527,16 @@ def _search(table, width=None, **caps):
 class TestLatticeAndMMCS:
     """Both search paths on the same tables, against each other and the oracle.
 
-    Every table here but the 17-attribute cycle has a twin quotient of at
-    most 16 groups, so by default it takes the lattice sweep; setting
-    ``LATTICE_MAX_GROUPS`` to 0 sends it through MMCS.
+    The path follows |C| alone: a table of at most ``LATTICE_MAX_ATTRS``
+    (16) attributes takes the lattice sweep by default, even one without
+    clauses, and a wider one MMCS; setting ``LATTICE_MAX_ATTRS`` to 0
+    sends any table through MMCS, and raising it forces the lattice.
     """
 
     @staticmethod
     def _assert_paths_agree(table):
         lattice, swept = _search(table)
-        # A table without clauses takes neither path: its one reduct is empty.
-        assert swept == (lattice != [0])
+        assert swept == (table.parent.n_attrs <= reducts_module.LATTICE_MAX_ATTRS)
         mmcs, swept = _search(table, 0)
         assert not swept
         for masks in (lattice, mmcs):
@@ -568,9 +568,9 @@ class TestLatticeAndMMCS:
             self._assert_paths_agree(make_subsystem(s, rng.sample(range(s.n_objects), 14)))
 
     def test_width_boundary(self):
-        # 16 groups are the widest quotient the lattice takes; at 17 the
+        # 16 attributes are the widest table the lattice takes; at 17 the
         # default path is MMCS. The k = 16 table is inside the oracle's limits.
-        assert reducts_module.LATTICE_MAX_GROUPS == 16
+        assert reducts_module.LATTICE_MAX_ATTRS == 16
         s = parse_decision_table(_cycle_csv(16), "d")
         lattice, swept = _search(s)
         assert swept and len(lattice) == 222
@@ -594,3 +594,32 @@ class TestLatticeAndMMCS:
         assert str(exc.value) == (
             "more than max_reducts = 56 reducts (12 absorbed clauses, |C| = 12); raise the cap"
         )
+
+    def test_sixteen_twin_columns_take_the_lattice(self):
+        # Matching k = 8: |C| = 16 in 8 twin pairs, swept without the quotient.
+        s = parse_decision_table(matching_csv(8), "d")
+        masks, swept = _search(s, max_reducts=256)
+        assert swept and len(masks) == 256
+        assert masks == sorted(masks)
+        with pytest.raises(CapacityError) as exc:
+            reduct_masks(s, max_reducts=255)
+        assert str(exc.value) == (
+            "more than max_reducts = 255 reducts (8 absorbed clauses, |C| = 16); raise the cap"
+        )
+
+    def test_eighteen_twin_columns_take_mmcs(self):
+        # Matching k = 9: |C| = 18, a 9-group quotient that MMCS expands.
+        s = parse_decision_table(matching_csv(9), "d")
+        mmcs, swept = _search(s)
+        assert not swept and len(mmcs) == 512
+        lattice, swept = _search(s, 18)
+        assert swept
+        assert sorted(mmcs) == lattice
+
+    def test_no_clauses_past_the_lattice(self):
+        # 17 columns and a constant decision: MMCS's no-clause branch.
+        s = _coded_table(random.Random(41), 30, 17, d_arity=1)
+        masks, swept = _search(s)
+        assert not swept and masks == [0]
+        with pytest.raises(CapacityError, match="max_reducts = 0 reducts"):
+            reduct_masks(s, max_reducts=0)
