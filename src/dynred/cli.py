@@ -428,9 +428,9 @@ def run(argv=None) -> int:
         print(f"dynred: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except MemoryError:
-        # No limit bounds the family size (--samples times the number of
-        # fractions) or the report, so running out of memory is reported as
-        # a capacity limit.
+        # The family's rows are bounded (table.MAX_FAMILY_ROWS), but not the
+        # table, the reducts under --max-reducts or the report built from
+        # them, so running out of memory is reported as a capacity limit.
         print("dynred: out of memory: the table or the family is too large", file=sys.stderr)
         return EXIT_CAPACITY
     except SelfCheckError as exc:

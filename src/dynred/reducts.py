@@ -6,15 +6,16 @@ implicants, the minimal attribute sets hitting every clause, are exactly
 the reducts. ``rough.discernibility_masks`` hands over the clauses already
 absorbed, so this module reads them as they come and never absorbs. The
 minimal hitting sets are found on one of two paths, chosen from |C| alone
-before any search:
+before any search. Both return the reducts in ascending mask order and
+count them against the cap before listing them:
 
 * A table of at most ``LATTICE_MAX_ATTRS`` (16) condition attributes is
   swept as a whole subset lattice: bit S of a 2**|C|-bit int stands for the
   attribute set whose mask is S, and 2|C| shift-and-mask steps mark every
   transversal and then the minimal ones, whatever the number of clauses or
   reducts. Each int holds at most 2**16 bits (8 KiB); the per-attribute
-  masks are cached once per |C|. The reducts are counted against the cap
-  before any is listed, and come out in ascending mask order.
+  masks are cached once per |C|. The cap is checked once, on the count of
+  marked bits.
 * A wider table is searched with MMCS (Murakami & Uno, Discrete Applied
   Math. 2014): a depth-first search that adds one attribute of an
   uncovered clause at a time and prunes a branch as soon as some chosen
@@ -25,14 +26,14 @@ before any search:
   for each other in every reduct and never share one (Eiter & Gottlob,
   SIAM J. Comput. 1995), so MMCS runs over the quotient, one
   representative per twin group, and each leaf expands into its reducts
-  by swapping representatives for their twins. The cap is checked before
-  each leaf and each expansion step, so the enumeration stops without
-  building a list past it.
+  by swapping representatives for their twins. The cap is checked once
+  per quotient reduct, on the size of its expansion, before it is built.
 
 The core needs no clauses: it is the attributes whose deletion fails the
 positive-region probe of the table's labelled class table
 (``rough.preserves``), one probe per attribute. Clauses and
-attribute sets are bitmasks (bit ``a`` is condition attribute ``a``):
+attribute sets are bitmasks (bit ``a`` is condition attribute ``a``, listed
+by ``mask_indices``):
 ``table_reducts`` is the per-table result the family analysis and the CLI
 read. ``all_reducts`` and ``core_of`` are the only frozenset views: the
 library's public reduct and core, in the form the benchmark's output
@@ -43,6 +44,7 @@ oracle's ``discernibility_function``.
 from __future__ import annotations
 
 from functools import cache
+from math import prod
 from typing import Iterable
 
 from .errors import CapacityError
@@ -71,12 +73,13 @@ def intersect_all(masks: Iterable[int], n_attrs: int) -> int:
 
 
 def mask_indices(mask: int) -> list[int]:
-    """Set bits of ``mask`` in ascending order."""
+    """Set bits of a non-negative ``mask`` in ascending order, one ``str.find`` per bit."""
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    marks = bin(mask)[:1:-1]  # character i is bit i
+    i = marks.find("1")
+    while i >= 0:
+        out.append(i)
+        i = marks.find("1", i + 1)
     return out
 
 
@@ -135,18 +138,15 @@ def reduct_masks(
     max_attrs: int = DEFAULT_MAX_ATTRS,
     max_reducts: int = DEFAULT_MAX_REDUCTS,
 ) -> list[int]:
-    """Every reduct of the table as an attribute bitmask, in the order the search emits them.
+    """Every reduct of the table as an attribute bitmask, in ascending order.
 
-    That order depends on the path: the lattice sweep lists the reducts in
-    ascending mask order, MMCS in depth-first order with each quotient
-    reduct followed by its twin swaps. ``table_reducts`` sorts. Each reduct
-    appears exactly once; a table with no clauses yields the single empty
-    mask. Raises CapacityError rather than truncating when |C| exceeds
-    ``max_attrs`` or the table has more than ``max_reducts`` reducts. The
-    lattice sweep counts its reducts before listing any; MMCS checks the
-    cap before each quotient reduct and each expansion step, so it stops as
-    soon as the count would pass the cap instead of finishing the
-    enumeration.
+    Each reduct appears exactly once; a table with no clauses yields the
+    single empty mask. Raises CapacityError rather than truncating when |C|
+    exceeds ``max_attrs`` or the table has more than ``max_reducts``
+    reducts. The count is checked before any reduct it covers is listed:
+    once on the lattice, and on MMCS once per quotient reduct with all its
+    twin swaps, so the search stops as soon as the count would pass the cap
+    instead of finishing the enumeration.
     """
     n = table.parent.n_attrs
     if n > max_attrs:
@@ -164,13 +164,7 @@ def reduct_masks(
     if n <= LATTICE_MAX_ATTRS:
         minimal = _minimal_transversals(clauses, n)
         check_cap(minimal.bit_count())
-        masks: list[int] = []
-        marks = bin(minimal)[:1:-1]  # character S is bit S
-        s = marks.find("1")
-        while s >= 0:
-            masks.append(s)
-            s = marks.find("1", s + 1)
-        return masks
+        return mask_indices(minimal)
 
     edges = [0] * n  # edges[a]: mask of the clauses containing attribute a
     for i, clause in enumerate(clauses):
@@ -194,14 +188,13 @@ def reduct_masks(
     found: list[int] = []
 
     def emit(chosen: int) -> None:
-        # The cap is checked before each product is built, so no list ever
-        # grows past it.
-        check_cap(len(found) + 1)
+        # The product's size is checked before it is built, so no list ever
+        # grows past the cap.
+        factors = [deltas for rep, deltas in swaps.items() if chosen & rep]
+        check_cap(len(found) + prod(map(len, factors)))
         leaf = [chosen]
-        for rep, deltas in swaps.items():
-            if chosen & rep:
-                check_cap(len(found) + len(leaf) * len(deltas))
-                leaf = [x ^ d for x in leaf for d in deltas]
+        for deltas in factors:
+            leaf = [x ^ d for x in leaf for d in deltas]
         found.extend(leaf)
 
     if not clauses:
@@ -241,6 +234,7 @@ def reduct_masks(
                 else:
                     emit(chosen | v)
             cand |= v
+    found.sort()
     return found
 
 
@@ -250,8 +244,8 @@ def table_reducts(
     max_attrs: int = DEFAULT_MAX_ATTRS,
     max_reducts: int = DEFAULT_MAX_REDUCTS,
 ) -> tuple[tuple[int, ...], int]:
-    """``reduct_masks`` sorted in ascending order, and the core as their AND; same caps."""
-    masks = tuple(sorted(reduct_masks(table, max_attrs=max_attrs, max_reducts=max_reducts)))
+    """``reduct_masks`` in ascending order, and the core as their AND; same caps."""
+    masks = tuple(reduct_masks(table, max_attrs=max_attrs, max_reducts=max_reducts))
     return masks, intersect_all(masks, table.parent.n_attrs)
 
 

@@ -19,6 +19,7 @@ from itertools import count
 from typing import Iterable, Union
 
 from .errors import (
+    CapacityError,
     DomainError,
     MissingValueError,
     ParameterError,
@@ -307,19 +308,36 @@ class Family:
         return len(self.members)
 
 
+# The most rows, summed over its members, that ``sample_family`` draws. A
+# ``dynred dynamic`` run on a constant-decision table (no clauses, so only
+# the family and its report) peaked at 159-185 bytes per member row under
+# tracemalloc for members of 100 to 20,000 rows, and more for smaller ones
+# (1,258 bytes per row for 1-row members): a refused family would need more
+# than 1 GiB.
+MAX_FAMILY_ROWS = 7_000_000
+
+
 def sample_family(system: DecisionSystem, plan: SamplingPlan) -> Family:
     """Draw the plan's sub-systems from ``system``.
 
     For each fraction f, ``samples_per_fraction`` sub-systems of size
     ceil(f * |U|) are drawn without replacement, all from one splitmix64
     stream seeded by the plan; members are ordered by (fraction, sample).
-    Pure function: equal inputs give equal families.
+    Pure function: equal inputs give equal families. Raises CapacityError
+    before the first draw when the members would hold more than
+    ``MAX_FAMILY_ROWS`` rows in all.
     """
-    rng = SplitMix64(plan.seed)
     n = system.n_objects
-    members = []
-    for f in plan.fractions:
-        m = -((-f.numerator * n) // f.denominator)  # exact ceil(f*n), never 0
-        for _ in range(plan.samples_per_fraction):
-            members.append(SubSystem(system, _draw_indices(rng, n, m)))
-    return Family(tuple(members))
+    sizes = [-((-f.numerator * n) // f.denominator) for f in plan.fractions]  # exact ceil(f*n)
+    total = plan.samples_per_fraction * sum(sizes)
+    if total > MAX_FAMILY_ROWS:
+        raise CapacityError(
+            f"the family would hold {total} member rows, more than "
+            f"MAX_FAMILY_ROWS = {MAX_FAMILY_ROWS}; draw fewer or smaller samples"
+        )
+    rng = SplitMix64(plan.seed)
+    return Family(tuple(
+        SubSystem(system, _draw_indices(rng, n, m))
+        for m in sizes
+        for _ in range(plan.samples_per_fraction)
+    ))

@@ -583,9 +583,28 @@ class TestExitCodes:
         assert captured.err.startswith("dynred: ")
         assert "max_reducts = 100000" in captured.err
 
+    @pytest.mark.parametrize("command", ["dynamic", "verify"])
+    def test_oversized_family_exits_3_before_drawing(self, capsys, monkeypatch, fixa_path,
+                                                    command):
+        import dynred.table
+
+        def draw(*args):
+            raise AssertionError("a refused family must not be drawn")
+
+        monkeypatch.setattr(dynred.table, "_draw_indices", draw)
+        status = run([command, "--input", fixa_path, "--decision", "d", "--fractions", "1,0.5",
+                      "--samples", "100000000000000000000", "--lambda", "1"])
+        captured = capsys.readouterr()
+        assert status == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "dynred: the family would hold 500000000000000000000 member rows, more than "
+            "MAX_FAMILY_ROWS = 7000000; draw fewer or smaller samples\n"
+        )
+
     def test_out_of_memory_exits_3(self, capsys, monkeypatch, fixa_path):
-        # Nothing bounds --samples times the fractions, so a huge family can
-        # run out of memory while it is drawn; that is a capacity exit too.
+        # A family within the row limit, or the table itself, can still run
+        # out of memory; that is a capacity exit too.
         def exhausted(system, plan):
             raise MemoryError
 

@@ -72,8 +72,22 @@ class TestCanonicalOrder:
         # Clauses (a|b) and (b|c): reducts {b} = 0b010 and {a, c} = 0b101. The
         # frozenset view orders them by index list, not by mask.
         s = parse_decision_table("a,b,c,d\n0,0,0,0\n1,1,0,1\n0,1,1,1\n", "d")
-        assert sorted(reduct_masks(s)) == [0b010, 0b101]
+        assert reduct_masks(s) == [0b010, 0b101]
         assert all_reducts(s) == (frozenset({0, 2}), frozenset({1}))
+
+    def test_mask_indices_lists_set_bits_in_ascending_order(self):
+        assert mask_indices(0) == []
+        assert mask_indices(1) == [0]
+        assert mask_indices(1 << 70_000) == [70_000]
+        rng = random.Random(16)
+        for _ in range(4):
+            # Dense, then sparser: each AND roughly halves the set bits.
+            mask = rng.getrandbits(1 << 16)
+            for _ in range(rng.randint(0, 6)):
+                mask &= rng.getrandbits(1 << 16)
+            bits = mask_indices(mask)
+            assert bits == [i for i in range(1 << 16) if mask >> i & 1]
+            assert attr_mask(bits) == mask
 
     def test_intersect_all_empty_collection_is_full_set(self):
         assert intersect_all([], 3) == 0b111
@@ -228,7 +242,7 @@ def _attrs(mask):
 
 
 def _oracle_masks(table):
-    """The subset oracle's reducts as sorted masks, the form ``reduct_masks`` is compared in."""
+    """The subset oracle's reducts as masks in ascending order, as ``reduct_masks`` returns them."""
     return sorted(map(attr_mask, brute_force_reducts(table)))
 
 
@@ -409,8 +423,7 @@ class TestEnumeratorOracleAgreement:
         )
         member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
         for table in (s, member):
-            masks = reduct_masks(table)
-            assert sorted(masks) == _oracle_masks(table)
+            assert reduct_masks(table) == _oracle_masks(table)
             assert all_reducts(table) == brute_force_reducts(table)
 
     @settings(max_examples=80, deadline=None)
@@ -428,8 +441,7 @@ class TestEnumeratorOracleAgreement:
         ))
         member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
         for table in (s, member):
-            masks = reduct_masks(table)
-            assert sorted(masks) == _oracle_masks(table)
+            assert reduct_masks(table) == _oracle_masks(table)
 
     def test_inconsistent_table(self):
         rng = random.Random(21)
@@ -539,8 +551,7 @@ class TestLatticeAndMMCS:
         assert swept == (table.parent.n_attrs <= reducts_module.LATTICE_MAX_ATTRS)
         mmcs, swept = _search(table, 0)
         assert not swept
-        for masks in (lattice, mmcs):
-            assert sorted(masks) == _oracle_masks(table)
+        assert lattice == mmcs == _oracle_masks(table)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10 ** 6), st.booleans())
@@ -576,14 +587,14 @@ class TestLatticeAndMMCS:
         assert swept and len(lattice) == 222
         mmcs, swept = _search(s, 0)
         assert not swept
-        assert sorted(lattice) == sorted(mmcs) == _oracle_masks(s)
+        assert lattice == mmcs == _oracle_masks(s)
 
         wide = parse_decision_table(_cycle_csv(17), "d")
         mmcs, swept = _search(wide)
         assert not swept and len(mmcs) == 306
         lattice, swept = _search(wide, 17)
         assert swept
-        assert sorted(lattice) == sorted(mmcs)
+        assert lattice == mmcs
 
     def test_cap_is_exact_without_twins(self):
         s = parse_decision_table(_cycle_csv(12), "d")
@@ -594,6 +605,24 @@ class TestLatticeAndMMCS:
         assert str(exc.value) == (
             "more than max_reducts = 56 reducts (12 absorbed clauses, |C| = 12); raise the cap"
         )
+
+    def test_cap_is_exact_with_twins_on_both_paths(self):
+        # The table of TestCapacityLimits.test_cap_is_exact_with_twins: three
+        # quotient reducts expand to 4 + 1 + 2, so MMCS must count the
+        # reducts already found with each expansion.
+        s = parse_decision_table(
+            "p,q,r,s,P,R,d\n0,0,0,0,0,0,0\n1,0,0,1,1,0,1\n0,1,1,0,0,1,1\n0,0,1,1,0,1,1\n", "d"
+        )
+        for width in (None, 0):
+            masks, _ = _search(s, width, max_reducts=7)
+            assert masks == _oracle_masks(s) and len(masks) == 7
+            for cap in range(1, 7):
+                with pytest.raises(CapacityError) as exc:
+                    _search(s, width, max_reducts=cap)
+                assert str(exc.value) == (
+                    f"more than max_reducts = {cap} reducts (3 absorbed clauses, |C| = 6); "
+                    "raise the cap"
+                )
 
     def test_sixteen_twin_columns_take_the_lattice(self):
         # Matching k = 8: |C| = 16 in 8 twin pairs, swept without the quotient.
@@ -614,7 +643,7 @@ class TestLatticeAndMMCS:
         assert not swept and len(mmcs) == 512
         lattice, swept = _search(s, 18)
         assert swept
-        assert sorted(mmcs) == lattice
+        assert mmcs == lattice
 
     def test_no_clauses_past_the_lattice(self):
         # 17 columns and a constant decision: MMCS's no-clause branch.

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dynred import (
+    CapacityError,
     DecisionSystem,
     DomainError,
     EngineError,
@@ -360,6 +361,34 @@ class TestSampling:
         member = sample_family(s, plan).members[0]
         expected = -((-f.numerator * n) // f.denominator)
         assert member.n_objects == expected >= 1
+
+    def test_family_past_the_row_limit_is_refused_before_drawing(self, fix_a, monkeypatch):
+        import dynred.table
+
+        def draw(*args):
+            raise AssertionError("a refused family must not be drawn")
+
+        monkeypatch.setattr(dynred.table, "_draw_indices", draw)
+        plan = SamplingPlan(seed=0, fractions=(Fraction(1),), samples_per_fraction=10 ** 20)
+        with pytest.raises(CapacityError, match="MAX_FAMILY_ROWS = 7000000;"):
+            sample_family(fix_a, plan)
+
+    def test_row_limit_counts_every_member_row(self, monkeypatch):
+        import dynred.table
+
+        # 10 rows at fractions 1/3 and 1: members of 4 and 10 rows.
+        s = parse_decision_table("a,d\n" + "".join(f"{i},{i % 2}\n" for i in range(10)), "d")
+        plan = SamplingPlan(seed=0, fractions=(Fraction(1, 3), Fraction(1)),
+                            samples_per_fraction=3)
+        monkeypatch.setattr(dynred.table, "MAX_FAMILY_ROWS", 42)
+        assert [m.n_objects for m in sample_family(s, plan).members] == [4] * 3 + [10] * 3
+        monkeypatch.setattr(dynred.table, "MAX_FAMILY_ROWS", 41)
+        with pytest.raises(CapacityError) as exc:
+            sample_family(s, plan)
+        assert str(exc.value) == (
+            "the family would hold 42 member rows, more than MAX_FAMILY_ROWS = 41; "
+            "draw fewer or smaller samples"
+        )
 
     def test_mixed_parent_family_rejected(self, fix_a, fix_b):
         from dynred import Family
