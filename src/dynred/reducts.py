@@ -3,21 +3,25 @@
 The clauses, one attribute mask per pair of condition classes that a reduct
 must split, form a monotone CNF over condition attributes; its prime
 implicants, the minimal attribute sets hitting every clause, are exactly
-the reducts. ``rough.discernibility_masks`` hands over the clauses already
-absorbed, so this module reads them as they come and never absorbs. The
-minimal hitting sets are found on one of two paths, chosen from |C| alone
-before any search. Both return the reducts in ascending mask order and
-count them against the cap before listing them:
+the reducts. This module never absorbs. The minimal hitting sets are
+found on one of two paths, chosen from |C| alone before any search. Both
+return the reducts in ascending mask order and count them against the cap
+before listing them:
 
 * A table of at most ``LATTICE_MAX_ATTRS`` (16) condition attributes is
   swept as a whole subset lattice: bit S of a 2**|C|-bit int stands for the
   attribute set whose mask is S, and 2|C| shift-and-mask steps mark every
   transversal and then the minimal ones, whatever the number of clauses or
-  reducts. Each int holds at most 2**16 bits (8 KiB); the per-attribute
-  masks are cached once per |C|. The cap is checked once, on the count of
-  marked bits.
+  reducts. It reads ``rough.pair_masks``, every distinct clause as the class
+  pairs make it: the sweep's down-steps absorb a non-minimal clause anyway.
+  Each int holds at most 2**16 bits (8 KiB); the per-attribute masks are
+  cached once per |C|. The cap is checked once, on the count of marked
+  bits. Only a raise counts the minimal clauses its message names, by
+  marking the clauses again and taking |C| more steps.
 * A wider table is searched with MMCS (Murakami & Uno, Discrete Applied
-  Math. 2014): a depth-first search that adds one attribute of an
+  Math. 2014) over ``rough.discernibility_masks``, the clauses already
+  absorbed, since its critical clauses and its twins are defined on the
+  minimal ones. MMCS is a depth-first search that adds one attribute of an
   uncovered clause at a time and prunes a branch as soon as some chosen
   attribute is left without a critical clause (one that no other chosen
   attribute hits). Every leaf is a reduct and no partial implicant
@@ -48,7 +52,7 @@ from math import prod
 from typing import Iterable
 
 from .errors import CapacityError
-from .rough import class_table, discernibility_masks, preserves
+from .rough import class_table, discernibility_masks, pair_masks, preserves
 from .table import Table
 
 DEFAULT_MAX_ATTRS = 24
@@ -106,30 +110,62 @@ def _subset_bits(q: int) -> tuple[int, ...]:
     return tuple(has)
 
 
+def _missing(clauses: Iterable[int], q: int) -> int:
+    """The attribute sets over q attributes that miss some clause, as a 2**q-bit int.
+
+    The complement of each clause marks the largest set missing it: clause
+    c is character c of a string of 2**q zeros read most significant bit
+    first, which is bit ``full ^ c``. Then q down-steps mark every subset
+    of a marked set. Absorbed or not, the clauses give the same result.
+    """
+    marks = bytearray(b"0") * (1 << q)
+    for clause in clauses:
+        marks[clause] = 49  # ord("1")
+    miss = int(marks, 2)
+    for a, bits in enumerate(_subset_bits(q)):
+        miss |= (miss & bits) >> (1 << a)
+    return miss
+
+
 def _minimal_transversals(clauses: Iterable[int], q: int) -> int:
     """The minimal transversals of clauses over q attributes, as a 2**q-bit int.
 
     Bit S of the result is set when the attribute set S meets every clause
-    and no proper subset of S does. The complement of each clause marks
-    the largest set missing it, and q down-steps mark every set missing
-    some clause; the rest are the transversals, and one up-step per
-    attribute marks those with a transversal one attribute smaller. That
-    is 2q operations on 2**q-bit ints, whatever the number of clauses or
-    reducts (the subset zeta transform; Bjorklund, Husfeldt, Kaski &
-    Koivisto, STOC 2007).
+    and no proper subset of S does. The sets missing some clause are
+    marked (``_missing``); the rest are the transversals, and one up-step
+    per attribute marks those with a transversal one attribute smaller.
+    That is 2q operations on 2**q-bit ints, whatever the number of clauses
+    or reducts (the subset zeta transform; Bjorklund, Husfeldt, Kaski &
+    Koivisto, STOC 2007). The clauses need no absorption: a clause with a
+    strict subset among them marks only sets the down-steps mark anyway.
     """
-    has = _subset_bits(q)
-    full = (1 << q) - 1
-    miss = 0
-    for clause in clauses:
-        miss |= 1 << (full ^ clause)
-    for a, bits in enumerate(has):
-        miss |= (miss & bits) >> (1 << a)
-    hits = ((1 << (1 << q)) - 1) & ~miss
+    hits = ((1 << (1 << q)) - 1) & ~_missing(clauses, q)
     nonminimal = 0
-    for a, bits in enumerate(has):
+    for a, bits in enumerate(_subset_bits(q)):
         nonminimal |= (hits & ~bits) << (1 << a)
     return hits & ~nonminimal
+
+
+def _absorbed_count(clauses: Iterable[int], q: int) -> int:
+    """How many clauses over q attributes absorption keeps, without absorbing.
+
+    The maximal sets missing some clause are exactly the complements of the
+    minimal clauses; one up-step per attribute marks the sets that are not
+    maximal.
+    """
+    miss = _missing(clauses, q)
+    nonmaximal = 0
+    for a, bits in enumerate(_subset_bits(q)):
+        nonmaximal |= (miss & bits) >> (1 << a)
+    return (miss & ~nonmaximal).bit_count()
+
+
+def _too_many(max_reducts: int, absorbed: int, n: int) -> CapacityError:
+    """The reduct cap's error, naming the cap, the minimal clauses and |C|."""
+    return CapacityError(
+        f"more than max_reducts = {max_reducts} reducts "
+        f"({absorbed} absorbed clauses, |C| = {n}); raise the cap"
+    )
 
 
 def reduct_masks(
@@ -152,20 +188,14 @@ def reduct_masks(
     if n > max_attrs:
         raise CapacityError(f"|C| = {n} exceeds the enumeration limit max_attrs = {max_attrs}")
 
-    clauses = discernibility_masks(table)
-
-    def check_cap(count: int) -> None:
-        if count > max_reducts:
-            raise CapacityError(
-                f"more than max_reducts = {max_reducts} reducts "
-                f"({len(clauses)} absorbed clauses, |C| = {n}); raise the cap"
-            )
-
     if n <= LATTICE_MAX_ATTRS:
-        minimal = _minimal_transversals(clauses, n)
-        check_cap(minimal.bit_count())
+        masks = pair_masks(table)
+        minimal = _minimal_transversals(masks, n)
+        if minimal.bit_count() > max_reducts:
+            raise _too_many(max_reducts, _absorbed_count(masks, n), n)
         return mask_indices(minimal)
 
+    clauses = discernibility_masks(table)
     edges = [0] * n  # edges[a]: mask of the clauses containing attribute a
     for i, clause in enumerate(clauses):
         for a in mask_indices(clause):
@@ -191,7 +221,8 @@ def reduct_masks(
         # The product's size is checked before it is built, so no list ever
         # grows past the cap.
         factors = [deltas for rep, deltas in swaps.items() if chosen & rep]
-        check_cap(len(found) + prod(map(len, factors)))
+        if len(found) + prod(map(len, factors)) > max_reducts:
+            raise _too_many(max_reducts, len(clauses), n)
         leaf = [chosen]
         for deltas in factors:
             leaf = [x ^ d for x in leaf for d in deltas]

@@ -9,15 +9,18 @@ classes carries a single label (``preserves``). The discernibility clauses
 and the reduct predicate are built on it. The classical partitions and
 positive regions these rules restate are the oracle's (``oracle.py``).
 Everything here is a pure function; clauses and probe masks are int
-bitmasks over condition-attribute indices, and clauses are absorbed where
-they are made.
+bitmasks over condition-attribute indices. ``pair_masks`` gives the
+distinct clauses as the class pairs make them, and ``discernibility_masks``
+the minimal ones, the only place clauses are absorbed.
 A table is read as its ``parent`` system and its ``object_indices``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from operator import lshift
+from itertools import repeat
+from operator import lshift, or_
 from typing import Iterable
 
 from .table import Table, checked_attrs
@@ -91,53 +94,75 @@ def _minimal_masks(masks: set[int]) -> list[int]:
     return kept
 
 
-def discernibility_masks(table: Table) -> list[int]:
-    """Minimal clauses of the table's discernibility function, as attribute masks.
+def pair_masks(table: Table) -> set[int]:
+    """The distinct clauses of the table's discernibility function, unabsorbed.
 
     Works on distinct full-attribute condition classes, not on object pairs:
     objects of one class never need splitting, and two classes must be split
     exactly when their labels (decision code or ``BOUNDARY``) differ. Bit
-    ``a`` of a clause is set when the two classes differ on attribute ``a``.
-    Clauses come ordered by size, then by mask value.
+    ``a`` of a clause is set when the two classes differ on attribute ``a``,
+    that is when some plane of their XOR sets bit ``a``.
 
-    Rows ``x`` and ``y`` differ on attribute ``a`` exactly when some plane
-    of ``x ^ y`` sets bit ``a``. Each class is split once into its lowest
-    ``h = ceil(planes / 2)`` planes and the rest, so a pair's XORed halves,
-    ORed, hold every plane folded onto the lowest ``h``: the clause when
-    there are at most two planes. Otherwise each pair's value is folded in
-    half until one plane is left before it is kept, so the set holds only
-    attribute masks, at most 2^m of them, however many pairs there are.
+    The pairs are compared bit-sliced. For each pair of label groups, plane
+    j of every class in the larger group is laid side by side in one int,
+    one slot of W bits per class: the smallest of 8, 16, 32 and 64 that
+    holds m, or 64 * k bits past 64. A class x of the other group, its
+    plane j repeated in every slot (``x_j * rep``), then meets all of them
+    at once: the OR over planes of the XORs holds each pair's clause in its
+    own slot, with no carry or fold across slots. The slots are read back
+    as W-bit words through a memoryview, a slot's k words joined by
+    shifting at C level, so the Python loop runs once per class of the
+    smaller group, not once per pair. The set holds only attribute masks,
+    at most 2^m of them, however many pairs there are.
     """
     classes = class_table(table)
     m = classes.n_attrs
-    h = (classes.planes + 1) // 2
-    shift, low = h * m, (1 << h * m) - 1
-    by_label: dict[int, list[tuple[int, int]]] = {}
-    for packed, label in classes.labels.items():
-        by_label.setdefault(label, []).append((packed & low, packed >> shift))
-
-    # The shifts that fold h planes in half down to one; none for h == 1.
-    # Plane 0 gathers every plane, and the planes above it are masked off.
-    shifts: list[int] = []
-    while h > 1:
-        h = (h + 1) // 2
-        shifts.append(h * m)
     plane = (1 << m) - 1
+    shifts = [j * m for j in range(classes.planes)]
+    by_label: dict[int, list[int]] = {}
+    for packed, label in classes.labels.items():
+        by_label.setdefault(label, []).append(packed)
 
-    def fold(v: int) -> int:
-        for s in shifts:
-            v |= v >> s
-        return v & plane
+    width = max(8, 1 << (m - 1).bit_length()) if m <= 64 else -(-m // 64) * 64
+    size, k = width // 8, max(1, width // 64)  # bytes and words per slot
+    fmt = {1: "B", 2: "H", 4: "I"}.get(size, "Q")
+    order = sys.byteorder
+    # Memory offsets of a slot's words, its highest word first.
+    top, *lower = range(k)[::-1] if order == "little" else range(k)
+    one = (1).to_bytes(size, order)
 
     groups = list(by_label.values())
     masks: set[int] = set()
-    for k, xs in enumerate(groups):
-        for ys in groups[k + 1 :]:
-            if shifts:
-                masks |= {fold((a ^ c) | (b ^ d)) for a, b in xs for c, d in ys}
-            else:
-                masks |= {(a ^ c) | (b ^ d) for a, b in xs for c, d in ys}
-    return _minimal_masks(masks)
+    for g, group in enumerate(groups):
+        for other in groups[g + 1 :]:
+            xs, ys = sorted((group, other), key=len)
+            rep = int.from_bytes(one * len(ys), order)
+            slices = []
+            for s in shifts:
+                laid = b"".join((y >> s & plane).to_bytes(size, order) for y in ys)
+                slices.append((s, int.from_bytes(laid, order)))
+            nbytes = size * len(ys)
+            for x in xs:
+                d = 0
+                for s, ys_plane in slices:
+                    d |= (x >> s & plane) * rep ^ ys_plane
+                view = memoryview(d.to_bytes(nbytes, order)).cast(fmt)
+                words = view[top::k]
+                for i in lower:
+                    words = map(or_, map(lshift, words, repeat(64)), view[i::k])
+                masks.update(words)
+    return masks
+
+
+def discernibility_masks(table: Table) -> list[int]:
+    """Minimal clauses of the table's discernibility function, as attribute masks.
+
+    The distinct clauses of ``pair_masks``, absorbed: those with no strict
+    subset among them, ordered by size, then by mask value. Only the MMCS
+    search and the tests read them; the subset-lattice sweep takes
+    ``pair_masks`` as they are.
+    """
+    return _minimal_masks(pair_masks(table))
 
 
 def is_reduct(table: Table, attrs: Iterable[int]) -> bool:

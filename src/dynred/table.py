@@ -308,13 +308,15 @@ class Family:
         return len(self.members)
 
 
-# The most rows, summed over its members, that ``sample_family`` draws. A
-# ``dynred dynamic`` run on a constant-decision table (no clauses, so only
-# the family and its report) peaked at 159-185 bytes per member row under
-# tracemalloc for members of 100 to 20,000 rows, and more for smaller ones
-# (1,258 bytes per row for 1-row members): a refused family would need more
-# than 1 GiB.
+# The most rows, summed over its members, and the most members that
+# ``sample_family`` draws. A ``dynred dynamic`` run on a constant-decision
+# table (no clauses, so only the family and its report) peaked at 159-185
+# bytes per member row under tracemalloc for members of 100 to 20,000 rows,
+# and at 1,258 bytes per member for 1-row members, where each member's fixed
+# cost dominates: a family refused by either limit would need more than
+# 1 GiB.
 MAX_FAMILY_ROWS = 7_000_000
+MAX_FAMILY_MEMBERS = 860_000
 
 
 def sample_family(system: DecisionSystem, plan: SamplingPlan) -> Family:
@@ -325,7 +327,7 @@ def sample_family(system: DecisionSystem, plan: SamplingPlan) -> Family:
     stream seeded by the plan; members are ordered by (fraction, sample).
     Pure function: equal inputs give equal families. Raises CapacityError
     before the first draw when the members would hold more than
-    ``MAX_FAMILY_ROWS`` rows in all.
+    ``MAX_FAMILY_ROWS`` rows in all, or be more than ``MAX_FAMILY_MEMBERS``.
     """
     n = system.n_objects
     sizes = [-((-f.numerator * n) // f.denominator) for f in plan.fractions]  # exact ceil(f*n)
@@ -334,6 +336,12 @@ def sample_family(system: DecisionSystem, plan: SamplingPlan) -> Family:
         raise CapacityError(
             f"the family would hold {total} member rows, more than "
             f"MAX_FAMILY_ROWS = {MAX_FAMILY_ROWS}; draw fewer or smaller samples"
+        )
+    members = plan.samples_per_fraction * len(sizes)
+    if members > MAX_FAMILY_MEMBERS:
+        raise CapacityError(
+            f"the family would have {members} members, more than "
+            f"MAX_FAMILY_MEMBERS = {MAX_FAMILY_MEMBERS}; draw fewer samples"
         )
     rng = SplitMix64(plan.seed)
     return Family(tuple(

@@ -602,6 +602,26 @@ class TestExitCodes:
             "MAX_FAMILY_ROWS = 7000000; draw fewer or smaller samples\n"
         )
 
+    @pytest.mark.parametrize("command", ["dynamic", "verify"])
+    def test_too_many_members_exits_3_before_drawing(self, capsys, monkeypatch, fixa_path,
+                                                     command):
+        import dynred.table
+
+        def draw(*args):
+            raise AssertionError("a refused family must not be drawn")
+
+        # 1-row members: within the row limit, past the member limit.
+        monkeypatch.setattr(dynred.table, "_draw_indices", draw)
+        status = run([command, "--input", fixa_path, "--decision", "d", "--fractions", "0.01",
+                      "--samples", "860001", "--lambda", "1"])
+        captured = capsys.readouterr()
+        assert status == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "dynred: the family would have 860001 members, more than "
+            "MAX_FAMILY_MEMBERS = 860000; draw fewer samples\n"
+        )
+
     def test_out_of_memory_exits_3(self, capsys, monkeypatch, fixa_path):
         # A family within the row limit, or the table itself, can still run
         # out of memory; that is a capacity exit too.

@@ -26,9 +26,9 @@ from dynred import (
     parse_decision_table,
     positive_region,
 )
-from dynred import reducts as reducts_module
+from dynred import reducts as reducts_module, rough as rough_module
 from dynred.reducts import attr_mask, mask_indices, reduct_masks
-from dynred.rough import class_table, discernibility_masks, preserves
+from dynred.rough import class_table, discernibility_masks, pair_masks, preserves
 
 from conftest import idx, matching_csv, random_system, reduct_names
 
@@ -317,8 +317,8 @@ class TestClauseOracleAgreement:
     @given(st.integers(0, 10 ** 6), st.lists(st.sampled_from((4, 5, 8, 9, 17, 40)),
                                              min_size=1, max_size=8))
     def test_codes_in_up_to_six_planes(self, seed, arities):
-        # Codes of up to 6 bits: the clause build folds each pair's planes
-        # whenever a table's largest code needs 3 bits or more. Half the
+        # Codes of up to 6 bits: the clause build ORs the XOR of every
+        # plane, up to six of them, into each pair's slot. Half the
         # tables give the first column every code of the largest arity.
         rng = random.Random(seed)
         s = _coded_table(rng, rng.randint(1, 40), len(arities), arities=arities,
@@ -372,7 +372,7 @@ def test_clause_build_memory_follows_the_masks_not_the_pairs():
     # 600 rows with 10-bit id codes. Even rows take codes 0 or 3 and odd
     # rows 1 or 2, so each of the 90,000 pairs of differently labelled rows
     # differs on every column, with a random XOR of 1 or 2 in each. Every
-    # pair folds to the one all-column clause, so the clause build keeps
+    # pair gives the one all-column clause, so the clause build keeps
     # one mask, not a value per pair.
     rng = random.Random(17)
     n, m = 600, 16
@@ -388,6 +388,78 @@ def test_clause_build_memory_follows_the_masks_not_the_pairs():
         tracemalloc.stop()
     assert masks == [(1 << m + 1) - 1]
     assert peak < 1 << 20
+
+
+class TestBitSlicedPairLoop:
+    """The pair loop at its slot widths, and the lattice on its unabsorbed masks.
+
+    A slot is 8, 16, 32 or 64 bits, the smallest that holds m, and 64 * k
+    bits past 64, so m just below, at and just above each width puts an
+    attribute in a slot's highest bit, or alone in its last word.
+    """
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6),
+           st.sampled_from((7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 129)))
+    def test_slot_boundaries_match_the_oracle(self, seed, m):
+        # A planted pair differs only on the top attribute, by its largest
+        # code against 0, so its clause is the slot's highest bit in every
+        # plane that code sets; arity 300 gives 9 planes.
+        rng = random.Random(seed)
+        arities = [rng.choice((2, 3, 5, 40, 300)) for _ in range(m)]
+        rows = [[rng.randrange(a) for a in arities] for _ in range(rng.randint(1, 12))]
+        low, high = rows[0][:], rows[0][:]
+        low[-1], high[-1] = 0, arities[-1] - 1
+        rows += [low, high]
+        decisions = [rng.randrange(3) for _ in rows[:-2]] + [0, 1]
+        s = DecisionSystem("slots", tuple(f"c{a}" for a in range(m)), "d",
+                           tuple(map(tuple, rows)), tuple(decisions), {})
+        oracle_clauses = map(attr_mask, discernibility_function(s))
+        assert discernibility_masks(s) == sorted(oracle_clauses, key=lambda c: (c.bit_count(), c))
+        assert set(discernibility_masks(s)) <= pair_masks(s)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_lattice_reads_the_unabsorbed_masks(self, seed):
+        # The sweep and the absorbed-clause count agree on the masks as the
+        # pairs make them and on the absorbed clauses.
+        rng = random.Random(seed)
+        s = _coded_table(rng, rng.randint(1, 60), rng.randint(1, 16),
+                         d_arity=rng.randint(1, 3), conflicts=rng.randint(0, 4))
+        member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
+        q = s.n_attrs
+        for table in (s, member):
+            masks, clauses = pair_masks(table), discernibility_masks(table)
+            assert set(clauses) <= masks
+            assert (reducts_module._minimal_transversals(masks, q)
+                    == reducts_module._minimal_transversals(clauses, q))
+            assert reducts_module._absorbed_count(masks, q) == len(clauses)
+
+    def test_lattice_path_never_absorbs(self, monkeypatch):
+        # 300 x 12 arity-3 rows: far more distinct pair masks than minimal
+        # clauses. With absorption made to fail, the lattice path still
+        # returns the same reducts and raises the same cap text.
+        s = _coded_table(random.Random(43), 300, 12, arities=[3] * 12)
+        clauses = discernibility_masks(s)
+        assert len(pair_masks(s)) > 2 * len(clauses)
+        expected = reduct_masks(s)
+        cap = len(expected) - 1
+        with pytest.raises(CapacityError) as exc:
+            reduct_masks(s, max_reducts=cap)
+        text = str(exc.value)
+        assert text == (f"more than max_reducts = {cap} reducts "
+                        f"({len(clauses)} absorbed clauses, |C| = 12); raise the cap")
+
+        def absorb(masks):
+            raise AssertionError("the lattice path must not absorb")
+
+        monkeypatch.setattr(rough_module, "_minimal_masks", absorb)
+        with pytest.raises(AssertionError):
+            discernibility_masks(s)
+        assert reduct_masks(s) == expected
+        with pytest.raises(CapacityError) as exc:
+            reduct_masks(s, max_reducts=cap)
+        assert str(exc.value) == text
 
 
 @pytest.mark.parametrize("arities", [(3,) * 16, (2,) * 4 + (3,) * 12], ids=["arity3", "mixed"])

@@ -390,6 +390,39 @@ class TestSampling:
             "draw fewer or smaller samples"
         )
 
+    def test_family_past_the_member_limit_is_refused_before_drawing(self, fix_a, monkeypatch):
+        import dynred.table
+
+        def draw(*args):
+            raise AssertionError("a refused family must not be drawn")
+
+        # 1-row members: 860,001 rows pass the row limit, the members do not.
+        monkeypatch.setattr(dynred.table, "_draw_indices", draw)
+        plan = SamplingPlan(seed=0, fractions=(Fraction(1, 100),), samples_per_fraction=860_001)
+        with pytest.raises(CapacityError) as exc:
+            sample_family(fix_a, plan)
+        assert str(exc.value) == (
+            "the family would have 860001 members, more than "
+            "MAX_FAMILY_MEMBERS = 860000; draw fewer samples"
+        )
+
+    def test_member_limit_counts_every_member(self, monkeypatch):
+        import dynred.table
+
+        # Two fractions with 3 samples each: 6 members.
+        s = parse_decision_table("a,d\n" + "".join(f"{i},{i % 2}\n" for i in range(10)), "d")
+        plan = SamplingPlan(seed=0, fractions=(Fraction(1, 3), Fraction(1)),
+                            samples_per_fraction=3)
+        monkeypatch.setattr(dynred.table, "MAX_FAMILY_MEMBERS", 6)
+        assert len(sample_family(s, plan)) == 6
+        monkeypatch.setattr(dynred.table, "MAX_FAMILY_MEMBERS", 5)
+        with pytest.raises(CapacityError) as exc:
+            sample_family(s, plan)
+        assert str(exc.value) == (
+            "the family would have 6 members, more than MAX_FAMILY_MEMBERS = 5; "
+            "draw fewer samples"
+        )
+
     def test_mixed_parent_family_rejected(self, fix_a, fix_b):
         from dynred import Family
 
