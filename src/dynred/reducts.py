@@ -3,35 +3,17 @@
 The clauses, one attribute mask per pair of condition classes that a reduct
 must split, form a monotone CNF over condition attributes; its prime
 implicants, the minimal attribute sets hitting every clause, are exactly
-the reducts. This module never absorbs. The minimal hitting sets are
-found on one of two paths, chosen from |C| alone before any search. Both
-return the reducts in ascending mask order and count them against the cap
-before listing them:
+the reducts. ``reduct_masks`` reads a table's clauses once, as the class
+pairs make them (``rough.pair_masks``), and hands them to one of two
+searches, chosen from |C| alone. Both read only the clause set, |C| and
+the cap, return the minimal transversals in ascending mask order, and
+count them against the cap before listing them:
 
-* A table of at most ``LATTICE_MAX_ATTRS`` (16) condition attributes is
-  swept as a whole subset lattice: bit S of a 2**|C|-bit int stands for the
-  attribute set whose mask is S, and 2|C| shift-and-mask steps mark every
-  transversal and then the minimal ones, whatever the number of clauses or
-  reducts. It reads ``rough.pair_masks``, every distinct clause as the class
-  pairs make it: the sweep's down-steps absorb a non-minimal clause anyway.
-  Each int holds at most 2**16 bits (8 KiB); the per-attribute masks are
-  cached once per |C|. The cap is checked once, on the count of marked
-  bits. Only a raise counts the minimal clauses its message names, by
-  marking the clauses again and taking |C| more steps.
-* A wider table is searched with MMCS (Murakami & Uno, Discrete Applied
-  Math. 2014) over ``rough.discernibility_masks``, the clauses already
-  absorbed, since its critical clauses and its twins are defined on the
-  minimal ones. MMCS is a depth-first search that adds one attribute of an
-  uncovered clause at a time and prunes a branch as soon as some chosen
-  attribute is left without a critical clause (one that no other chosen
-  attribute hits). Every leaf is a reduct and no partial implicant
-  outlives its branch, so memory beyond the reducts found grows with the
-  search depth. Attributes in exactly the same clauses (twins) stand in
-  for each other in every reduct and never share one (Eiter & Gottlob,
-  SIAM J. Comput. 1995), so MMCS runs over the quotient, one
-  representative per twin group, and each leaf expands into its reducts
-  by swapping representatives for their twins. The cap is checked once
-  per quotient reduct, on the size of its expansion, before it is built.
+* ``_sweep``, for at most ``LATTICE_MAX_ATTRS`` (16) attributes, marks the
+  whole subset lattice in 2|C| shift-and-mask steps on 2**|C|-bit ints and
+  reads the clauses as they are;
+* ``_mmcs``, for wider tables, is a depth-first search over twin groups
+  that absorbs its own input, the only place clauses are absorbed.
 
 The core needs no clauses: it is the attributes whose deletion fails the
 positive-region probe of the table's labelled class table
@@ -52,7 +34,7 @@ from math import prod
 from typing import Iterable
 
 from .errors import CapacityError
-from .rough import class_table, discernibility_masks, pair_masks, preserves
+from .rough import class_table, pair_masks, preserves
 from .table import Table
 
 DEFAULT_MAX_ATTRS = 24
@@ -110,54 +92,17 @@ def _subset_bits(q: int) -> tuple[int, ...]:
     return tuple(has)
 
 
-def _missing(clauses: Iterable[int], q: int) -> int:
-    """The attribute sets over q attributes that miss some clause, as a 2**q-bit int.
-
-    The complement of each clause marks the largest set missing it: clause
-    c is character c of a string of 2**q zeros read most significant bit
-    first, which is bit ``full ^ c``. Then q down-steps mark every subset
-    of a marked set. Absorbed or not, the clauses give the same result.
-    """
-    marks = bytearray(b"0") * (1 << q)
-    for clause in clauses:
-        marks[clause] = 49  # ord("1")
-    miss = int(marks, 2)
-    for a, bits in enumerate(_subset_bits(q)):
-        miss |= (miss & bits) >> (1 << a)
-    return miss
-
-
-def _minimal_transversals(clauses: Iterable[int], q: int) -> int:
-    """The minimal transversals of clauses over q attributes, as a 2**q-bit int.
-
-    Bit S of the result is set when the attribute set S meets every clause
-    and no proper subset of S does. The sets missing some clause are
-    marked (``_missing``); the rest are the transversals, and one up-step
-    per attribute marks those with a transversal one attribute smaller.
-    That is 2q operations on 2**q-bit ints, whatever the number of clauses
-    or reducts (the subset zeta transform; Bjorklund, Husfeldt, Kaski &
-    Koivisto, STOC 2007). The clauses need no absorption: a clause with a
-    strict subset among them marks only sets the down-steps mark anyway.
-    """
-    hits = ((1 << (1 << q)) - 1) & ~_missing(clauses, q)
-    nonminimal = 0
-    for a, bits in enumerate(_subset_bits(q)):
-        nonminimal |= (hits & ~bits) << (1 << a)
-    return hits & ~nonminimal
-
-
-def _absorbed_count(clauses: Iterable[int], q: int) -> int:
-    """How many clauses over q attributes absorption keeps, without absorbing.
-
-    The maximal sets missing some clause are exactly the complements of the
-    minimal clauses; one up-step per attribute marks the sets that are not
-    maximal.
-    """
-    miss = _missing(clauses, q)
-    nonmaximal = 0
-    for a, bits in enumerate(_subset_bits(q)):
-        nonmaximal |= (miss & bits) >> (1 << a)
-    return (miss & ~nonmaximal).bit_count()
+def _minimal_masks(masks: Iterable[int]) -> list[int]:
+    """Masks with no strict subset present, ordered by popcount, then value."""
+    kept: list[int] = []
+    # A stable sort by popcount of the value-sorted masks.
+    for m in sorted(sorted(masks), key=int.bit_count):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
+            kept.append(m)
+    return kept
 
 
 def _too_many(max_reducts: int, absorbed: int, n: int) -> CapacityError:
@@ -168,34 +113,58 @@ def _too_many(max_reducts: int, absorbed: int, n: int) -> CapacityError:
     )
 
 
-def reduct_masks(
-    table: Table,
-    *,
-    max_attrs: int = DEFAULT_MAX_ATTRS,
-    max_reducts: int = DEFAULT_MAX_REDUCTS,
-) -> list[int]:
-    """Every reduct of the table as an attribute bitmask, in ascending order.
+def _sweep(clauses: Iterable[int], n: int, max_reducts: int) -> list[int]:
+    """The minimal transversals of non-zero clauses over n attributes, by a subset-lattice sweep.
 
-    Each reduct appears exactly once; a table with no clauses yields the
-    single empty mask. Raises CapacityError rather than truncating when |C|
-    exceeds ``max_attrs`` or the table has more than ``max_reducts``
-    reducts. The count is checked before any reduct it covers is listed:
-    once on the lattice, and on MMCS once per quotient reduct with all its
-    twin swaps, so the search stops as soon as the count would pass the cap
-    instead of finishing the enumeration.
+    Bit S of a 2**n-bit int stands for the attribute set S. Each clause c
+    marks the largest set missing it, its complement: character c of a
+    string of 2**n zeros read most significant bit first is bit
+    ``full ^ c``. The n down-steps mark every subset of a marked set, which
+    leaves the sets that miss some clause; the rest are the transversals,
+    and n up-steps mark those with a transversal one attribute smaller.
+    That is 2n operations on 2**n-bit ints whatever the number of clauses
+    or reducts (the subset zeta transform; Bjorklund, Husfeldt, Kaski &
+    Koivisto, STOC 2007). The clauses need no absorption: one with a strict
+    subset among them marks only sets the down-steps mark anyway. A cap
+    exit names the minimal clauses, counted without absorbing as the
+    maximal sets that miss a clause.
     """
-    n = table.parent.n_attrs
-    if n > max_attrs:
-        raise CapacityError(f"|C| = {n} exceeds the enumeration limit max_attrs = {max_attrs}")
+    marks = bytearray(b"0") * (1 << n)
+    for clause in clauses:
+        marks[clause] = 49  # ord("1")
+    miss = int(marks, 2)
+    has = _subset_bits(n)
+    for a, bits in enumerate(has):
+        miss |= (miss & bits) >> (1 << a)
+    hits = ((1 << (1 << n)) - 1) & ~miss
+    nonminimal = 0
+    for a, bits in enumerate(has):
+        nonminimal |= (hits & ~bits) << (1 << a)
+    minimal = hits & ~nonminimal
+    if minimal.bit_count() > max_reducts:
+        nonmaximal = 0
+        for a, bits in enumerate(has):
+            nonmaximal |= (miss & bits) >> (1 << a)
+        raise _too_many(max_reducts, (miss & ~nonmaximal).bit_count(), n)
+    return mask_indices(minimal)
 
-    if n <= LATTICE_MAX_ATTRS:
-        masks = pair_masks(table)
-        minimal = _minimal_transversals(masks, n)
-        if minimal.bit_count() > max_reducts:
-            raise _too_many(max_reducts, _absorbed_count(masks, n), n)
-        return mask_indices(minimal)
 
-    clauses = discernibility_masks(table)
+def _mmcs(clauses: Iterable[int], n: int, max_reducts: int) -> list[int]:
+    """The minimal transversals of non-zero clauses over n attributes, by MMCS over twin groups.
+
+    MMCS (Murakami & Uno, Discrete Applied Math. 2014) is a depth-first
+    search that adds one attribute of an uncovered clause at a time and
+    prunes a branch as soon as some chosen attribute is left without a
+    critical clause (one that no other chosen attribute hits). Critical
+    clauses and twins are defined on the minimal clauses, so the search
+    absorbs its input first. Twins, attributes in exactly the same clauses,
+    stand in for each other in every minimal transversal and never share
+    one (Eiter & Gottlob, SIAM J. Comput. 1995): the search runs over one
+    representative per group, and each node that covers every clause
+    expands into its transversals by swapping representatives for their
+    twins, after the size of that expansion is checked against the cap.
+    """
+    clauses = _minimal_masks(clauses)
     edges = [0] * n  # edges[a]: mask of the clauses containing attribute a
     for i, clause in enumerate(clauses):
         for a in mask_indices(clause):
@@ -216,27 +185,23 @@ def reduct_masks(
             swaps[bits[0]] = [bits[0] ^ b for b in bits]
 
     found: list[int] = []
-
-    def emit(chosen: int) -> None:
-        # The product's size is checked before it is built, so no list ever
-        # grows past the cap.
-        factors = [deltas for rep, deltas in swaps.items() if chosen & rep]
-        if len(found) + prod(map(len, factors)) > max_reducts:
-            raise _too_many(max_reducts, len(clauses), n)
-        leaf = [chosen]
-        for deltas in factors:
-            leaf = [x ^ d for x in leaf for d in deltas]
-        found.extend(leaf)
-
-    if not clauses:
-        emit(0)
-        return found
     # A node: chosen attributes, one critical-clause mask per chosen
     # attribute, candidate attributes, uncovered clauses. An explicit stack
     # keeps the depth (up to |C|) off the interpreter's recursion limit.
     stack = [(0, [], reps, (1 << len(clauses)) - 1)]
     while stack:
         chosen, crits, cand, uncov = stack.pop()
+        if not uncov:
+            # A leaf, the root too when there are no clauses. The product's
+            # size is checked before it is built, so no list grows past the cap.
+            factors = [deltas for rep, deltas in swaps.items() if chosen & rep]
+            if len(found) + prod(map(len, factors)) > max_reducts:
+                raise _too_many(max_reducts, len(clauses), n)
+            leaf = [chosen]
+            for deltas in factors:
+                leaf = [x ^ d for x in leaf for d in deltas]
+            found.extend(leaf)
+            continue
         # Branch on the uncovered clause with the fewest candidates. The scan
         # may stop at one candidate: a clause with none can wait, since it
         # stays uncoverable in every descendant.
@@ -249,8 +214,7 @@ def reduct_masks(
                 branch, width = c, c.bit_count()
         # Child v may still take the candidates tried before it, never
         # those after it, so each reduct is reached exactly once. A child
-        # that covers every clause and keeps its critical clauses is a
-        # leaf, emitted where it is found.
+        # that leaves a chosen attribute without a critical clause is pruned.
         cand &= ~branch
         while branch:
             v = branch & -branch
@@ -258,15 +222,33 @@ def reduct_masks(
             hit = edges[v.bit_length() - 1]
             kept = [c & ~hit for c in crits]
             if all(kept):
-                left = uncov & ~hit
-                if left:
-                    kept.append(uncov & hit)
-                    stack.append((chosen | v, kept, cand, left))
-                else:
-                    emit(chosen | v)
+                kept.append(uncov & hit)
+                stack.append((chosen | v, kept, cand, uncov & ~hit))
             cand |= v
     found.sort()
     return found
+
+
+def reduct_masks(
+    table: Table,
+    *,
+    max_attrs: int = DEFAULT_MAX_ATTRS,
+    max_reducts: int = DEFAULT_MAX_REDUCTS,
+) -> list[int]:
+    """Every reduct of the table as an attribute bitmask, in ascending order.
+
+    The minimal transversals of the table's clauses (``rough.pair_masks``),
+    found by ``_sweep`` when |C| is at most ``LATTICE_MAX_ATTRS`` and by
+    ``_mmcs`` above it. Each reduct appears exactly once; a table with no
+    clauses yields the single empty mask. Raises CapacityError rather than
+    truncating when |C| exceeds ``max_attrs`` or the table has more than
+    ``max_reducts`` reducts; the count is checked before any reduct it
+    covers is listed, so the search stops as soon as it would pass the cap.
+    """
+    n = table.parent.n_attrs
+    if n > max_attrs:
+        raise CapacityError(f"|C| = {n} exceeds the enumeration limit max_attrs = {max_attrs}")
+    return (_sweep if n <= LATTICE_MAX_ATTRS else _mmcs)(pair_masks(table), n, max_reducts)
 
 
 def table_reducts(

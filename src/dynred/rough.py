@@ -10,8 +10,7 @@ and the reduct predicate are built on it. The classical partitions and
 positive regions these rules restate are the oracle's (``oracle.py``).
 Everything here is a pure function; clauses and probe masks are int
 bitmasks over condition-attribute indices. ``pair_masks`` gives the
-distinct clauses as the class pairs make them, and ``discernibility_masks``
-the minimal ones, the only place clauses are absorbed.
+distinct clauses as the class pairs make them; nothing here absorbs them.
 A table is read as its ``parent`` system and its ``object_indices``.
 """
 
@@ -81,19 +80,6 @@ def preserves(classes: ClassTable, mask: int) -> bool:
     return True
 
 
-def _minimal_masks(masks: set[int]) -> list[int]:
-    """Masks with no strict subset present, ordered by popcount, then value."""
-    kept: list[int] = []
-    # A stable sort by popcount of the value-sorted masks.
-    for m in sorted(sorted(masks), key=int.bit_count):
-        for k in kept:
-            if k & m == k:
-                break
-        else:
-            kept.append(m)
-    return kept
-
-
 def pair_masks(table: Table) -> set[int]:
     """The distinct clauses of the table's discernibility function, unabsorbed.
 
@@ -152,17 +138,6 @@ def pair_masks(table: Table) -> set[int]:
                     words = map(or_, map(lshift, words, repeat(64)), view[i::k])
                 masks.update(words)
     return masks
-
-
-def discernibility_masks(table: Table) -> list[int]:
-    """Minimal clauses of the table's discernibility function, as attribute masks.
-
-    The distinct clauses of ``pair_masks``, absorbed: those with no strict
-    subset among them, ordered by size, then by mask value. Only the MMCS
-    search and the tests read them; the subset-lattice sweep takes
-    ``pair_masks`` as they are.
-    """
-    return _minimal_masks(pair_masks(table))
 
 
 def is_reduct(table: Table, attrs: Iterable[int]) -> bool:

@@ -122,6 +122,25 @@ class TestReductsCommand:
         assert out == ""
         assert err == "dynred: base system: engine reducts disagree with the exhaustive oracle\n"
 
+    def test_exact_catches_a_wrong_core_beside_the_right_reducts(self, capsys, monkeypatch,
+                                                                fixa_path):
+        import dynred.cli
+
+        # Engine and oracle both take the core as the AND of their reducts,
+        # so only a result patched after the search reaches this check.
+        original = dynred.cli.table_reducts
+
+        def wrong_core(table, **kwargs):
+            masks, core = original(table, **kwargs)
+            return masks, core ^ 1
+
+        monkeypatch.setattr(dynred.cli, "table_reducts", wrong_core)
+        status = run(["reducts", "--input", fixa_path, "--decision", "d", "--exact"])
+        out, err = capsys.readouterr()
+        assert status == 70
+        assert out == ""
+        assert err == "dynred: base system: engine core disagrees with the exhaustive oracle\n"
+
 
 # Names that are prefixes of one another, and non-ASCII ones, so that the
 # name order differs from both the index order and the code-point order of

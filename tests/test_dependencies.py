@@ -42,8 +42,8 @@ PRIMITIVES = {"positive_region", "condition_classes", "generalized_decision"}
 # The oracle's own definitions: the primitives and the clause reference.
 ORACLE_ONLY = PRIMITIVES | {"discernibility_function"}
 # The engine's reads of a table: the class table, its probe, the clause
-# build with its bitmask absorption, and the reduct predicate.
-ENGINE_PROBES = {"class_table", "preserves", "discernibility_masks", "_minimal_masks", "is_reduct"}
+# build, the search's bitmask absorption, and the reduct predicate.
+ENGINE_PROBES = {"class_table", "preserves", "pair_masks", "_minimal_masks", "is_reduct"}
 
 
 def _names(tree):
@@ -131,8 +131,8 @@ def test_clauses_are_absorbed_only_where_they_are_made():
                     definitions.append(path.name)
                 callers += [f"{path.name}:{node.name}" for _, name in _names(node)
                             if name == "_minimal_masks"]
-    assert definitions == ["rough.py"]
-    assert callers == ["rough.py:discernibility_masks"]
+    assert definitions == ["reducts.py"]
+    assert callers == ["reducts.py:_mmcs"]
 
 
 FROZENSET_PATH = {"frozenset", "all_reducts", "reduct_sets", "canonical_reducts"}

@@ -6,7 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynred import (
     CapacityError,
@@ -26,9 +26,9 @@ from dynred import (
     parse_decision_table,
     positive_region,
 )
-from dynred import reducts as reducts_module, rough as rough_module
+from dynred import reducts as reducts_module
 from dynred.reducts import attr_mask, mask_indices, reduct_masks
-from dynred.rough import class_table, discernibility_masks, pair_masks, preserves
+from dynred.rough import class_table, pair_masks, preserves
 
 from conftest import idx, matching_csv, random_system, reduct_names
 
@@ -48,7 +48,7 @@ class TestFixtureValues:
 
     def test_fix_a_function_clauses(self, fix_a):
         # (a) and (b or c); the three-attribute cell is absorbed away.
-        assert discernibility_masks(fix_a) == [0b001, 0b110]
+        assert reducts_module._minimal_masks(pair_masks(fix_a)) == [0b001, 0b110]
         assert discernibility_function(fix_a) == (idx(fix_a, "a"), idx(fix_a, "bc"))
 
 
@@ -254,7 +254,8 @@ def _assert_engine_matches_oracle(system, table):
     """
     # The engine's clauses in its own order: by size, then by mask value.
     oracle_clauses = map(attr_mask, discernibility_function(table))
-    assert discernibility_masks(table) == sorted(oracle_clauses, key=lambda m: (m.bit_count(), m))
+    clauses = reducts_module._minimal_masks(pair_masks(table))
+    assert clauses == sorted(oracle_clauses, key=lambda m: (m.bit_count(), m))
     cells = [cell for _, cell in discernibility_matrix(table).cells]
     core = core_of(table)
     assert core == frozenset(next(iter(c)) for c in cells if len(c) == 1)
@@ -296,7 +297,7 @@ class TestClauseOracleAgreement:
 
     def test_constant_decision(self):
         s = _coded_table(random.Random(12), 15, 5, d_arity=1)
-        assert discernibility_masks(s) == []
+        assert reducts_module._minimal_masks(pair_masks(s)) == []
         _assert_engine_matches_oracle(s, s)
 
     def test_one_row(self):
@@ -335,7 +336,7 @@ class TestClauseOracleAgreement:
         # Every row packs to the empty class; the sole reduct is the empty set.
         s = parse_decision_table("d\n" + decisions.replace(",", "\n") + "\n", "d")
         assert s.n_attrs == 0
-        assert discernibility_masks(s) == []
+        assert reducts_module._minimal_masks(pair_masks(s)) == []
         assert all_reducts(s) == (frozenset(),)
         assert is_reduct(s, ())
         _assert_engine_matches_oracle(s, s)
@@ -382,7 +383,7 @@ def test_clause_build_memory_follows_the_masks_not_the_pairs():
     assert class_table(s).planes == 10
     tracemalloc.start()
     try:
-        masks = discernibility_masks(s)
+        masks = reducts_module._minimal_masks(pair_masks(s))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -415,32 +416,38 @@ class TestBitSlicedPairLoop:
         s = DecisionSystem("slots", tuple(f"c{a}" for a in range(m)), "d",
                            tuple(map(tuple, rows)), tuple(decisions), {})
         oracle_clauses = map(attr_mask, discernibility_function(s))
-        assert discernibility_masks(s) == sorted(oracle_clauses, key=lambda c: (c.bit_count(), c))
-        assert set(discernibility_masks(s)) <= pair_masks(s)
+        clauses = reducts_module._minimal_masks(pair_masks(s))
+        assert clauses == sorted(oracle_clauses, key=lambda c: (c.bit_count(), c))
+        assert set(clauses) <= pair_masks(s)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))
     def test_lattice_reads_the_unabsorbed_masks(self, seed):
-        # The sweep and the absorbed-clause count agree on the masks as the
-        # pairs make them and on the absorbed clauses.
+        # The sweep's reducts and its cap text, which counts the absorbed
+        # clauses, agree on the masks as the pairs make them and on the
+        # absorbed clauses.
         rng = random.Random(seed)
         s = _coded_table(rng, rng.randint(1, 60), rng.randint(1, 16),
                          d_arity=rng.randint(1, 3), conflicts=rng.randint(0, 4))
         member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
         q = s.n_attrs
         for table in (s, member):
-            masks, clauses = pair_masks(table), discernibility_masks(table)
+            masks = pair_masks(table)
+            clauses = reducts_module._minimal_masks(masks)
             assert set(clauses) <= masks
-            assert (reducts_module._minimal_transversals(masks, q)
-                    == reducts_module._minimal_transversals(clauses, q))
-            assert reducts_module._absorbed_count(masks, q) == len(clauses)
+            found = reducts_module._sweep(masks, q, 1 << q)
+            assert reducts_module._sweep(clauses, q, 1 << q) == found
+            for form in (masks, clauses):
+                with pytest.raises(CapacityError) as exc:
+                    reducts_module._sweep(form, q, len(found) - 1)
+                assert f"({len(clauses)} absorbed clauses, |C| = {q})" in str(exc.value)
 
     def test_lattice_path_never_absorbs(self, monkeypatch):
         # 300 x 12 arity-3 rows: far more distinct pair masks than minimal
         # clauses. With absorption made to fail, the lattice path still
         # returns the same reducts and raises the same cap text.
         s = _coded_table(random.Random(43), 300, 12, arities=[3] * 12)
-        clauses = discernibility_masks(s)
+        clauses = reducts_module._minimal_masks(pair_masks(s))
         assert len(pair_masks(s)) > 2 * len(clauses)
         expected = reduct_masks(s)
         cap = len(expected) - 1
@@ -453,9 +460,9 @@ class TestBitSlicedPairLoop:
         def absorb(masks):
             raise AssertionError("the lattice path must not absorb")
 
-        monkeypatch.setattr(rough_module, "_minimal_masks", absorb)
+        monkeypatch.setattr(reducts_module, "_minimal_masks", absorb)
         with pytest.raises(AssertionError):
-            discernibility_masks(s)
+            reducts_module._mmcs(pair_masks(s), 12, cap)
         assert reduct_masks(s) == expected
         with pytest.raises(CapacityError) as exc:
             reduct_masks(s, max_reducts=cap)
@@ -598,14 +605,34 @@ def _search(table, width=None, **caps):
     """``reduct_masks`` with ``LATTICE_MAX_ATTRS`` set to ``width`` (kept
     when None), and whether the lattice sweep ran."""
     calls = []
-    sweep = reducts_module._minimal_transversals
+    sweep = reducts_module._sweep
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reducts_module, "_minimal_transversals",
-                   lambda *args: calls.append(args) or sweep(*args))
+        mp.setattr(reducts_module, "_sweep", lambda *args: calls.append(args) or sweep(*args))
         if width is not None:
             mp.setattr(reducts_module, "LATTICE_MAX_ATTRS", width)
         masks = reduct_masks(table, **caps)
     return masks, bool(calls)
+
+
+@st.composite
+def _clause_families(draw):
+    """n <= 12 attributes and a list of non-zero clause masks over them.
+
+    Some clauses are unions of others, so the family is rarely an
+    antichain, and some attributes copy another's membership in every
+    clause, so they are twins; a list may repeat a mask or be empty.
+    """
+    n = draw(st.integers(0, 12))
+    if n == 0:
+        return 0, []
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=10))
+    if masks:
+        pick = st.sampled_from(masks)
+        masks += [a | b for a, b in draw(st.lists(st.tuples(pick, pick), max_size=4))]
+    attr = st.integers(0, n - 1)
+    for a, b in draw(st.lists(st.tuples(attr, attr), max_size=3)):
+        masks = [c & ~(1 << b) | (c >> a & 1) << b for c in masks]
+    return n, [c for c in masks if c]
 
 
 class TestLatticeAndMMCS:
@@ -641,6 +668,26 @@ class TestLatticeAndMMCS:
         member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
         for table in (s, member):
             self._assert_paths_agree(table)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_clause_families())
+    @example((0, []))
+    @example((12, []))
+    def test_both_searches_read_any_clause_family(self, family):
+        # The two searches are functions of the clause set alone: the same
+        # masks, unabsorbed, give the same ascending transversals, and one
+        # reduct fewer than they find gives the same cap text.
+        n, clauses = family
+        lattice = reducts_module._sweep(clauses, n, 1 << n)
+        assert lattice == sorted(lattice)
+        assert reducts_module._mmcs(clauses, n, len(lattice)) == lattice
+        assert reducts_module._sweep(clauses, n, len(lattice)) == lattice
+        texts = []
+        for search in (reducts_module._sweep, reducts_module._mmcs):
+            with pytest.raises(CapacityError) as exc:
+                search(clauses, n, len(lattice) - 1)
+            texts.append(str(exc.value))
+        assert texts[0] == texts[1]
 
     def test_inconsistent_tables(self):
         rng = random.Random(31)
@@ -718,7 +765,7 @@ class TestLatticeAndMMCS:
         assert mmcs == lattice
 
     def test_no_clauses_past_the_lattice(self):
-        # 17 columns and a constant decision: MMCS's no-clause branch.
+        # 17 columns and a constant decision: MMCS emits its clause-less root.
         s = _coded_table(random.Random(41), 30, 17, d_arity=1)
         masks, swept = _search(s)
         assert not swept and masks == [0]

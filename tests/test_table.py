@@ -13,9 +13,11 @@ from dynred import (
     MissingValueError,
     ParameterError,
     ParseError,
+    Family,
     SamplingPlan,
     SchemaError,
     SplitMix64,
+    SubSystem,
     full_subsystem,
     make_subsystem,
     parse_decision_table,
@@ -258,6 +260,46 @@ class TestTableInterface:
         assert full.parent is fix_a
 
 
+class TestConstructorChecks:
+    # Library callers build systems, sub-systems and families directly, past
+    # the parser's checks; each malformed one is refused with its own message.
+    SYSTEM = dict(name="t", cond_attrs=("a", "b"), decision_attr="d",
+                  rows=((0, 0), (1, 1)), decisions=(0, 1), dictionaries={})
+
+    @pytest.mark.parametrize("fields, error, text", [
+        (dict(rows=(), decisions=()), DomainError, "a decision system needs at least one object"),
+        (dict(decisions=(0,)), DomainError, "rows and decisions differ in length"),
+        (dict(rows=((0, 0), (1,))), DomainError,
+         "every row needs one code per condition attribute"),
+        (dict(cond_attrs=("a", "d")), SchemaError, "attribute names must be unique"),
+    ], ids=["no-rows", "short-decisions", "short-row", "duplicate-name"])
+    def test_malformed_system(self, fields, error, text):
+        with pytest.raises(error) as exc:
+            DecisionSystem(**{**self.SYSTEM, **fields})
+        assert str(exc.value) == text
+
+    @pytest.mark.parametrize("indices, text", [
+        ((), "a sub-system needs a non-empty object set"),
+        ((1, 0), "object indices must be strictly increasing"),
+        ((1, 1), "object indices must be strictly increasing"),
+    ], ids=["empty", "decreasing", "repeated"])
+    def test_malformed_subsystem(self, fix_a, indices, text):
+        with pytest.raises(DomainError) as exc:
+            SubSystem(fix_a, indices)
+        assert str(exc.value) == text
+
+    def test_empty_family(self):
+        with pytest.raises(DomainError) as exc:
+            Family(())
+        assert str(exc.value) == "a family needs at least one member"
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_bounded_draw_needs_a_positive_bound(self, n):
+        with pytest.raises(ParameterError) as exc:
+            SplitMix64(5).below(n)
+        assert str(exc.value) == "bounded draw needs n >= 1"
+
+
 class TestSplitMix64:
     # Reference outputs of the splitmix64 mixer for seeds 0 and 1234567.
     def test_reference_vectors_seed0(self):
@@ -424,7 +466,5 @@ class TestSampling:
         )
 
     def test_mixed_parent_family_rejected(self, fix_a, fix_b):
-        from dynred import Family
-
         with pytest.raises(DomainError):
             Family((make_subsystem(fix_a, {0}), make_subsystem(fix_b, {0})))
