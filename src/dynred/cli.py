@@ -16,15 +16,17 @@ every reduct list is ordered by integer rank and shares one name list per
 reduct; the writer writes each such list once per indentation depth and
 appends its text at every further mention. ``--exact`` turns the
 oracle's reducts into sorted masks once per distinct table and compares
-them with the engine's. Exit codes: 0 success, 1 usage error (including a
-decimal exponent above 1000 in magnitude in --fractions or --lambda), 2
-parse/schema error, 3 capacity limit or out of memory, 4 non-vacuous
-verification failure, 70 self-check mismatch under --exact.
+them, or for ``core`` only their AND, with the engine's. Exit codes: 0
+success, 1 usage error (including a decimal exponent above 1000 in
+magnitude in --fractions or --lambda, and a report that cannot be
+written), 2 parse/schema error, 3 capacity limit or out of memory, 4
+non-vacuous verification failure, 70 self-check mismatch under --exact.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -35,7 +37,7 @@ from .dynamic import (
     analyze_family,
     check_lambda,
     stability_report,
-    verify_slice,
+    verify_theorems,
 )
 from .errors import (
     CapacityError,
@@ -46,7 +48,7 @@ from .errors import (
     SchemaError,
     SelfCheckError,
 )
-from .oracle import brute_force_core, brute_force_reducts
+from .oracle import brute_force_reducts
 from .reducts import (
     DEFAULT_MAX_ATTRS,
     DEFAULT_MAX_REDUCTS,
@@ -165,6 +167,7 @@ def _cross_check(results) -> None:
     The oracle runs once per distinct table (by row indices), and its
     reducts become sorted masks once; its core is their AND. The engine's
     masks come sorted and are not deduplicated, so a repeated one shows.
+    Reducts given as None are not compared, so ``core`` checks its core alone.
     """
     oracle: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     for what, table, reducts, core in results:
@@ -172,7 +175,7 @@ def _cross_check(results) -> None:
         if rows not in oracle:
             masks = tuple(sorted(map(attr_mask, brute_force_reducts(table))))
             oracle[rows] = masks, intersect_all(masks, table.parent.n_attrs)
-        if reducts != oracle[rows][0]:
+        if reducts is not None and reducts != oracle[rows][0]:
             raise SelfCheckError(f"{what}: engine reducts disagree with the exhaustive oracle")
         if core != oracle[rows][1]:
             raise SelfCheckError(f"{what}: engine core disagrees with the exhaustive oracle")
@@ -221,7 +224,6 @@ def _family_sections(name, analysis: FamilyAnalysis, report: StabilityReport) ->
     distinct name lists ranks the masks, so every reduct list is ordered by
     integer rank and holds the one name list of each mask.
     """
-    s = report.per_lambda[0]
     support = report.reduct_support
     names = [name(r) for r, _ in support]
     order = sorted(range(len(names)), key=names.__getitem__)
@@ -249,14 +251,14 @@ def _family_sections(name, analysis: FamilyAnalysis, report: StabilityReport) ->
             for member in members
         ],
         "dynamic": {
-            "dr": listed(s.dr),
-            "dr_lambda": listed(s.dr_lambda),
-            "gdr": listed(s.gdr),
-            "gdr_lambda": listed(s.gdr_lambda),
-            "dcore": name(s.dcore),
-            "dcore_lambda": name(s.dcore_lambda),
-            "gdcore": name(s.gdcore),
-            "gdcore_lambda": name(s.gdcore_lambda),
+            "dr": listed(report.dr),
+            "dr_lambda": listed(report.dr_lambda),
+            "gdr": listed(report.gdr),
+            "gdr_lambda": listed(report.gdr_lambda),
+            "dcore": name(report.dcore),
+            "dcore_lambda": name(report.dcore_lambda),
+            "gdcore": name(report.gdcore),
+            "gdcore_lambda": name(report.gdcore_lambda),
         },
         "stability": {
             "family_size": report.family_size,
@@ -288,22 +290,22 @@ def _execute(args) -> tuple[dict, int]:
         return report, EXIT_OK
 
     if args.command == "core":
-        core = core_of(system)
-        if args.exact and core != brute_force_core(system):
-            raise SelfCheckError("base system: engine core disagrees with the exhaustive oracle")
-        report["static"] = {"core": name(attr_mask(core))}
+        core = attr_mask(core_of(system))
+        if args.exact:
+            _cross_check([("base system", system, None, core)])
+        report["static"] = {"core": name(core)}
         return report, EXIT_OK
 
     lam = check_lambda(args.lam)
     analysis = _analyze(system, args)
-    # One slice at the requested threshold feeds the report and the laws.
-    stability = stability_report(analysis, [lam])
+    # One record at the requested threshold feeds the report and the laws.
+    stability = stability_report(analysis, lam)
     report.update(_family_sections(name, analysis, stability))
 
     if args.command == "dynamic":
         return report, EXIT_OK
 
-    checks = verify_slice(analysis, stability.per_lambda[0])
+    checks = verify_theorems(analysis, stability)
     report["verification"] = [
         {
             "check": c.check,
@@ -440,7 +442,18 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"dynred: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    sys.stdout.write(text)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"dynred: cannot write output: {exc}", file=sys.stderr)
+        if sys.stdout is sys.__stdout__:
+            # The report is still buffered: send it to the null device, or the
+            # interpreter's exit flush fails on it again with a message of its own.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        return EXIT_USAGE
     return status
 
 

@@ -18,9 +18,9 @@ each plain set is its thresholded counterpart at lambda = 1; the literal
 reference. Threshold comparisons are exact: lambda is a rational and
 support/|F| >= lambda is decided by integer cross-multiplication, so
 boundary ties are deterministic. The module also exposes the raw support
-counts and a verifier for the containment laws tying the eight sets
-together; it reads the eight sets at one threshold as one ``LambdaSlice``,
-which a caller reporting that slice hands over (``verify_slice``). Every
+counts and the eight sets at one threshold as one record
+(``stability_report``), and a verifier of the containment laws tying the
+eight sets together that reads that record (``verify_theorems``). Every
 attribute set is a bitmask (bit ``a`` is condition attribute ``a``) and
 every reduct collection a tuple of masks in ascending order.
 """
@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import CapacityError, DomainError, ParameterError
 from .oracle import literal_dynamic_core
@@ -201,9 +201,12 @@ def generalized_dynamic_core(analysis: FamilyAnalysis) -> int:
 
 
 @dataclass(frozen=True)
-class LambdaSlice:
-    """All eight family-level sets evaluated at one threshold."""
+class StabilityReport:
+    """A family's support counts and its eight sets at one threshold ``lam``."""
 
+    family_size: int
+    attr_core_support: dict[int, int]
+    reduct_support: tuple[tuple[int, int], ...]
     lam: Fraction
     dr: tuple[int, ...]
     dr_lambda: tuple[int, ...]
@@ -215,20 +218,17 @@ class LambdaSlice:
     gdcore_lambda: int
 
 
-@dataclass(frozen=True)
-class StabilityReport:
-    """Raw support counts behind the thresholded sets, plus per-threshold slices."""
+def stability_report(analysis: FamilyAnalysis, lam: Fraction | int | str = 1) -> StabilityReport:
+    """Support counts for every attribute and reduct candidate, and the eight sets at ``lam``.
 
-    family_size: int
-    attr_core_support: dict[int, int]
-    reduct_support: tuple[tuple[int, int], ...]
-    per_lambda: tuple[LambdaSlice, ...]
-
-
-def _slice(analysis: FamilyAnalysis, lam: Fraction | int | str) -> LambdaSlice:
-    """The eight sets at one threshold; the plain four are the filters at 1."""
+    Counts respect multiplicity. The plain four sets are the filters at 1.
+    """
     lam = check_lambda(lam)
-    return LambdaSlice(
+    candidates = sorted({*analysis.red_s, *analysis.reduct_support})
+    return StabilityReport(
+        family_size=analysis.family_size,
+        attr_core_support={a: analysis.core_support[a] for a in range(analysis.n_attrs)},
+        reduct_support=tuple((r, analysis.reduct_support[r]) for r in candidates),
         lam=lam,
         dr=dynamic_reduct(analysis),
         dr_lambda=dynamic_reduct_lambda(analysis, lam),
@@ -238,19 +238,6 @@ def _slice(analysis: FamilyAnalysis, lam: Fraction | int | str) -> LambdaSlice:
         dcore_lambda=dynamic_core_lambda(analysis, lam),
         gdcore=generalized_dynamic_core(analysis),
         gdcore_lambda=generalized_dynamic_core_lambda(analysis, lam),
-    )
-
-
-def stability_report(
-    analysis: FamilyAnalysis, lambdas: Sequence[Fraction | int | str] = ()
-) -> StabilityReport:
-    """Support counts for every attribute and reduct candidate; counts respect multiplicity."""
-    candidates = sorted({*analysis.red_s, *analysis.reduct_support})
-    return StabilityReport(
-        family_size=analysis.family_size,
-        attr_core_support={a: analysis.core_support[a] for a in range(analysis.n_attrs)},
-        reduct_support=tuple((r, analysis.reduct_support[r]) for r in candidates),
-        per_lambda=tuple(_slice(analysis, lam) for lam in lambdas),
     )
 
 
@@ -299,51 +286,46 @@ def _equality(check: str, left: int, right: int, detail: str) -> TheoremCheck:
     return TheoremCheck(check, "pass", detail)
 
 
-def verify_theorems(
-    analysis: FamilyAnalysis, lam: Fraction | int | str
-) -> tuple[TheoremCheck, ...]:
-    """Evaluate the eleven containment/identity laws on this analysis.
+def verify_theorems(analysis: FamilyAnalysis, report: StabilityReport) -> tuple[TheoremCheck, ...]:
+    """Evaluate the eleven containment/identity laws on ``analysis`` and its ``report``.
 
-    Checks whose hypothesis does not hold (single-member family equal to the
-    system; some member covering the whole universe) report "not-applicable".
-    Containments over an empty reduct set hold through the full-set
-    intersection convention and report "vacuous" instead of "pass".
-    Failures carry the offending attribute and both sets; they are data,
-    not errors. T2b compares the threshold-1 core with the literal
-    intersection in ``oracle.py``, since the engine's plain core is that
-    same filter.
+    ``report`` is ``stability_report(analysis, lam)``: the laws read its
+    eight sets at ``report.lam``. Checks whose hypothesis does not hold
+    (single-member family equal to the system; some member covering the
+    whole universe) report "not-applicable". Containments over an empty
+    reduct set hold through the full-set intersection convention and report
+    "vacuous" instead of "pass". Failures carry the offending attribute and
+    both sets; they are data, not errors. T2b compares the threshold-1 core
+    with the literal intersection in ``oracle.py``, since the engine's plain
+    core is that same filter.
     """
-    return verify_slice(analysis, _slice(analysis, lam))
-
-
-def verify_slice(analysis: FamilyAnalysis, s: LambdaSlice) -> tuple[TheoremCheck, ...]:
-    """``verify_theorems`` on the eight sets already evaluated at ``s.lam``."""
     n = analysis.n_attrs
     members = analysis.family.members
 
     checks = [
         _inside_reducts(
-            "T1", s.dcore, s.dr, n, "stable core lies inside the intersection of stable reducts"
+            "T1", report.dcore, report.dr, n,
+            "stable core lies inside the intersection of stable reducts",
         )
     ]
 
     t2a = "single-member family equal to the system: stable core is the static core"
     if len(members) == 1 and members[0].covers_parent():
-        checks.append(_equality("T2a", s.dcore, analysis.core_s, t2a))
+        checks.append(_equality("T2a", report.dcore, analysis.core_s, t2a))
     else:
         checks.append(TheoremCheck("T2a", "not-applicable", t2a))
 
     checks.append(
         _equality(
             "T2b",
-            s.dcore,
+            report.dcore,
             literal_dynamic_core(analysis),
             "threshold 1 collapses the thresholded core to the plain stable core",
         )
     )
 
     # Each step of the ladder is one containment; the first failing step reports.
-    ladder = sorted(set(LAMBDA_GRID) | {s.lam})
+    ladder = sorted(set(LAMBDA_GRID) | {report.lam})
     steps = [
         _containment(
             "T2c",
@@ -360,49 +342,49 @@ def verify_slice(analysis: FamilyAnalysis, s: LambdaSlice) -> tuple[TheoremCheck
     checks.append(
         _containment(
             "T2d",
-            s.dcore,
-            s.dcore_lambda,
+            report.dcore,
+            report.dcore_lambda,
             "the plain stable core lies inside every thresholded core",
         )
     )
     checks.append(
         _inside_reducts(
-            "T3", s.dcore_lambda, s.dr_lambda, n,
+            "T3", report.dcore_lambda, report.dr_lambda, n,
             "thresholded core lies inside the intersection of thresholded reducts",
         )
     )
     checks.append(
         _containment(
             "T4a",
-            s.dcore,
-            s.gdcore,
+            report.dcore,
+            report.gdcore,
             "stable core lies inside the generalized stable core",
         )
     )
     checks.append(
         _containment(
             "T4b",
-            s.dcore_lambda,
-            s.gdcore_lambda,
+            report.dcore_lambda,
+            report.gdcore_lambda,
             "thresholded core lies inside the generalized thresholded core",
         )
     )
 
     t4c = "family containing the full system: generalized and plain stable cores agree"
     if any(m.covers_parent() for m in members):
-        checks.append(_equality("T4c", s.gdcore, s.dcore, t4c))
+        checks.append(_equality("T4c", report.gdcore, report.dcore, t4c))
     else:
         checks.append(TheoremCheck("T4c", "not-applicable", t4c))
 
     checks.append(
         _inside_reducts(
-            "T5a", s.gdcore, s.gdr, n,
+            "T5a", report.gdcore, report.gdr, n,
             "generalized core lies inside the intersection of generalized reducts",
         )
     )
     checks.append(
         _inside_reducts(
-            "T5b", s.gdcore_lambda, s.gdr_lambda, n,
+            "T5b", report.gdcore_lambda, report.gdr_lambda, n,
             "generalized thresholded core lies inside the intersection of "
             "generalized thresholded reducts",
         )

@@ -33,6 +33,7 @@ from dynred import (
     literal_generalized_dynamic_reduct,
     parse_decision_table,
     sample_family,
+    stability_report,
     verify_theorems,
 )
 from dynred.cli import run
@@ -101,7 +102,7 @@ def test_criterion_3_theorem_suite(sampled_instances):
     failures = []
     for i, (s, family, lam) in enumerate(sampled_instances):
         analysis = analyze_family(s, family)
-        for check in verify_theorems(analysis, lam):
+        for check in verify_theorems(analysis, stability_report(analysis, lam)):
             if check.status == "fail":
                 failures.append((i, lam, check))
     assert not failures, failures

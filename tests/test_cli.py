@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import io
 import json
@@ -51,13 +52,13 @@ def run_json(capsys, argv):
     return status, out
 
 
-def run_module(argv, cwd=None, timeout=60, **env_vars):
+def run_module(argv, cwd=None, timeout=60, stdout=subprocess.PIPE, **env_vars):
     """``python -m dynred`` in a fresh interpreter, importing this checkout."""
     root = Path(__file__).resolve().parent.parent
     env = dict(os.environ, **env_vars)
     env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
-    return subprocess.run([sys.executable, "-m", "dynred", *argv], cwd=cwd,
-                          capture_output=True, text=True, env=env, timeout=timeout)
+    return subprocess.run([sys.executable, "-m", "dynred", *argv], cwd=cwd, stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=env, timeout=timeout)
 
 
 class TestReductsCommand:
@@ -562,6 +563,46 @@ class TestExitCodes:
                                       "--decision", "d"])
         assert status == 1
 
+    @staticmethod
+    def _write_error(code):
+        """The one stderr line of a report that could not be written, for errno ``code``."""
+        return f"dynred: cannot write output: {OSError(code, os.strerror(code))}\n"
+
+    def test_unwritable_output_exits_1(self, capsys, monkeypatch, fixa_path):
+        class FullStream(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStream())
+        status = run(["core", "--input", fixa_path, "--decision", "d"])
+        assert status == 1
+        assert capsys.readouterr().err == self._write_error(errno.ENOSPC)
+
+    # With buffered stdout (PYTHONUNBUFFERED empty, the interpreter's default)
+    # the unwritten report stays in the buffer until the exit flush.
+    UNBUFFERED = pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+
+    @UNBUFFERED
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_full_device_exits_1_without_a_traceback(self, fixa_path, unbuffered):
+        with open("/dev/full", "w") as device:
+            proc = run_module(["core", "--input", fixa_path, "--decision", "d"], stdout=device,
+                              PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == 1
+        assert proc.stderr == self._write_error(errno.ENOSPC)
+
+    @UNBUFFERED
+    def test_closed_pipe_exits_1_without_a_traceback(self, fixa_path, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_module(["core", "--input", fixa_path, "--decision", "d"], stdout=write,
+                              PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == self._write_error(errno.EPIPE)
+
     def test_ragged_rows_parse_error(self, capsys, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,d\n0,1\n")
@@ -722,8 +763,8 @@ class TestExitCodes:
         witness = {"attribute": 0, "subset": [0, 2], "superset": [2], "lambda_low": "3/4"}
         monkeypatch.setattr(
             cli_mod,
-            "verify_slice",
-            lambda analysis, s: (TheoremCheck("T1", "fail", "forced", witness),),
+            "verify_theorems",
+            lambda analysis, report: (TheoremCheck("T1", "fail", "forced", witness),),
         )
         (tmp_path / "fixa.csv").write_text(FIX_A_CSV)
         monkeypatch.chdir(tmp_path)
@@ -755,7 +796,7 @@ class TestExitCodes:
 
 
 class TestEachIntermediateOnce:
-    """``--exact`` runs the oracle once per distinct table and ``verify`` builds one slice.
+    """``--exact`` runs the oracle once per distinct table and ``verify`` builds one report.
 
     Seed 5 draws the FIX-A rows (1, 2), (0, 2), (0, 1), (0, 2) and four
     full-table members: eight members, four distinct tables, and member 1
@@ -802,9 +843,9 @@ class TestEachIntermediateOnce:
 
     @pytest.mark.parametrize("command", ["dynamic", "verify"])
     def test_one_slice_per_run(self, capsys, monkeypatch, fixa_path, command):
-        import dynred.dynamic
+        import dynred.cli
 
-        calls = self._counting(monkeypatch, dynred.dynamic, "_slice")
+        calls = self._counting(monkeypatch, dynred.cli, "stability_report")
         status, out = run_json(capsys, [command, "--input", fixa_path, *self.ARGS])
         assert status == 0 and out
         assert len(calls) == 1

@@ -419,16 +419,34 @@ class TestStabilityReport:
     def test_per_lambda_slices(self, fam):
         s, b1, _, b3 = fam
         a = analyze(s, b1, b1, b3)
-        rep = stability_report(a, [Fraction(3, 5), Fraction(1)])
-        assert [sl.lam for sl in rep.per_lambda] == [Fraction(3, 5), Fraction(1)]
-        assert rep.per_lambda[0].gdr_lambda == generalized_dynamic_reduct_lambda(a, Fraction(3, 5))
-        assert rep.per_lambda[1].dcore_lambda == dynamic_core(a)
+        reps = [stability_report(a, Fraction(3, 5)), stability_report(a, Fraction(1))]
+        assert [rep.lam for rep in reps] == [Fraction(3, 5), Fraction(1)]
+        assert reps[0].gdr_lambda == generalized_dynamic_reduct_lambda(a, Fraction(3, 5))
+        assert reps[1].dcore_lambda == dynamic_core(a)
+
+    def test_one_record_at_threshold_one_by_default(self, fam):
+        s, b1, _, b3 = fam
+        a = analyze(s, b1, b1, b3)
+        rep = stability_report(a)
+        assert rep == stability_report(a, 1)
+        assert rep.lam == 1
+        assert (rep.dr, rep.dr_lambda, rep.gdr, rep.gdr_lambda) == (
+            dynamic_reduct(a), dynamic_reduct_lambda(a, 1),
+            generalized_dynamic_reduct(a), generalized_dynamic_reduct_lambda(a, 1),
+        )
+        assert (rep.dcore, rep.dcore_lambda, rep.gdcore, rep.gdcore_lambda) == (
+            dynamic_core(a), dynamic_core_lambda(a, 1),
+            generalized_dynamic_core(a), generalized_dynamic_core_lambda(a, 1),
+        )
+        with pytest.raises(ParameterError):
+            stability_report(a, "1/2")
 
 
 class TestVerifyTheorems:
     def test_fix_a_family_all_green(self, fam):
         s, b1, b2, b3 = fam
-        checks = verify_theorems(analyze(s, b1, b2, b3), Fraction(3, 5))
+        a = analyze(s, b1, b2, b3)
+        checks = verify_theorems(a, stability_report(a, Fraction(3, 5)))
         assert len(checks) == 11
         assert not [c for c in checks if c.status == "fail"]
         by_name = {c.check: c.status for c in checks}
@@ -438,7 +456,8 @@ class TestVerifyTheorems:
 
     def test_identity_family(self, fam):
         s, *_ = fam
-        checks = {c.check: c.status for c in verify_theorems(analyze(s, full_subsystem(s)), 1)}
+        a = analyze(s, full_subsystem(s))
+        checks = {c.check: c.status for c in verify_theorems(a, stability_report(a, 1))}
         assert checks["T2a"] == "pass"
         assert checks["T2b"] == "pass"
         assert checks["T4c"] == "pass"
@@ -455,7 +474,7 @@ class TestVerifyTheorems:
         a = analyze(s, b2, b2)
         fake = tuple(MemberAnalysis(m.reducts, mask(s, "a")) for m in a.per_member)
         bad = dataclasses.replace(a, per_member=fake)
-        checks = {c.check: c for c in verify_theorems(bad, 1)}
+        checks = {c.check: c for c in verify_theorems(bad, stability_report(bad, 1))}
         assert checks["T5a"].status == "fail"
         witness = checks["T5a"].witness
         assert witness["attribute"] == s.cond_attrs.index("a")
@@ -471,7 +490,8 @@ class TestVerifyTheorems:
         s, _, b2, _ = fam
         a = analyze(s, b2, b2)
         fake = tuple(MemberAnalysis(m.reducts, mask(s, "ab")) for m in a.per_member)
-        check = {c.check: c for c in verify_theorems(dataclasses.replace(a, per_member=fake), 1)}
+        bad = dataclasses.replace(a, per_member=fake)
+        check = {c.check: c for c in verify_theorems(bad, stability_report(bad, 1))}
         assert check["T5a"].status == "fail"
         assert check["T5a"].witness["attribute"] == s.cond_attrs.index("a")
         assert check["T5a"].witness["subset"] == [s.cond_attrs.index(n) for n in "ab"]
@@ -484,7 +504,7 @@ class TestVerifyTheorems:
         s, *_ = fam
         a = analyze(s, full_subsystem(s))
         bad = dataclasses.replace(a, core_s=mask(s, "abc"))
-        check = {c.check: c for c in verify_theorems(bad, 1)}
+        check = {c.check: c for c in verify_theorems(bad, stability_report(bad, 1))}
         assert check["T2a"].status == "fail"
         assert check["T2a"].witness == {
             "attribute": s.cond_attrs.index("b"),
@@ -501,7 +521,7 @@ def test_random_families_satisfy_all_laws(seed, lam):
     rng = random.Random(seed)
     s = random_system(rng, max_objects=8, max_attrs=5)
     a = analyze_family(s, random_family(rng, s))
-    checks = verify_theorems(a, lam)
+    checks = verify_theorems(a, stability_report(a, lam))
     assert not [c for c in checks if c.status == "fail"], checks
 
     n = s.n_attrs
@@ -571,6 +591,6 @@ def test_all_eight_sets_match_the_oracle(seed, lam):
                    dynamic_core_lambda(a, lam), generalized_dynamic_core_lambda(a, lam))
     assert thresholded == _scanned_lambda_sets(a, lam)
 
-    sl = stability_report(a, [lam]).per_lambda[0]
+    sl = stability_report(a, lam)
     assert (sl.dr, sl.gdr, sl.dcore, sl.gdcore) == plain
     assert (sl.dr_lambda, sl.gdr_lambda, sl.dcore_lambda, sl.gdcore_lambda) == thresholded
