@@ -4,31 +4,28 @@ Subcommands: ``reducts`` and ``core`` for the static analysis, ``dynamic``
 for the family-level sets, ``verify`` to run the containment-law checks.
 One canonically ordered JSON document goes to stdout (sorted keys, sorted
 attribute-name arrays, reduct lists ordered by their name arrays),
-diagnostics to stderr. Its text is exactly
-``json.dumps(report, sort_keys=True, indent=2)``, ASCII escapes included,
-plus one trailing newline; a one-pass writer produces it, since ``indent``
-forces the json module onto its pure-Python encoder. Every attribute set
-of the engine is a bitmask (``reducts.table_reducts``, ``FamilyAnalysis``),
-and every set in a report is named by one function (``_namer``), through
-one 16-entry name table per 4 attributes. A family report names each
-distinct reduct once and ranks the distinct name lists with one sort, so
-every reduct list is ordered by integer rank and shares one name list per
-reduct; the writer writes each such list once per indentation depth and
-appends its text at every further mention. ``--exact`` turns the
-oracle's reducts into sorted masks once per distinct table and compares
-them, or for ``core`` only their AND, with the engine's. Exit codes: 0
-success, 1 usage error (including a decimal exponent above 1000 in
-magnitude in --fractions or --lambda, and a report that cannot be
-written), 2 parse/schema error, 3 capacity limit or out of memory, 4
-non-vacuous verification failure, 70 self-check mismatch under --exact.
+diagnostics to stderr. The engine's attribute sets are bitmasks
+(``reducts.table_reducts``, ``FamilyAnalysis``); ``output.namer`` names
+each as a tuple of its already quoted names, in name order, and orders
+sets by one integer key, so no name list is sorted. ``output.render``
+writes the report as ``json.dumps(report, sort_keys=True, indent=2)``
+with each tuple read as its names, plus one trailing newline.
+``--exact`` turns the oracle's reducts into sorted masks once per distinct
+table and compares them, or for ``core`` only their AND, with the
+engine's. Exit codes: 0 success, 1 usage error (including a decimal
+exponent above 1000 in magnitude in --fractions or --lambda, and a report
+or help text that cannot be written), 2 parse/schema error, 3 capacity
+limit or out of memory, 4 non-vacuous verification failure, 70 self-check
+mismatch under --exact.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .dynamic import (
@@ -49,6 +46,7 @@ from .errors import (
     SelfCheckError,
 )
 from .oracle import brute_force_reducts
+from .output import namer, render
 from .reducts import (
     DEFAULT_MAX_ATTRS,
     DEFAULT_MAX_REDUCTS,
@@ -122,40 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _namer(names):
-    """Map an attribute bitmask to the sorted names of its set bits.
-
-    One 16-entry table of name lists per 4 attributes is built up front, so
-    a mask costs one lookup per non-zero nibble and a sort of its few names.
-    """
-    tables = []
-    for base in range(0, len(names), 4):
-        chunk = names[base:base + 4]
-        tables.append([[n for b, n in enumerate(chunk) if v >> b & 1] for v in range(16)])
-
-    def name(mask: int) -> list[str]:
-        out: list[str] = []
-        for table in tables:
-            if not mask:
-                break
-            out += table[mask & 15]
-            mask >>= 4
-        out.sort()
-        return out
-
-    return name
-
-
-def _witness_names(system: DecisionSystem, name, witness: dict | None) -> dict | None:
+def _witness_names(system: DecisionSystem, naming, witness: dict | None) -> dict | None:
     """A law's witness with its attribute index and index lists named; other values as they are."""
     if witness is None:
         return None
+    rank, _, name = naming
     out = {}
     for key, value in witness.items():
         if isinstance(value, int):
             out[key] = system.cond_attrs[value]
         elif isinstance(value, list):
-            out[key] = name(attr_mask(value))
+            out[key] = name(rank(attr_mask(value)))
         else:
             out[key] = value
     return out
@@ -216,49 +191,44 @@ def _base_report(system: DecisionSystem, args) -> dict:
     }
 
 
-def _family_sections(name, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
-    """The static, family, dynamic and stability sections, every set named by ``name``.
+def _family_sections(naming, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
+    """The static, family, dynamic and stability sections, every set named by ``naming``.
 
     ``report.reduct_support`` holds every reduct of the report once: the
-    system's and every member's. Each is named once, and one sort of the
-    distinct name lists ranks the masks, so every reduct list is ordered by
-    integer rank and holds the one name list of each mask.
+    system's and every member's. Each is ranked, keyed and named once, so
+    every reduct list is one sort of integer keys and holds the one name
+    tuple of each mask.
     """
-    support = report.reduct_support
-    names = [name(r) for r, _ in support]
-    order = sorted(range(len(names)), key=names.__getitem__)
-    ranked = [names[i] for i in order]
-    rank = {support[i][0]: k for k, i in enumerate(order)}
+    rank, key, name = naming
+    keys, named = {}, {}
+    for r, _ in report.reduct_support:
+        b = rank(r)
+        k = keys[r] = key(b)
+        named[k] = name(b)
 
     def listed(masks):
-        return [ranked[k] for k in sorted(map(rank.__getitem__, masks))]
+        return [named[k] for k in sorted(map(keys.__getitem__, masks))]
 
     # Each distinct row set, the system's included, is named once.
     system, members = analysis.system, analysis.family.members
-    named = {system.object_indices: (listed(analysis.red_s), name(analysis.core_s))}
+    rows = {system.object_indices: {"reducts": listed(analysis.red_s),
+                                    "core": name(rank(analysis.core_s))}}
     for member, mem in zip(members, analysis.per_member):
-        if member.object_indices not in named:
-            named[member.object_indices] = (listed(mem.reducts), name(mem.core))
-    static_reducts, static_core = named[system.object_indices]
+        if member.object_indices not in rows:
+            rows[member.object_indices] = {"reducts": listed(mem.reducts),
+                                           "core": name(rank(mem.core))}
     return {
-        "static": {"reducts": static_reducts, "core": static_core},
-        "family": [
-            {
-                "indices": list(member.object_indices),
-                "reducts": named[member.object_indices][0],
-                "core": named[member.object_indices][1],
-            }
-            for member in members
-        ],
+        "static": rows[system.object_indices],
+        "family": [{"indices": list(m.object_indices), **rows[m.object_indices]} for m in members],
         "dynamic": {
             "dr": listed(report.dr),
             "dr_lambda": listed(report.dr_lambda),
             "gdr": listed(report.gdr),
             "gdr_lambda": listed(report.gdr_lambda),
-            "dcore": name(report.dcore),
-            "dcore_lambda": name(report.dcore_lambda),
-            "gdcore": name(report.gdcore),
-            "gdcore_lambda": name(report.gdcore_lambda),
+            "dcore": name(rank(report.dcore)),
+            "dcore_lambda": name(rank(report.dcore_lambda)),
+            "gdcore": name(rank(report.gdcore)),
+            "gdcore_lambda": name(rank(report.gdcore_lambda)),
         },
         "stability": {
             "family_size": report.family_size,
@@ -267,7 +237,8 @@ def _family_sections(name, analysis: FamilyAnalysis, report: StabilityReport) ->
                 for a, count in report.attr_core_support.items()
             },
             "reduct_support": [
-                {"reduct": names[i], "support": support[i][1]} for i in order
+                {"reduct": named[k], "support": count}
+                for k, count in sorted((keys[r], c) for r, c in report.reduct_support)
             ],
         },
     }
@@ -280,27 +251,28 @@ def _execute(args) -> tuple[dict, int]:
         raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     system = parse_decision_table(text, args.decision, name=Path(args.input).stem)
     report = _base_report(system, args)
-    name = _namer(system.cond_attrs)
+    rank, key, name = naming = namer(system.cond_attrs)
 
     if args.command == "reducts":
         masks, core = table_reducts(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
         if args.exact:
             _cross_check([("base system", system, masks, core)])
-        report["static"] = {"reducts": sorted(map(name, masks)), "core": name(core)}
+        ranked = sorted(map(rank, masks), key=key)
+        report["static"] = {"reducts": list(map(name, ranked)), "core": name(rank(core))}
         return report, EXIT_OK
 
     if args.command == "core":
         core = attr_mask(core_of(system))
         if args.exact:
             _cross_check([("base system", system, None, core)])
-        report["static"] = {"core": name(core)}
+        report["static"] = {"core": name(rank(core))}
         return report, EXIT_OK
 
     lam = check_lambda(args.lam)
     analysis = _analyze(system, args)
     # One record at the requested threshold feeds the report and the laws.
     stability = stability_report(analysis, lam)
-    report.update(_family_sections(name, analysis, stability))
+    report.update(_family_sections(naming, analysis, stability))
 
     if args.command == "dynamic":
         return report, EXIT_OK
@@ -311,7 +283,7 @@ def _execute(args) -> tuple[dict, int]:
             "check": c.check,
             "status": c.status,
             "detail": c.detail,
-            "witness": _witness_names(system, name, c.witness),
+            "witness": _witness_names(system, naming, c.witness),
         }
         for c in checks
     ]
@@ -319,107 +291,17 @@ def _execute(args) -> tuple[dict, int]:
     return report, EXIT_VERIFY if failed else EXIT_OK
 
 
-def _render(report) -> str:
-    """The text of ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.
-
-    ``indent`` sends ``json.dumps`` down its pure-Python encoder, one
-    generator frame per value; this writer walks the plain dict/list data
-    once into a single chunk list instead, and quotes strings with the C
-    function ``json.dumps`` itself uses, so the escaping is identical.
-
-    A report names each distinct attribute set with one list object, which
-    may appear many times. The writer keeps the text of every non-empty
-    list of strings it writes, keyed by indentation and ``id``, for this
-    call only, and appends that text again at each further mention. Ids are
-    unique only among live objects, and the text is read back by id alone,
-    so nothing may mutate or free any part of ``report`` while it is
-    written: the CLI builds the report, renders it and only then drops it.
-    """
-    chunks: list[str] = []
-    _write(report, "\n", chunks, {})
-    chunks.append("\n")
-    return "".join(chunks)
-
-
-def _write(value, newline: str, chunks: list[str], memo: dict[str, dict[int, str]]) -> None:
-    # ``newline`` is the line break plus the indentation of ``value`` itself;
-    # ``memo[newline]`` maps the id of each string list written at that
-    # indentation to its text.
-    if isinstance(value, str):
-        chunks.append(_quote(value))
-    elif isinstance(value, list):
-        if not value:
-            chunks.append("[]")
-            return
-        inner = newline + "  "
-        seen = memo.setdefault(newline, {})
-        text = seen.get(id(value))
-        if text is None:
-            try:  # a list of strings, such as an attribute set, is one join
-                text = seen[id(value)] = (
-                    "[" + inner + ("," + inner).join(map(_quote, value)) + newline + "]"
-                )
-            except TypeError:  # some element is not a string
-                pass
-        if text is not None:
-            chunks.append(text)
-            return
-        # The same join, inlined: a list of attribute sets is written in
-        # this one loop, with no call per set.
-        head, comma, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-        seen = memo.setdefault(inner, {})
-        sep = "[" + inner
-        for item in value:
-            chunks.append(sep)
-            sep = "," + inner
-            key = id(item)
-            text = seen.get(key)
-            if text is None:
-                if type(item) is not list or not item:
-                    _write(item, inner, chunks, memo)
-                    continue
-                try:
-                    text = seen[key] = f"{head}{comma.join(map(_quote, item))}{tail}"
-                except TypeError:  # some element is not a string
-                    _write(item, inner, chunks, memo)
-                    continue
-            chunks.append(text)
-        chunks.append(newline + "]")
-    elif isinstance(value, dict):
-        if not value:
-            chunks.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, item in sorted(value.items()):
-            chunks.append(sep)
-            chunks.append(_quote(key))
-            chunks.append(": ")
-            _write(item, inner, chunks, memo)
-            sep = "," + inner
-        chunks.append(newline + "}")
-    elif value is None:
-        chunks.append("null")
-    elif value is True:
-        chunks.append("true")
-    elif value is False:
-        chunks.append("false")
-    elif isinstance(value, int):
-        chunks.append(int.__repr__(value))
-    else:
-        raise TypeError(f"cannot render {type(value).__name__} in a report")
-
-
 def run(argv=None) -> int:
-    """Parse flags, run the selected pipeline, print one JSON document."""
-    parser = build_parser()
+    """Parse flags, run the selected pipeline, print one JSON document or the help text."""
+    help_text = io.StringIO()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
+        # Help is written below like a report, so a failed write is handled the same way.
+        with contextlib.redirect_stdout(help_text):
+            args = build_parser().parse_args(argv)
         report, status = _execute(args)
-        text = _render(report)
+        text = render(report)
+    except SystemExit as exc:  # from argparse: help, or a usage error already on stderr
+        text, status = help_text.getvalue(), int(exc.code or 0)
     except (ParameterError, DomainError) as exc:
         print(f"dynred: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -448,7 +330,7 @@ def run(argv=None) -> int:
     except OSError as exc:
         print(f"dynred: cannot write output: {exc}", file=sys.stderr)
         if sys.stdout is sys.__stdout__:
-            # The report is still buffered: send it to the null device, or the
+            # The text is still buffered: send it to the null device, or the
             # interpreter's exit flush fails on it again with a message of its own.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())

@@ -94,6 +94,22 @@ def matching_csv(k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def cycle_csv(k: int) -> str:
+    """3-uniform cycle table: one all-zero row with decision 0, and row i
+    with a_i = a_{i+1} = a_{i+2} = 1 (indices mod k) and decision 1.
+
+    Its clauses are the k windows of three consecutive attributes; no two
+    attributes lie in the same clauses, so there are no twins.
+    """
+    lines = [",".join([f"a{i}" for i in range(k)] + ["d"]), ",".join(["0"] * (k + 1))]
+    for i in range(k):
+        cells = ["0"] * k + ["1"]
+        for j in range(3):
+            cells[(i + j) % k] = "1"
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 def random_system(rng: random.Random, **kwargs) -> DecisionSystem:
     return parse_decision_table(random_table_csv(rng, **kwargs), "d")
 

@@ -11,6 +11,7 @@ import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from unittest import mock
 
@@ -27,7 +28,8 @@ from dynred import (
     parse_decision_table,
     sample_family,
 )
-from dynred.cli import _namer, _render, run
+from dynred.cli import run
+from dynred.output import namer as _namer, render as _render
 
 from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv
 
@@ -143,23 +145,30 @@ class TestReductsCommand:
         assert err == "dynred: base system: engine core disagrees with the exhaustive oracle\n"
 
 
-# Names that are prefixes of one another, and non-ASCII ones, so that the
-# name order differs from both the index order and the code-point order of
-# the first character.
-_NAME = st.sampled_from(("a", "a0", "a10")) | st.text("a01é\U0001d538", min_size=1, max_size=4)
+# Names that are prefixes of one another, names holding characters that
+# JSON escapes or that sort before the quote sign, and non-ASCII ones, so
+# that the name order differs from the index order, from the code-point
+# order of the first character and from the order of the quoted names.
+_NAME = (st.sampled_from(("a", "a0", "a10", " ", "!", '"', "\\"))
+         | st.text('a01 !"\\é\U0001d538', min_size=1, max_size=4))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_namer_names_every_mask_in_name_order(data):
+    # m up to 40 covers a partial top nibble, and the empty and full masks
+    # are always drawn.
     m = data.draw(st.integers(0, 40), label="m")
     names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
     full = (1 << m) - 1
     masks = data.draw(st.lists(st.integers(0, full), max_size=12), label="masks") + [0, full]
-    name = _namer(names)
+    rank, key, name = _namer(names)
     expected = [sorted(names[a] for a in range(m) if mask >> a & 1) for mask in masks]
-    assert [name(mask) for mask in masks] == expected
-    assert sorted(map(name, masks)) == sorted(expected)
+    assert [name(rank(mask)) for mask in masks] == [tuple(map(_quote, e)) for e in expected]
+    # Ordering by the key orders the raw name lists, and distinct sets have distinct keys.
+    ordered = sorted(map(rank, masks), key=key)
+    assert list(map(name, ordered)) == [tuple(map(_quote, e)) for e in sorted(expected)]
+    assert len({key(rank(mask)) for mask in masks}) == len(set(masks))
 
 
 def _literal_sections(system, members, lam):
@@ -279,28 +288,61 @@ def test_render_matches_json_dumps(value):
 
 
 def test_render_writes_aliased_lists_as_json_dumps():
-    # The writer keeps each string list's text by indentation and id, so
-    # one list object recurs here at several depths and under several parents.
+    # The writer keeps each name tuple's text by indentation and id, so one
+    # tuple recurs here at several depths and under several parents; it
+    # renders as the list of its names.
+    def values(names):
+        empty = []
+        pair = [names, names]
+        mixed = [1, None, {"k": names, "e": empty}, -2 ** 70, pair]
+        value = {
+            "names": names,
+            "empty": empty,
+            "pair": pair,
+            "mixed": mixed,
+            "again": [mixed, pair, names, empty],
+            # ``names`` sits at depth 2 as a dict value here and as a list
+            # element under "support", and at depth 3 as a list element here
+            # and as a dict value under "support".
+            "nested": {"reduct": names, "rows": [names, empty, names]},
+            "support": [{"reduct": names, "support": 3}, names, {"reduct": names}],
+        }
+        return value, [names, [names], [[names]], names]
+
     names = ["b", "aé", '"q"']
-    empty = []
-    pair = [names, names]
-    mixed = [1, None, {"k": names, "e": empty}, -2 ** 70, pair]
-    value = {
-        "names": names,
-        "empty": empty,
-        "pair": pair,
-        "mixed": mixed,
-        "again": [mixed, pair, names, empty],
-        # ``names`` sits at depth 2 as a dict value here and as a list
-        # element under "support", and at depth 3 as a list element here
-        # and as a dict value under "support".
-        "nested": {"reduct": names, "rows": [names, empty, names]},
-        "support": [{"reduct": names, "support": 3}, names, {"reduct": names}],
-    }
-    assert _render(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
-    assert _render([names, [names], [[names]], names]) == (
-        json.dumps([names, [names], [[names]], names], sort_keys=True, indent=2) + "\n"
-    )
+    for value, expected in zip(values(tuple(map(_quote, names))), values(names)):
+        assert _render(value) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+
+
+@dataclasses.dataclass(frozen=True)
+class _Set:
+    index: int
+
+
+def _filled(template, sets):
+    """``template`` with each ``_Set`` leaf replaced by the set it indexes in ``sets``."""
+    if isinstance(template, _Set):
+        return sets[template.index]
+    if isinstance(template, list):
+        return [_filled(item, sets) for item in template]
+    if isinstance(template, dict):
+        return {key: _filled(item, sets) for key, item in template.items()}
+    return template
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_render_writes_name_tuples_as_their_names(data):
+    # One tuple object per set, so a set drawn twice is aliased, at any depth.
+    sets = data.draw(st.lists(st.lists(_NAME, max_size=4), min_size=1, max_size=4), label="sets")
+    leaf = st.builds(_Set, st.integers(0, len(sets) - 1)) | st.none() | st.integers() | _TEXT
+    template = data.draw(st.recursive(
+        leaf, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+        max_leaves=25,
+    ), label="value")
+    value = _filled(template, [tuple(map(_quote, names)) for names in sets])
+    expected = json.dumps(_filled(template, sets), sort_keys=True, indent=2) + "\n"
+    assert _render(value) == expected
 
 
 def _copied_analysis(*args, **kwargs):
@@ -321,18 +363,18 @@ def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):
     )
     (tmp_path / "t.csv").write_text(text)
     named = []
-    original = cli._namer
+    original = cli.namer
 
     def counting_namer(names):
-        name = original(names)
+        rank, key, name = original(names)
 
         def counted(mask):
             named.append(mask)
-            return name(mask)
+            return rank(mask)
 
-        return counted
+        return counted, key, name
 
-    monkeypatch.setattr(cli, "_namer", counting_namer)
+    monkeypatch.setattr(cli, "namer", counting_namer)
     system = parse_decision_table(text, "d")
     plan = SamplingPlan(seed=3, fractions=("0.5", "0.75", "1"), samples_per_fraction=4)
     analysis = analyze_family(system, sample_family(system, plan))
@@ -602,6 +644,31 @@ class TestExitCodes:
             os.close(write)
         assert proc.returncode == 1
         assert proc.stderr == self._write_error(errno.EPIPE)
+
+    @UNBUFFERED
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_help_to_a_full_device_exits_1_without_a_traceback(self, unbuffered):
+        with open("/dev/full", "w") as device:
+            proc = run_module(["--help"], stdout=device, PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == 1
+        assert proc.stderr == self._write_error(errno.ENOSPC)
+
+    @UNBUFFERED
+    def test_help_to_a_closed_pipe_exits_1_without_a_traceback(self, unbuffered):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = run_module(["reducts", "--help"], stdout=write, PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write)
+        assert proc.returncode == 1
+        assert proc.stderr == self._write_error(errno.EPIPE)
+
+    def test_help_exits_0(self, capsys):
+        assert run(["--help"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: dynred ")
+        assert captured.err == ""
 
     def test_ragged_rows_parse_error(self, capsys, tmp_path):
         p = tmp_path / "bad.csv"

@@ -30,7 +30,7 @@ from dynred import reducts as reducts_module
 from dynred.reducts import attr_mask, mask_indices, reduct_masks
 from dynred.rough import class_table, pair_masks, preserves
 
-from conftest import idx, matching_csv, random_system, reduct_names
+from conftest import cycle_csv, idx, matching_csv, random_system, reduct_names
 
 
 class TestFixtureValues:
@@ -585,22 +585,6 @@ def test_deep_search_needs_no_recursion():
     assert all_reducts(s, max_attrs=n) == (frozenset(range(n)),)
 
 
-def _cycle_csv(k):
-    """3-uniform cycle table: one all-zero row with decision 0, and row i
-    with a_i = a_{i+1} = a_{i+2} = 1 (indices mod k) and decision 1.
-
-    Its clauses are the k windows of three consecutive attributes; no two
-    attributes lie in the same clauses, so there are no twins.
-    """
-    lines = [",".join([f"a{i}" for i in range(k)] + ["d"]), ",".join(["0"] * (k + 1))]
-    for i in range(k):
-        cells = ["0"] * k + ["1"]
-        for j in range(3):
-            cells[(i + j) % k] = "1"
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
-
-
 def _search(table, width=None, **caps):
     """``reduct_masks`` with ``LATTICE_MAX_ATTRS`` set to ``width`` (kept
     when None), and whether the lattice sweep ran."""
@@ -701,14 +685,14 @@ class TestLatticeAndMMCS:
         # 16 attributes are the widest table the lattice takes; at 17 the
         # default path is MMCS. The k = 16 table is inside the oracle's limits.
         assert reducts_module.LATTICE_MAX_ATTRS == 16
-        s = parse_decision_table(_cycle_csv(16), "d")
+        s = parse_decision_table(cycle_csv(16), "d")
         lattice, swept = _search(s)
         assert swept and len(lattice) == 222
         mmcs, swept = _search(s, 0)
         assert not swept
         assert lattice == mmcs == _oracle_masks(s)
 
-        wide = parse_decision_table(_cycle_csv(17), "d")
+        wide = parse_decision_table(cycle_csv(17), "d")
         mmcs, swept = _search(wide)
         assert not swept and len(mmcs) == 306
         lattice, swept = _search(wide, 17)
@@ -716,7 +700,7 @@ class TestLatticeAndMMCS:
         assert lattice == mmcs
 
     def test_cap_is_exact_without_twins(self):
-        s = parse_decision_table(_cycle_csv(12), "d")
+        s = parse_decision_table(cycle_csv(12), "d")
         masks, swept = _search(s, max_reducts=57)
         assert swept and len(masks) == 57
         with pytest.raises(CapacityError) as exc:
