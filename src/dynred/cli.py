@@ -7,7 +7,7 @@ attribute-name arrays, reduct lists ordered by their name arrays),
 diagnostics to stderr. The engine's attribute sets are bitmasks
 (``reducts.table_reducts``, ``FamilyAnalysis``); ``output.namer`` names
 each as a tuple of its already quoted names, in name order, and orders
-sets by one integer key, so no name list is sorted. ``output.render``
+sets by their rank forms, so no name list is sorted. ``output.render``
 writes the report as ``json.dumps(report, sort_keys=True, indent=2)``
 with each tuple read as its names, plus one trailing newline.
 ``--exact`` turns the oracle's reducts into sorted masks once per distinct
@@ -195,19 +195,17 @@ def _family_sections(naming, analysis: FamilyAnalysis, report: StabilityReport) 
     """The static, family, dynamic and stability sections, every set named by ``naming``.
 
     ``report.reduct_support`` holds every reduct of the report once: the
-    system's and every member's. Each is ranked, keyed and named once, so
-    every reduct list is one sort of integer keys and holds the one name
-    tuple of each mask.
+    system's and every member's, each ranked and named once. Every other
+    reduct list is an antichain, one reverse sort of rank forms (``namer``).
     """
     rank, key, name = naming
-    keys, named = {}, {}
+    ranks, named = {}, {}
     for r, _ in report.reduct_support:
-        b = rank(r)
-        k = keys[r] = key(b)
-        named[k] = name(b)
+        b = ranks[r] = rank(r)
+        named[b] = name(b)
 
     def listed(masks):
-        return [named[k] for k in sorted(map(keys.__getitem__, masks))]
+        return [named[b] for b in sorted(map(ranks.__getitem__, masks), reverse=True)]
 
     # Each distinct row set, the system's included, is named once.
     system, members = analysis.system, analysis.family.members
@@ -237,8 +235,8 @@ def _family_sections(naming, analysis: FamilyAnalysis, report: StabilityReport) 
                 for a, count in report.attr_core_support.items()
             },
             "reduct_support": [
-                {"reduct": named[k], "support": count}
-                for k, count in sorted((keys[r], c) for r, c in report.reduct_support)
+                {"reduct": named[ranks[r]], "support": count}
+                for r, count in sorted(report.reduct_support, key=lambda rc: key(ranks[rc[0]]))
             ],
         },
     }
@@ -251,13 +249,13 @@ def _execute(args) -> tuple[dict, int]:
         raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     system = parse_decision_table(text, args.decision, name=Path(args.input).stem)
     report = _base_report(system, args)
-    rank, key, name = naming = namer(system.cond_attrs)
+    rank, _, name = naming = namer(system.cond_attrs)
 
     if args.command == "reducts":
         masks, core = table_reducts(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
         if args.exact:
             _cross_check([("base system", system, masks, core)])
-        ranked = sorted(map(rank, masks), key=key)
+        ranked = sorted(map(rank, masks), reverse=True)
         report["static"] = {"reducts": list(map(name, ranked)), "core": name(rank(core))}
         return report, EXIT_OK
 

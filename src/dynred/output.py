@@ -23,19 +23,33 @@ def namer(names):
     comes before its extensions (Python's list order): the sets before b
     are its popcount(b) proper prefixes and, below each of its elements,
     the sets that branch off at a smaller name, 2**m - b - (b & -b) in all.
-    So ordering rank forms by key orders their name lists. One 16-entry
-    table per 4 bits, built once, serves ``rank``, and one serves ``name``.
+    So ordering rank forms by key orders their name lists.
+
+    On an antichain (no set contains another), descending rank forms are
+    already in name-list order. Let d be the smallest name in just one of
+    two sets A and B, say in A. Below d the two agree; where A's list holds
+    d, B's holds a larger name, for if it ended there B would lie inside A.
+    So A's list comes first, and A's rank form, whose highest differing bit
+    is d's, is the larger int. The CLI's reduct lists are antichains: one
+    table's reducts, subsets of them, and the sets whose support passes a
+    threshold above 1/2, any two of which are reducts of one member. So it
+    sorts their rank forms in reverse, and needs ``key`` only for the
+    support list, the union over all members, whose sets may nest.
+
+    One 256-entry table per 8 bits, built once, serves ``rank``, and one
+    serves ``name``.
     """
     m = len(names)
     order = sorted(range(m), key=names.__getitem__)
     bits = {a: 1 << (m - 1 - r) for r, a in enumerate(order)}
     quoted = [_quote(names[a]) for a in reversed(order)]  # by rank-form bit
     rank_tables, name_tables = [], []
-    for base in range(0, m, 4):
+    for base in range(0, m, 8):
         ranked, named = [0], [()]
-        for a in range(base, min(base + 4, m)):
-            ranked += [b | bits[a] for b in ranked]
-            named += [(quoted[a],) + t for t in named]  # higher bits name smaller names
+        for a in range(base, min(base + 8, m)):
+            bit, head = bits[a], (quoted[a],)
+            ranked += [b | bit for b in ranked]
+            named += [head + t for t in named]  # higher bits name smaller names
         rank_tables.append(ranked)
         name_tables.append(named)
     top = 1 << m
@@ -45,8 +59,8 @@ def namer(names):
         for table in rank_tables:
             if not mask:
                 break
-            b |= table[mask & 15]
-            mask >>= 4
+            b |= table[mask & 255]
+            mask >>= 8
         return b
 
     def key(b: int) -> int:
@@ -57,8 +71,8 @@ def namer(names):
         for table in name_tables:
             if not b:
                 break
-            out = table[b & 15] + out
-            b >>= 4
+            out = table[b & 255] + out
+            b >>= 8
         return out
 
     return rank, key, name

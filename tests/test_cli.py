@@ -171,6 +171,31 @@ def test_namer_names_every_mask_in_name_order(data):
     assert len({key(rank(mask)) for mask in masks}) == len(set(masks))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_descending_rank_forms_order_an_antichain_by_name(data):
+    # The minimal sets among random masks form an antichain, as every
+    # reduct list does; m up to 40 covers a partial top byte.
+    m = data.draw(st.integers(0, 40), label="m")
+    names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
+    drawn = set(data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=16),
+                          label="masks"))
+    antichain = [x for x in drawn if not any(y != x and y & x == y for y in drawn)]
+    rank, _, name = _namer(names)
+    expected = sorted(sorted(names[a] for a in range(m) if x >> a & 1) for x in antichain)
+    ordered = sorted(map(rank, antichain), reverse=True)
+    assert list(map(name, ordered)) == [tuple(map(_quote, e)) for e in expected]
+
+
+def test_descending_rank_forms_misorder_a_set_and_its_extension():
+    # {a} lists before {a, b}, but has the smaller rank form: a list whose
+    # sets may nest, such as the support list, needs the key.
+    rank, key, name = _namer(("a", "b"))
+    sets = [rank(0b01), rank(0b11)]
+    assert list(map(name, sorted(sets, reverse=True))) == [('"a"', '"b"'), ('"a"',)]
+    assert list(map(name, sorted(sets, key=key))) == [('"a"',), ('"a"', '"b"')]
+
+
 def _literal_sections(system, members, lam):
     """The sections ``dynamic`` reports, from the brute-force oracle and the frozenset definitions.
 

@@ -567,6 +567,16 @@ def _scanned_lambda_sets(a, lam):
     )
 
 
+def _analyzed_family_with_repeats(rng):
+    """A random table's analysis over a family with repeated and full-table members."""
+    s = random_system(rng, max_objects=8, max_attrs=5)
+    members = list(random_family(rng, s, max_members=4).members)
+    members += rng.choices(members, k=rng.randint(0, 3))
+    members += [full_subsystem(s)] * rng.randint(0, 2)
+    rng.shuffle(members)
+    return analyze(s, *members)
+
+
 @settings(deadline=None, max_examples=80)
 @given(
     st.integers(0, 10 ** 9),
@@ -575,13 +585,7 @@ def _scanned_lambda_sets(a, lam):
 def test_all_eight_sets_match_the_oracle(seed, lam):
     # Repeated and full-table members are the cases where the engine's
     # shared member analyses and support counts could drift from a scan.
-    rng = random.Random(seed)
-    s = random_system(rng, max_objects=8, max_attrs=5)
-    members = list(random_family(rng, s, max_members=4).members)
-    members += rng.choices(members, k=rng.randint(0, 3))
-    members += [full_subsystem(s)] * rng.randint(0, 2)
-    rng.shuffle(members)
-    a = analyze(s, *members)
+    a = _analyzed_family_with_repeats(random.Random(seed))
 
     plain = (dynamic_reduct(a), generalized_dynamic_reduct(a),
              dynamic_core(a), generalized_dynamic_core(a))
@@ -594,3 +598,21 @@ def test_all_eight_sets_match_the_oracle(seed, lam):
     sl = stability_report(a, lam)
     assert (sl.dr, sl.gdr, sl.dcore, sl.gdcore) == plain
     assert (sl.dr_lambda, sl.gdr_lambda, sl.dcore_lambda, sl.gdcore_lambda) == thresholded
+
+
+@settings(deadline=None, max_examples=80)
+@given(
+    st.integers(0, 10 ** 9),
+    st.sampled_from([Fraction(1, 2) + Fraction(1, 10 ** 6), Fraction(501, 1000),
+                     Fraction(51, 100)])
+    | st.fractions(Fraction(1, 2), 1, max_denominator=12).filter(lambda f: f > Fraction(1, 2)),
+)
+def test_every_reported_reduct_list_is_an_antichain(seed, lam):
+    # The CLI orders these lists by descending rank form, which is their
+    # name order only on an antichain. gdr_lambda is one because a
+    # threshold above 1/2 puts any two of its sets in some common member.
+    a = _analyzed_family_with_repeats(random.Random(seed))
+    sl = stability_report(a, lam)
+    for collection in (a.red_s, *(m.reducts for m in a.per_member),
+                       sl.dr, sl.dr_lambda, sl.gdr, sl.gdr_lambda):
+        assert is_antichain(frozenset(mask_indices(r)) for r in collection)
