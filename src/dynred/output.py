@@ -1,15 +1,16 @@
 """What a CLI report holds for an attribute set, and the report's JSON text.
 
 A report names each attribute set as a tuple of its names, already quoted
-as JSON strings, in name order (``namer``). ``render`` writes a report as
-``json.dumps(report, sort_keys=True, indent=2)`` of the report with each
-tuple read as its names, plus one trailing newline. This module is the
-only one that knows a tuple is a list of quoted names.
+as JSON strings, in name order (``namer``), and ``render`` writes each
+tuple as the list of its names. This module is the only one that knows a
+tuple is a list of quoted names.
 """
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 
 def namer(names):
@@ -79,78 +80,76 @@ def namer(names):
 
 
 def render(report) -> str:
-    """The text of ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline.
+    """``json.dumps(report, sort_keys=True, indent=2)``, tuples read as names, and a newline.
 
-    A tuple in a report is a list of names already quoted (``namer``), so
-    the text is that of ``json.dumps`` on the report with each tuple read
-    as its names. ``indent`` sends ``json.dumps`` down its pure-Python
-    encoder, one generator frame per value; this writer walks the
-    dict/list/tuple data once into one chunk list, and quotes every other
-    string with the C function ``json.dumps`` itself uses, so the escaping
-    is identical.
-
-    A tuple is written as one join. A report lists each distinct attribute
-    set as one tuple, which may appear in many lists: the writer keeps the
-    text of each tuple it writes as a list item, keyed by indentation and
-    ``id``, for this call only, and appends that text again at each further
-    mention. Ids are unique only among live objects, so nothing may free
-    any part of ``report`` while it is written: the CLI builds the report,
-    renders it and only then drops it.
+    With ``indent``, ``json.dumps`` runs its pure-Python encoder; this writer
+    walks the report into one chunk list, writes each list whose items share
+    one kind by C-level maps (``_items``) and quotes strings with the C
+    function ``json.dumps`` uses.
     """
-    chunks: list[str] = []
-    _write(report, "\n", chunks, {})
+    chunks = []
+    _write(report, "\n", chunks)
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _write(value, newline: str, chunks: list[str], memo: dict[str, dict[int, str]]) -> None:
-    # ``newline`` is the line break plus the indentation of ``value`` itself;
-    # ``memo[newline]`` maps the id of each name tuple listed at that
-    # indentation to its text.
+def _text(value, newline: str) -> str:
+    chunks = []
+    _write(value, newline, chunks)
+    return "".join(chunks)
+
+
+def _items(items: list, newline: str):
+    """``head, texts, tail``: each item's text at ``newline`` is head + text + tail.
+
+    Exact ints, strings, non-empty name tuples and records (dicts with one
+    key set, formatted column by column by one ``%`` template) take one map;
+    other items are written one by one.
+    """
+    first, deeper = items[0], newline + "  "
+    kind = type(first)
+    if {*map(type, items)} == {kind}:
+        if kind is int:
+            return "", map(int.__repr__, items), ""
+        if kind is str:
+            return "", map(_quote, items), ""
+        if kind is tuple and all(items):
+            return "[" + deeper, map(("," + deeper).join, items), newline + "]"
+        if kind is dict and first and all(map(first.keys().__eq__, map(dict.keys, items))):
+            fields, columns = [], []
+            for key in sorted(first):
+                head, texts, tail = _items([*map(itemgetter(key), items)], deeper)
+                fields.append(_quote(key).replace("%", "%%") + ": " + head + "%s" + tail)
+                columns.append(texts)
+            template = "{" + deeper + ("," + deeper).join(fields) + newline + "}"
+            return "", map(template.__mod__, zip(*columns)), ""
+    return "", map(_text, items, repeat(newline)), ""
+
+
+def _write(value, newline: str, chunks: list[str]) -> None:
+    # ``newline`` is the line break plus the indentation of ``value`` itself.
+    inner = newline + "  "
     if isinstance(value, str):
         chunks.append(_quote(value))
     elif type(value) is tuple and value:
-        inner = newline + "  "
         chunks.append("[" + inner + ("," + inner).join(value) + newline + "]")
+    elif not value and isinstance(value, (list, tuple, dict)):
+        chunks.append("{}" if isinstance(value, dict) else "[]")
     elif isinstance(value, (list, tuple)):
-        if not value:
-            chunks.append("[]")
-            return
-        # A list of name tuples is written in this one loop, with no call per tuple.
-        inner = newline + "  "
-        head, comma, tail = "[" + inner + "  ", "," + inner + "  ", inner + "]"
-        seen = memo.setdefault(inner, {})
-        sep = "[" + inner
-        for item in value:
-            chunks.append(sep)
-            sep = "," + inner
-            if type(item) is not tuple or not item:
-                _write(item, inner, chunks, memo)
-                continue
-            text = seen.get(id(item))
-            if text is None:
-                text = seen[id(item)] = head + comma.join(item) + tail
-            chunks.append(text)
-        chunks.append(newline + "]")
+        head, texts, tail = _items(value, inner)
+        start = len(chunks)
+        chunks += chain.from_iterable(zip(repeat(tail + "," + inner + head), texts))
+        chunks[start] = "[" + inner + head
+        chunks.append(tail + newline + "]")
     elif isinstance(value, dict):
-        if not value:
-            chunks.append("{}")
-            return
-        inner = newline + "  "
         sep = "{" + inner
         for key, item in sorted(value.items()):
-            chunks.append(sep)
-            chunks.append(_quote(key))
-            chunks.append(": ")
-            _write(item, inner, chunks, memo)
+            chunks += sep, _quote(key), ": "
+            _write(item, inner, chunks)
             sep = "," + inner
         chunks.append(newline + "}")
-    elif value is None:
-        chunks.append("null")
-    elif value is True:
-        chunks.append("true")
-    elif value is False:
-        chunks.append("false")
+    elif value is None or type(value) is bool:
+        chunks.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         chunks.append(int.__repr__(value))
     else:

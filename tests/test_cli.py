@@ -313,9 +313,8 @@ def test_render_matches_json_dumps(value):
 
 
 def test_render_writes_aliased_lists_as_json_dumps():
-    # The writer keeps each name tuple's text by indentation and id, so one
-    # tuple recurs here at several depths and under several parents; it
-    # renders as the list of its names.
+    # One name tuple recurs here at several depths and under several parents;
+    # it renders as the list of its names each time.
     def values(names):
         empty = []
         pair = [names, names]
@@ -364,6 +363,41 @@ def test_render_writes_name_tuples_as_their_names(data):
     template = data.draw(st.recursive(
         leaf, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
         max_leaves=25,
+    ), label="value")
+    value = _filled(template, [tuple(map(_quote, names)) for names in sets])
+    expected = json.dumps(_filled(template, sets), sort_keys=True, indent=2) + "\n"
+    assert _render(value) == expected
+
+
+_KEYS = _TEXT | st.sampled_from(("%", "%s", "%%"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_render_writes_same_kind_lists_as_json_dumps(data):
+    # Lists whose items share one kind, above all records (dicts with one key
+    # set) whose columns often do too, and lists of dicts whose key sets may
+    # differ, nested in one another; set 0 is empty.
+    drawn = data.draw(st.lists(st.lists(_NAME, min_size=1, max_size=3), max_size=3), label="sets")
+    sets = [[], *drawn]
+    named = st.builds(_Set, st.integers(0, len(sets) - 1))
+    ints = st.integers(-2 ** 70, 2 ** 70)
+    scalars = (st.lists(ints, min_size=1, max_size=5) | st.lists(_TEXT, min_size=1, max_size=5)
+               | st.lists(named, min_size=1, max_size=5)
+               | st.lists(st.booleans() | st.integers(0, 1), min_size=1, max_size=5))
+
+    def records(inner):
+        cells = st.sampled_from([ints, st.booleans(), st.none(), _TEXT, named, inner])
+        columns = st.dictionaries(_KEYS, cells, min_size=1, max_size=4)
+        return columns.flatmap(
+            lambda c: st.lists(st.fixed_dictionaries(c), min_size=1, max_size=4))
+
+    template = data.draw(st.recursive(
+        scalars,
+        lambda inner: (records(inner) | st.lists(inner, max_size=3)
+                       | st.lists(st.dictionaries(_KEYS, inner, min_size=1, max_size=2),
+                                  min_size=2, max_size=3)),
+        max_leaves=20,
     ), label="value")
     value = _filled(template, [tuple(map(_quote, names)) for names in sets])
     expected = json.dumps(_filled(template, sets), sort_keys=True, indent=2) + "\n"
@@ -438,7 +472,7 @@ def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):
 
 def test_render_refuses_values_json_would_reshape():
     # The report holds no tuples or floats, so the writer refuses them.
-    for value in ({"a": (1, 2)}, [0.5]):
+    for value in ({"a": (1, 2)}, [0.5], [(1,), (2,)], [{"a": 0.5}, {"a": 1.5}], [{1, 2}, {3}]):
         with pytest.raises(TypeError):
             _render(value)
 
