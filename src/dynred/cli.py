@@ -5,9 +5,12 @@ for the family-level sets, ``verify`` to run the containment-law checks.
 One canonically ordered JSON document goes to stdout (sorted keys, sorted
 attribute-name arrays, reduct lists ordered by their name arrays),
 diagnostics to stderr. The engine's attribute sets are bitmasks
-(``reducts.table_reducts``, ``FamilyAnalysis``); ``output.namer`` names
-each as a tuple of its already quoted names, in name order, and orders
-sets by their rank forms, so no name list is sorted. ``output.render``
+(``reducts.table_reducts``, ``FamilyAnalysis``) over a copy of the table
+with columns in descending name order (``output.name_ordered``): a
+mask names as its quoted names in name order, and an ascending reduct
+list, reversed, is report order, so no name list is sorted. A failing
+law's witness ``attribute``, a mask's lowest bit, is the largest name
+outside the superset (or in the difference). ``output.render``
 writes the report as ``json.dumps(report, sort_keys=True, indent=2)``
 with each tuple read as its names, plus one trailing newline.
 ``--exact`` turns the oracle's reducts into sorted masks once per distinct
@@ -46,7 +49,7 @@ from .errors import (
     SelfCheckError,
 )
 from .oracle import brute_force_reducts
-from .output import namer, render
+from .output import name_ordered, render
 from .reducts import (
     DEFAULT_MAX_ATTRS,
     DEFAULT_MAX_REDUCTS,
@@ -120,17 +123,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _witness_names(system: DecisionSystem, naming, witness: dict | None) -> dict | None:
+def _witness_names(system: DecisionSystem, name, witness: dict | None) -> dict | None:
     """A law's witness with its attribute index and index lists named; other values as they are."""
     if witness is None:
         return None
-    rank, _, name = naming
     out = {}
     for key, value in witness.items():
         if isinstance(value, int):
             out[key] = system.cond_attrs[value]
         elif isinstance(value, list):
-            out[key] = name(rank(attr_mask(value)))
+            out[key] = name(attr_mask(value))
         else:
             out[key] = value
     return out
@@ -191,30 +193,26 @@ def _base_report(system: DecisionSystem, args) -> dict:
     }
 
 
-def _family_sections(naming, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
-    """The static, family, dynamic and stability sections, every set named by ``naming``.
+def _family_sections(key, name, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
+    """The static, family, dynamic and stability sections, every set named by ``name``.
 
     ``report.reduct_support`` holds every reduct of the report once: the
-    system's and every member's, each ranked and named once. Every other
-    reduct list is an antichain, one reverse sort of rank forms (``namer``).
+    system's and every member's, each named once. Every other reduct list
+    is an ascending antichain, read reversed (``output.name_ordered``).
     """
-    rank, key, name = naming
-    ranks, named = {}, {}
-    for r, _ in report.reduct_support:
-        b = ranks[r] = rank(r)
-        named[b] = name(b)
+    named = {r: name(r) for r, _ in report.reduct_support}
 
     def listed(masks):
-        return [named[b] for b in sorted(map(ranks.__getitem__, masks), reverse=True)]
+        return [*map(named.__getitem__, reversed(masks))]
 
     # Each distinct row set, the system's included, is named once.
     system, members = analysis.system, analysis.family.members
     rows = {system.object_indices: {"reducts": listed(analysis.red_s),
-                                    "core": name(rank(analysis.core_s))}}
+                                    "core": name(analysis.core_s)}}
     for member, mem in zip(members, analysis.per_member):
         if member.object_indices not in rows:
             rows[member.object_indices] = {"reducts": listed(mem.reducts),
-                                           "core": name(rank(mem.core))}
+                                           "core": name(mem.core)}
     return {
         "static": rows[system.object_indices],
         "family": [{"indices": list(m.object_indices), **rows[m.object_indices]} for m in members],
@@ -223,10 +221,10 @@ def _family_sections(naming, analysis: FamilyAnalysis, report: StabilityReport) 
             "dr_lambda": listed(report.dr_lambda),
             "gdr": listed(report.gdr),
             "gdr_lambda": listed(report.gdr_lambda),
-            "dcore": name(rank(report.dcore)),
-            "dcore_lambda": name(rank(report.dcore_lambda)),
-            "gdcore": name(rank(report.gdcore)),
-            "gdcore_lambda": name(rank(report.gdcore_lambda)),
+            "dcore": name(report.dcore),
+            "dcore_lambda": name(report.dcore_lambda),
+            "gdcore": name(report.gdcore),
+            "gdcore_lambda": name(report.gdcore_lambda),
         },
         "stability": {
             "family_size": report.family_size,
@@ -235,8 +233,8 @@ def _family_sections(naming, analysis: FamilyAnalysis, report: StabilityReport) 
                 for a, count in report.attr_core_support.items()
             },
             "reduct_support": [
-                {"reduct": named[ranks[r]], "support": count}
-                for r, count in sorted(report.reduct_support, key=lambda rc: key(ranks[rc[0]]))
+                {"reduct": named[r], "support": count}
+                for r, count in sorted(report.reduct_support, key=lambda rc: key(rc[0]))
             ],
         },
     }
@@ -249,28 +247,28 @@ def _execute(args) -> tuple[dict, int]:
         raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     system = parse_decision_table(text, args.decision, name=Path(args.input).stem)
     report = _base_report(system, args)
-    rank, _, name = naming = namer(system.cond_attrs)
+    # input.attributes keeps header order; the rest runs in name order.
+    system, key, name = name_ordered(system)
 
     if args.command == "reducts":
         masks, core = table_reducts(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
         if args.exact:
             _cross_check([("base system", system, masks, core)])
-        ranked = sorted(map(rank, masks), reverse=True)
-        report["static"] = {"reducts": list(map(name, ranked)), "core": name(rank(core))}
+        report["static"] = {"reducts": [*map(name, reversed(masks))], "core": name(core)}
         return report, EXIT_OK
 
     if args.command == "core":
         core = attr_mask(core_of(system))
         if args.exact:
             _cross_check([("base system", system, None, core)])
-        report["static"] = {"core": name(rank(core))}
+        report["static"] = {"core": name(core)}
         return report, EXIT_OK
 
     lam = check_lambda(args.lam)
     analysis = _analyze(system, args)
     # One record at the requested threshold feeds the report and the laws.
     stability = stability_report(analysis, lam)
-    report.update(_family_sections(naming, analysis, stability))
+    report.update(_family_sections(key, name, analysis, stability))
 
     if args.command == "dynamic":
         return report, EXIT_OK
@@ -281,7 +279,7 @@ def _execute(args) -> tuple[dict, int]:
             "check": c.check,
             "status": c.status,
             "detail": c.detail,
-            "witness": _witness_names(system, naming, c.witness),
+            "witness": _witness_names(system, name, c.witness),
         }
         for c in checks
     ]

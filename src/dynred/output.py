@@ -1,68 +1,59 @@
 """What a CLI report holds for an attribute set, and the report's JSON text.
 
 A report names each attribute set as a tuple of its names, already quoted
-as JSON strings, in name order (``namer``), and ``render`` writes each
-tuple as the list of its names. This module is the only one that knows a
-tuple is a list of quoted names.
+as JSON strings, in name order (``name_ordered``), and ``render`` writes
+each tuple as the list of its names. This module is the only one that
+knows report order and that a tuple is a list of quoted names.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 
-def namer(names):
-    """The functions ``rank, key, name`` that name attribute bitmasks over ``names``.
+def name_ordered(system):
+    """``table, key, name``: ``system`` with its columns in descending name order.
 
-    ``rank(mask)`` is the mask's rank form: attribute a, whose name is the
-    r-th smallest of the m names, moves to bit m - 1 - r. ``name(b)`` is
-    the tuple of the rank form's names, quoted as JSON strings and read off
-    highest bit first, so in name order with no sort. ``key(b)`` is the
-    rank form's position in the order of sorted name lists, where a list
-    comes before its extensions (Python's list order): the sets before b
-    are its popcount(b) proper prefixes and, below each of its elements,
-    the sets that branch off at a smaller name, 2**m - b - (b & -b) in all.
-    So ordering rank forms by key orders their name lists.
+    ``table`` is a copy of ``system`` whose ``cond_attrs`` and row codes run
+    from the largest name to the smallest, so the higher a bit of a mask
+    over it, the smaller its name. ``name(b)`` is the tuple of b's names,
+    quoted as JSON strings and read off highest bit first, so in name order
+    with no sort. ``key(b)`` is b's position in the order of sorted name
+    lists, where a list comes before its extensions (Python's list order):
+    the sets before b are its popcount(b) proper prefixes and, below each
+    of its elements, the sets that branch off at a smaller name,
+    2**m - b - (b & -b) in all. Both hold only for masks over ``table``,
+    so the three come from one call.
 
-    On an antichain (no set contains another), descending rank forms are
+    On an antichain (no set contains another), descending masks are
     already in name-list order. Let d be the smallest name in just one of
     two sets A and B, say in A. Below d the two agree; where A's list holds
     d, B's holds a larger name, for if it ended there B would lie inside A.
-    So A's list comes first, and A's rank form, whose highest differing bit
-    is d's, is the larger int. The CLI's reduct lists are antichains: one
-    table's reducts, subsets of them, and the sets whose support passes a
-    threshold above 1/2, any two of which are reducts of one member. So it
-    sorts their rank forms in reverse, and needs ``key`` only for the
-    support list, the union over all members, whose sets may nest.
-
-    One 256-entry table per 8 bits, built once, serves ``rank``, and one
-    serves ``name``.
+    So A's list comes first, and A's mask, whose highest differing bit is
+    d's, is the larger int. The CLI's reduct lists are antichains that the
+    engine lists in ascending order: one table's reducts, subsets of them,
+    and the sets whose support passes a threshold above 1/2, any two of
+    which are reducts of one member. So the CLI reads them reversed, and
+    needs ``key`` only for the support list, the union over all members,
+    whose sets may nest. One 256-entry table per 8 bits serves ``name``.
     """
+    order = sorted(range(system.n_attrs), key=system.cond_attrs.__getitem__, reverse=True)
+    names = tuple(map(system.cond_attrs.__getitem__, order))
     m = len(names)
-    order = sorted(range(m), key=names.__getitem__)
-    bits = {a: 1 << (m - 1 - r) for r, a in enumerate(order)}
-    quoted = [_quote(names[a]) for a in reversed(order)]  # by rank-form bit
-    rank_tables, name_tables = [], []
+    rows = system.rows
+    if m > 1:  # one index would make itemgetter return a code, not a row
+        rows = tuple(map(itemgetter(*order), rows))
+    name_tables = []
     for base in range(0, m, 8):
-        ranked, named = [0], [()]
+        named = [()]
         for a in range(base, min(base + 8, m)):
-            bit, head = bits[a], (quoted[a],)
-            ranked += [b | bit for b in ranked]
+            head = (_quote(names[a]),)
             named += [head + t for t in named]  # higher bits name smaller names
-        rank_tables.append(ranked)
         name_tables.append(named)
     top = 1 << m
-
-    def rank(mask: int) -> int:
-        b = 0
-        for table in rank_tables:
-            if not mask:
-                break
-            b |= table[mask & 255]
-            mask >>= 8
-        return b
 
     def key(b: int) -> int:
         return top + b.bit_count() - b - (b & -b) if b else 0
@@ -76,7 +67,7 @@ def namer(names):
             b >>= 8
         return out
 
-    return rank, key, name
+    return replace(system, cond_attrs=names, rows=rows), key, name
 
 
 def render(report) -> str:

@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dynred import (
+    DecisionSystem,
     Family,
     SamplingPlan,
     analyze_family,
@@ -29,7 +30,7 @@ from dynred import (
     sample_family,
 )
 from dynred.cli import run
-from dynred.output import namer as _namer, render as _render
+from dynred.output import name_ordered, render as _render
 
 from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv
 
@@ -145,53 +146,71 @@ class TestReductsCommand:
         assert err == "dynred: base system: engine core disagrees with the exhaustive oracle\n"
 
 
-# Names that are prefixes of one another, names holding characters that
-# JSON escapes or that sort before the quote sign, and non-ASCII ones, so
-# that the name order differs from the index order, from the code-point
-# order of the first character and from the order of the quoted names.
-_NAME = (st.sampled_from(("a", "a0", "a10", " ", "!", '"', "\\"))
-         | st.text('a01 !"\\é\U0001d538', min_size=1, max_size=4))
+# The corpus's names: prefixes of one another, names holding characters
+# that JSON escapes or that sort before the quote sign, DEL, and non-ASCII
+# ones, so that the name order differs from the header order, from the
+# code-point order of the first character and from the order of the quoted
+# names.
+_NAME = (st.sampled_from(("a", "a0", "a10", " ", "!", '"', "\\", "\x7f"))
+         | st.text('a01 !"\\\x7fé\U0001d538', min_size=1, max_size=4))
+
+
+def _two_rows(m):
+    return (*range(m),), (*range(m, 2 * m),)
+
+
+def _ordered_over(names):
+    """``name_ordered`` on a two-row table whose condition columns are ``names``."""
+    return name_ordered(DecisionSystem("t", names, "decision", _two_rows(len(names)), (0, 1), {}))
+
+
+def _names_of(table, mask):
+    return [table.cond_attrs[a] for a in range(table.n_attrs) if mask >> a & 1]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_namer_names_every_mask_in_name_order(data):
-    # m up to 40 covers a partial top nibble, and the empty and full masks
+def test_name_ordered_names_every_mask_in_name_order(data):
+    # m up to 40 covers a partial top byte, and the empty and full masks
     # are always drawn.
     m = data.draw(st.integers(0, 40), label="m")
     names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
+    table, key, name = _ordered_over(names)
+    # The copy holds the same columns, codes and all, largest name first.
+    assert table.cond_attrs == tuple(sorted(names, reverse=True))
+    assert table.rows == tuple(tuple(row[names.index(c)] for c in table.cond_attrs)
+                               for row in _two_rows(m))
     full = (1 << m) - 1
     masks = data.draw(st.lists(st.integers(0, full), max_size=12), label="masks") + [0, full]
-    rank, key, name = _namer(names)
-    expected = [sorted(names[a] for a in range(m) if mask >> a & 1) for mask in masks]
-    assert [name(rank(mask)) for mask in masks] == [tuple(map(_quote, e)) for e in expected]
+    expected = [sorted(_names_of(table, mask)) for mask in masks]
+    assert list(map(name, masks)) == [tuple(map(_quote, e)) for e in expected]
     # Ordering by the key orders the raw name lists, and distinct sets have distinct keys.
-    ordered = sorted(map(rank, masks), key=key)
+    ordered = sorted(masks, key=key)
     assert list(map(name, ordered)) == [tuple(map(_quote, e)) for e in sorted(expected)]
-    assert len({key(rank(mask)) for mask in masks}) == len(set(masks))
+    assert len(set(map(key, masks))) == len(set(masks))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_descending_rank_forms_order_an_antichain_by_name(data):
+def test_descending_masks_order_an_antichain_by_name(data):
     # The minimal sets among random masks form an antichain, as every
     # reduct list does; m up to 40 covers a partial top byte.
     m = data.draw(st.integers(0, 40), label="m")
     names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
+    table, _, name = _ordered_over(names)
     drawn = set(data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=16),
                           label="masks"))
     antichain = [x for x in drawn if not any(y != x and y & x == y for y in drawn)]
-    rank, _, name = _namer(names)
-    expected = sorted(sorted(names[a] for a in range(m) if x >> a & 1) for x in antichain)
-    ordered = sorted(map(rank, antichain), reverse=True)
+    expected = sorted(sorted(_names_of(table, x)) for x in antichain)
+    ordered = sorted(antichain, reverse=True)
     assert list(map(name, ordered)) == [tuple(map(_quote, e)) for e in expected]
 
 
-def test_descending_rank_forms_misorder_a_set_and_its_extension():
-    # {a} lists before {a, b}, but has the smaller rank form: a list whose
-    # sets may nest, such as the support list, needs the key.
-    rank, key, name = _namer(("a", "b"))
-    sets = [rank(0b01), rank(0b11)]
+def test_descending_masks_misorder_a_set_and_its_extension():
+    # {a} lists before {a, b}, but is the smaller mask: a list whose sets
+    # may nest, such as the support list, needs the key.
+    table, key, name = _ordered_over(("a", "b"))
+    sets = [1 << table.cond_attrs.index("a"), 0b11]
     assert list(map(name, sorted(sets, reverse=True))) == [('"a"', '"b"'), ('"a"',)]
     assert list(map(name, sorted(sets, key=key))) == [('"a"',), ('"a"', '"b"')]
 
@@ -422,18 +441,19 @@ def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):
     )
     (tmp_path / "t.csv").write_text(text)
     named = []
-    original = cli.namer
+    original = cli.name_ordered
 
-    def counting_namer(names):
-        rank, key, name = original(names)
+    def counting_name_ordered(system):
+        table, key, name = original(system)
 
         def counted(mask):
-            named.append(mask)
-            return rank(mask)
+            # Counted in header bits, as the analysis below lists them.
+            named.append(sum(1 << system.cond_attrs.index(c) for c in _names_of(table, mask)))
+            return name(mask)
 
-        return counted, key, name
+        return table, key, counted
 
-    monkeypatch.setattr(cli, "namer", counting_namer)
+    monkeypatch.setattr(cli, "name_ordered", counting_name_ordered)
     system = parse_decision_table(text, "d")
     plan = SamplingPlan(seed=3, fractions=("0.5", "0.75", "1"), samples_per_fraction=4)
     analysis = analyze_family(system, sample_family(system, plan))
@@ -886,12 +906,13 @@ class TestExitCodes:
         import dynred.cli as cli_mod
         from dynred import TheoremCheck
 
-        witness = {"attribute": 0, "subset": [0, 2], "superset": [2], "lambda_low": "3/4"}
-        monkeypatch.setattr(
-            cli_mod,
-            "verify_theorems",
-            lambda analysis, report: (TheoremCheck("T1", "fail", "forced", witness),),
-        )
+        def failing(analysis, report):
+            a, c = map(analysis.system.cond_attrs.index, "ac")
+            witness = {"attribute": a, "subset": sorted([a, c]), "superset": [c],
+                       "lambda_low": "3/4"}
+            return (TheoremCheck("T1", "fail", "forced", witness),)
+
+        monkeypatch.setattr(cli_mod, "verify_theorems", failing)
         (tmp_path / "fixa.csv").write_text(FIX_A_CSV)
         monkeypatch.chdir(tmp_path)
         argv = ["verify", "--input", "fixa.csv", "--decision", "d",

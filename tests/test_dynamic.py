@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dynred import (
     DomainError,
@@ -600,19 +600,37 @@ def test_all_eight_sets_match_the_oracle(seed, lam):
     assert (sl.dr_lambda, sl.gdr_lambda, sl.dcore_lambda, sl.gdcore_lambda) == thresholded
 
 
-@settings(deadline=None, max_examples=80)
-@given(
-    st.integers(0, 10 ** 9),
-    st.sampled_from([Fraction(1, 2) + Fraction(1, 10 ** 6), Fraction(501, 1000),
-                     Fraction(51, 100)])
-    | st.fractions(Fraction(1, 2), 1, max_denominator=12).filter(lambda f: f > Fraction(1, 2)),
-)
-def test_every_reported_reduct_list_is_an_antichain(seed, lam):
-    # The CLI orders these lists by descending rank form, which is their
-    # name order only on an antichain. gdr_lambda is one because a
-    # threshold above 1/2 puts any two of its sets in some common member.
+# Thresholds just above 1/2, where gdr_lambda is closest to nesting, and others.
+_LAMBDAS = (st.sampled_from([Fraction(1, 2) + Fraction(1, 10 ** 6), Fraction(501, 1000),
+                             Fraction(51, 100)])
+            | st.fractions(Fraction(1, 2), 1, max_denominator=12)
+            .filter(lambda f: f > Fraction(1, 2)))
+
+
+def _reported_reduct_lists(seed, lam):
+    """Every reduct list the CLI reports but the support list, for a family with repeats."""
     a = _analyzed_family_with_repeats(random.Random(seed))
     sl = stability_report(a, lam)
-    for collection in (a.red_s, *(m.reducts for m in a.per_member),
-                       sl.dr, sl.dr_lambda, sl.gdr, sl.gdr_lambda):
+    return (a.red_s, *(m.reducts for m in a.per_member),
+            sl.dr, sl.dr_lambda, sl.gdr, sl.gdr_lambda)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10 ** 9), _LAMBDAS)
+def test_every_reported_reduct_list_is_an_antichain(seed, lam):
+    # The CLI lists these by descending mask over its name-ordered table,
+    # which is their name order only on an antichain. gdr_lambda is one
+    # because a threshold above 1/2 puts any two of its sets in some common
+    # member.
+    for collection in _reported_reduct_lists(seed, lam):
         assert is_antichain(frozenset(mask_indices(r)) for r in collection)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 10 ** 9), _LAMBDAS)
+@example(497, Fraction(51, 100))
+def test_every_reported_reduct_list_arrives_ascending(seed, lam):
+    # The CLI reads these lists reversed and sorts none of them. In the
+    # example, gdr_lambda's sets pass the threshold out of mask order.
+    for collection in _reported_reduct_lists(seed, lam):
+        assert all(x < y for x, y in zip(collection, collection[1:]))
