@@ -10,16 +10,14 @@ with columns in descending name order (``output.name_ordered``): a
 mask names as its quoted names in name order, and an ascending reduct
 list, reversed, is report order, so no name list is sorted. A failing
 law's witness ``attribute``, a mask's lowest bit, is the largest name
-outside the superset (or in the difference). ``output.render``
-writes the report as ``json.dumps(report, sort_keys=True, indent=2)``
-with each tuple read as its names, plus one trailing newline.
-``--exact`` turns the oracle's reducts into sorted masks once per distinct
-table and compares them, or for ``core`` only their AND, with the
-engine's. Exit codes: 0 success, 1 usage error (including a decimal
-exponent above 1000 in magnitude in --fractions or --lambda, and a report
-or help text that cannot be written), 2 parse/schema error, 3 capacity
-limit or out of memory, 4 non-vacuous verification failure, 70 self-check
-mismatch under --exact.
+outside the superset (or in the difference). ``output.render`` writes
+the text. ``--exact`` compares the engine's results with the oracle's
+(``_cross_check``). The parser is built once per process. Exit codes: 0
+success, 1 usage error (including a decimal exponent above 1000 in
+magnitude in --fractions or --lambda, and a report or help text that
+cannot be written), 2 parse/schema error, 3 capacity limit or out of
+memory, 4 non-vacuous verification failure, 70 self-check mismatch under
+--exact.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ import contextlib
 import io
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .dynamic import (
@@ -88,7 +87,9 @@ def _int_at_least(low: int):
     return parse
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once per process, by the first ``run``; parsing leaves it as it was."""
     parser = _Parser(prog="dynred", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,10 +17,9 @@ each plain set is its thresholded counterpart at lambda = 1; the literal
 "in every member" definitions live in ``oracle.py`` as the independent
 reference. Threshold comparisons are exact: lambda is a rational and
 support/|F| >= lambda is decided by integer cross-multiplication, so
-boundary ties are deterministic. The module also exposes the raw support
-counts and the eight sets at one threshold as one record
-(``stability_report``), and a verifier of the containment laws tying the
-eight sets together that reads that record (``verify_theorems``). Every
+boundary ties are deterministic. ``stability_report`` holds the support
+counts and the eight sets at one threshold; ``verify_theorems`` checks the
+containment laws tying the eight sets together on that record. Every
 attribute set is a bitmask (bit ``a`` is condition attribute ``a``) and
 every reduct collection a tuple of masks in ascending order.
 """
@@ -37,33 +36,29 @@ from .oracle import literal_dynamic_core
 from .reducts import (
     DEFAULT_MAX_ATTRS,
     DEFAULT_MAX_REDUCTS,
+    _reducts,
     attr_mask,
     intersect_all,
     mask_indices,
-    table_reducts,
 )
+from .rough import family_classes
 from .table import DecisionSystem, Family, parse_rational
 
 ONE_HALF = Fraction(1, 2)
 
 # Thresholds the verifier walks, with the requested one, for the monotonicity check (T2c).
-LAMBDA_GRID = (
-    Fraction(51, 100),
-    Fraction(3, 5),
-    Fraction(3, 4),
-    Fraction(9, 10),
-    Fraction(1),
-)
+LAMBDA_GRID = (Fraction(51, 100), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10), Fraction(1))
 
 
 def check_lambda(value: Fraction | int | float | str) -> Fraction:
     """Read and validate a precision coefficient; admissible range is (1/2, 1].
 
-    The value is read by ``parse_rational``, as the CLI flag is: a float by
-    its ``repr``, so ``0.6`` is 3/5, and malformed text, NaN, infinities and
-    a huge decimal exponent raise ParameterError.
+    A ``Fraction`` is range-checked as it is. Other values are read by
+    ``parse_rational``, as the CLI flag is: a float by its ``repr``, so
+    ``0.6`` is 3/5, and malformed text, NaN, infinities and a huge decimal
+    exponent raise ParameterError.
     """
-    lam = parse_rational(value, "precision coefficient")
+    lam = value if type(value) is Fraction else parse_rational(value, "precision coefficient")
     if not ONE_HALF < lam <= 1:
         raise ParameterError(f"precision coefficient {lam} outside (1/2, 1]")
     return lam
@@ -119,20 +114,22 @@ def analyze_family(
 ) -> FamilyAnalysis:
     """Enumerate reducts and cores for the system and each distinct member once.
 
-    Each table goes through ``table_reducts``, whose core is the AND of the
-    reduct masks. The system, then each member, is keyed by its object indices:
-    a repeated member shares the analysis of its first occurrence, and a
-    member covering the whole universe shares the system's.
+    The system's rows are packed once (``rough.family_classes``); each
+    table's class table, one pass over its object indices, is searched as
+    by ``table_reducts``. A repeated member (by object indices) shares its
+    first occurrence's analysis, and a member covering the universe the
+    system's.
     """
     if family.parent != system:
         raise DomainError("family members do not belong to the analyzed system")
+    classes = family_classes(system)
     seen: dict[tuple[int, ...], MemberAnalysis] = {}
     for i, table in enumerate((system, *family.members), -1):
         if table.object_indices in seen:
             continue
         try:
             seen[table.object_indices] = MemberAnalysis(
-                *table_reducts(table, max_attrs=max_attrs, max_reducts=max_reducts)
+                *_reducts(classes(table), max_attrs, max_reducts)
             )
         except CapacityError as exc:
             where = f"family member {i}" if i >= 0 else "base system"
@@ -341,9 +338,7 @@ def verify_theorems(analysis: FamilyAnalysis, report: StabilityReport) -> tuple[
 
     checks.append(
         _containment(
-            "T2d",
-            report.dcore,
-            report.dcore_lambda,
+            "T2d", report.dcore, report.dcore_lambda,
             "the plain stable core lies inside every thresholded core",
         )
     )
@@ -355,17 +350,13 @@ def verify_theorems(analysis: FamilyAnalysis, report: StabilityReport) -> tuple[
     )
     checks.append(
         _containment(
-            "T4a",
-            report.dcore,
-            report.gdcore,
+            "T4a", report.dcore, report.gdcore,
             "stable core lies inside the generalized stable core",
         )
     )
     checks.append(
         _containment(
-            "T4b",
-            report.dcore_lambda,
-            report.gdcore_lambda,
+            "T4b", report.dcore_lambda, report.gdcore_lambda,
             "thresholded core lies inside the generalized thresholded core",
         )
     )

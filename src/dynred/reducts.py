@@ -3,7 +3,7 @@
 The clauses, one attribute mask per pair of condition classes that a reduct
 must split, form a monotone CNF over condition attributes; its prime
 implicants, the minimal attribute sets hitting every clause, are exactly
-the reducts. ``reduct_masks`` reads a table's clauses once, as the class
+the reducts. ``_reducts`` reads a class table's clauses once, as the class
 pairs make them (``rough.pair_masks``), and hands them to one of two
 searches, chosen from |C| alone. Both read only the clause set, |C| and
 the cap, return the minimal transversals in ascending mask order, and
@@ -20,10 +20,12 @@ positive-region probe of the table's labelled class table
 (``rough.preserves``), one probe per attribute. Clauses and
 attribute sets are bitmasks (bit ``a`` is condition attribute ``a``, listed
 by ``mask_indices``):
-``table_reducts`` is the per-table result the family analysis and the CLI
-read. ``all_reducts`` and ``core_of`` are the only frozenset views: the
-library's public reduct and core, in the form the benchmark's output
-checks and the oracle's references read. The clause reference is the
+``table_reducts`` is ``_reducts`` on one table's ``rough.class_table``, the
+result the CLI reads; the family analysis calls ``_reducts`` on class
+tables read through its system's rows, packed once
+(``rough.family_classes``). ``all_reducts`` and ``core_of`` are the only
+frozenset views: the library's public reduct and core, in the form the
+benchmark's output checks and the oracle's references read. The clause reference is the
 oracle's ``discernibility_function``.
 """
 
@@ -34,7 +36,7 @@ from math import prod
 from typing import Iterable
 
 from .errors import CapacityError
-from .rough import class_table, pair_masks, preserves
+from .rough import ClassTable, class_table, pair_masks, preserves
 from .table import Table
 
 DEFAULT_MAX_ATTRS = 24
@@ -229,26 +231,24 @@ def _mmcs(clauses: Iterable[int], n: int, max_reducts: int) -> list[int]:
     return found
 
 
-def reduct_masks(
-    table: Table,
-    *,
-    max_attrs: int = DEFAULT_MAX_ATTRS,
-    max_reducts: int = DEFAULT_MAX_REDUCTS,
-) -> list[int]:
-    """Every reduct of the table as an attribute bitmask, in ascending order.
+def _reducts(classes: ClassTable, max_attrs: int, max_reducts: int) -> tuple[tuple[int, ...], int]:
+    """Every reduct of a class table as an attribute bitmask in ascending order, and the core.
 
-    The minimal transversals of the table's clauses (``rough.pair_masks``),
-    found by ``_sweep`` when |C| is at most ``LATTICE_MAX_ATTRS`` and by
-    ``_mmcs`` above it. Each reduct appears exactly once; a table with no
-    clauses yields the single empty mask. Raises CapacityError rather than
-    truncating when |C| exceeds ``max_attrs`` or the table has more than
-    ``max_reducts`` reducts; the count is checked before any reduct it
-    covers is listed, so the search stops as soon as it would pass the cap.
+    The reducts are the minimal transversals of the table's clauses
+    (``rough.pair_masks``), found by ``_sweep`` when |C| is at most
+    ``LATTICE_MAX_ATTRS`` and by ``_mmcs`` above it; the core is their AND.
+    Each reduct appears exactly once; a table with no clauses yields the
+    single empty mask. Raises CapacityError rather than truncating when |C|
+    exceeds ``max_attrs`` or the table has more than ``max_reducts``
+    reducts; the count is checked before any reduct it covers is listed,
+    so the search stops as soon as it would pass the cap.
     """
-    n = table.parent.n_attrs
+    n = classes.n_attrs
     if n > max_attrs:
         raise CapacityError(f"|C| = {n} exceeds the enumeration limit max_attrs = {max_attrs}")
-    return (_sweep if n <= LATTICE_MAX_ATTRS else _mmcs)(pair_masks(table), n, max_reducts)
+    search = _sweep if n <= LATTICE_MAX_ATTRS else _mmcs
+    masks = tuple(search(pair_masks(classes), n, max_reducts))
+    return masks, intersect_all(masks, n)
 
 
 def table_reducts(
@@ -257,9 +257,11 @@ def table_reducts(
     max_attrs: int = DEFAULT_MAX_ATTRS,
     max_reducts: int = DEFAULT_MAX_REDUCTS,
 ) -> tuple[tuple[int, ...], int]:
-    """``reduct_masks`` in ascending order, and the core as their AND; same caps."""
-    masks = tuple(reduct_masks(table, max_attrs=max_attrs, max_reducts=max_reducts))
-    return masks, intersect_all(masks, table.parent.n_attrs)
+    """The table's reducts as masks in ascending order, and the core as their AND.
+
+    ``_reducts`` on the table's ``rough.class_table``, with its caps.
+    """
+    return _reducts(class_table(table), max_attrs, max_reducts)
 
 
 def all_reducts(
@@ -268,8 +270,8 @@ def all_reducts(
     max_attrs: int = DEFAULT_MAX_ATTRS,
     max_reducts: int = DEFAULT_MAX_REDUCTS,
 ) -> tuple[frozenset[int], ...]:
-    """Every reduct of the table, in canonical order; ``reduct_masks`` with its caps."""
-    masks = reduct_masks(table, max_attrs=max_attrs, max_reducts=max_reducts)
+    """Every reduct of the table, in canonical order; ``table_reducts`` with its caps."""
+    masks, _ = table_reducts(table, max_attrs=max_attrs, max_reducts=max_reducts)
     return tuple(map(frozenset, sorted(map(mask_indices, masks))))
 
 

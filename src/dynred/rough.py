@@ -10,8 +10,11 @@ and the reduct predicate are built on it. The classical partitions and
 positive regions these rules restate are the oracle's (``oracle.py``).
 Everything here is a pure function; clauses and probe masks are int
 bitmasks over condition-attribute indices. ``pair_masks`` gives the
-distinct clauses as the class pairs make them; nothing here absorbs them.
-A table is read as its ``parent`` system and its ``object_indices``.
+distinct clauses of a class table as the class pairs make them; nothing
+here absorbs them. A table is read as its ``parent`` system and its
+``object_indices``: ``class_table`` packs a table's own distinct rows, and
+``family_classes`` packs every row of a system once, so that each member's
+class table is one labelling pass over the member's object indices.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import sys
 from dataclasses import dataclass
 from itertools import repeat
 from operator import lshift, or_
-from typing import Iterable
+from typing import Callable, Collection, Iterable, Sequence
 
 from .table import Table, checked_attrs
 
@@ -42,25 +45,57 @@ class ClassTable:
     planes: int
 
 
+def _labels(rows: Sequence, table: Table) -> dict:
+    """Each distinct row of the table, read from ``rows`` by object index, to its label.
+
+    The label is the row's decision code, or ``BOUNDARY`` when the table's
+    objects with that row disagree.
+    """
+    decisions = table.parent.decisions
+    labels: dict = {}
+    for i in table.object_indices:
+        if labels.setdefault(rows[i], decisions[i]) != decisions[i]:
+            labels[rows[i]] = BOUNDARY
+    return labels
+
+
+def _pack(rows: Collection[tuple[int, ...]], m: int) -> tuple[list[int], int]:
+    """Each row of m codes packed into bit planes, and the plane count.
+
+    Each code present is spread once (bit ``j`` to bit ``j * m``), and a row
+    packs as its spread codes shifted by their attribute indices, so the
+    cost is O(rows * m) whatever the codes' range.
+    """
+    codes = set().union(*rows)
+    spread = {c: int(("0" * (m - 1)).join(format(c, "b")), 2) for c in codes}.__getitem__
+    attrs = range(m)
+    packed = [sum(map(lshift, map(spread, row), attrs)) for row in rows]
+    return packed, max(codes, default=0).bit_length()
+
+
 def class_table(table: Table) -> ClassTable:
     """Pack and label the table's full-attribute condition classes.
 
-    Each code present is spread once (bit ``j`` to bit ``j * n_attrs``), and
-    a row packs as its spread codes shifted by their attribute indices, so
-    the cost is O(distinct rows * n_attrs) whatever the codes' range.
+    Only the table's distinct rows are packed, so time and memory follow
+    the table, not its parent or the codes' range.
     """
-    parent = table.parent
-    rows, decisions = parent.rows, parent.decisions
-    by_row: dict[tuple[int, ...], int] = {}
-    for i in table.object_indices:
-        if by_row.setdefault(rows[i], decisions[i]) != decisions[i]:
-            by_row[rows[i]] = BOUNDARY
-    m = parent.n_attrs
-    codes = set().union(*by_row)
-    spread = {c: int(("0" * (m - 1)).join(format(c, "b")), 2) for c in codes}.__getitem__
-    attrs = range(m)
-    labels = {sum(map(lshift, map(spread, row), attrs)): label for row, label in by_row.items()}
-    return ClassTable(labels, m, max(codes, default=0).bit_length())
+    by_row = _labels(table.parent.rows, table)
+    packed, planes = _pack(by_row, table.parent.n_attrs)
+    return ClassTable(dict(zip(packed, by_row.values())), table.parent.n_attrs, planes)
+
+
+def family_classes(system: Table) -> Callable[[Table], ClassTable]:
+    """The class table of any table of the system's parent, its rows packed once.
+
+    Every row of the parent is packed here, once; a member's class table is
+    then one labelling pass over its object indices, with no packing. Its
+    labels are ``class_table(member)``'s, and its plane count is the
+    parent's, at least the member's own: an extra plane is zero in every
+    class and changes no clause and no probe.
+    """
+    parent = system.parent
+    packed, planes = _pack(parent.rows, parent.n_attrs)
+    return lambda table: ClassTable(_labels(packed, table), parent.n_attrs, planes)
 
 
 def preserves(classes: ClassTable, mask: int) -> bool:
@@ -80,8 +115,8 @@ def preserves(classes: ClassTable, mask: int) -> bool:
     return True
 
 
-def pair_masks(table: Table) -> set[int]:
-    """The distinct clauses of the table's discernibility function, unabsorbed.
+def pair_masks(classes: ClassTable) -> set[int]:
+    """The distinct clauses of a class table's discernibility function, unabsorbed.
 
     Works on distinct full-attribute condition classes, not on object pairs:
     objects of one class never need splitting, and two classes must be split
@@ -101,7 +136,6 @@ def pair_masks(table: Table) -> set[int]:
     smaller group, not once per pair. The set holds only attribute masks,
     at most 2^m of them, however many pairs there are.
     """
-    classes = class_table(table)
     m = classes.n_attrs
     plane = (1 << m) - 1
     shifts = [j * m for j in range(classes.planes)]

@@ -105,21 +105,21 @@ class TestReductsCommand:
     def test_exact_catches_a_wrong_reduct_collection(self, capsys, monkeypatch, tmp_path, wrong):
         import dynred.reducts
 
-        # The search call inside reducts.table_reducts, which every table goes through.
-        original = dynred.reducts.reduct_masks
+        # The search call inside reducts.table_reducts, which the reducts command goes through.
+        original = dynred.reducts._reducts
 
-        def mutated(table, **kwargs):
-            masks = original(table, **kwargs)
+        def mutated(classes, *caps):
+            masks, core = original(classes, *caps)
             if wrong == "dropped":
-                return masks[1:]
+                return masks[1:], core
             if wrong == "repeated":
-                return masks + masks[:1]
+                return masks + masks[:1], core
             r = masks[0]
-            return masks + [r | (~r & (r + 1))]  # r plus its lowest unset attribute
+            return masks + (r | (~r & (r + 1)),), core  # r plus its lowest unset attribute
 
         p = tmp_path / "matching.csv"
         p.write_text(matching_csv(3))
-        monkeypatch.setattr(dynred.reducts, "reduct_masks", mutated)
+        monkeypatch.setattr(dynred.reducts, "_reducts", mutated)
         status = run(["reducts", "--input", str(p), "--decision", "d", "--exact"])
         out, err = capsys.readouterr()
         assert status == 70
@@ -999,18 +999,23 @@ class TestEachIntermediateOnce:
 
     def test_dropped_reduct_of_a_repeated_member_exits_70(self, capsys, monkeypatch,
                                                           fixa_path, family):
-        import dynred.reducts
+        import dynred.dynamic
+        from dynred.rough import class_table
 
         rows = [m.object_indices for m in family]
         first = next(i for i, r in enumerate(rows) if r in rows[i + 1:] and len(r) < 3)
         assert first == 1
-        original = dynred.reducts.reduct_masks
+        # The search call inside analyze_family sees a class table; FIX-A's
+        # rows are distinct, so the member's labels name its rows.
+        system, _, _ = name_ordered(parse_decision_table(FIX_A_CSV, "d"))
+        target = class_table(make_subsystem(system, rows[first])).labels
+        original = dynred.dynamic._reducts
 
-        def dropping(table, **kwargs):
-            masks = original(table, **kwargs)
-            return masks[1:] if getattr(table, "object_indices", None) == rows[first] else masks
+        def dropping(classes, *caps):
+            masks, core = original(classes, *caps)
+            return (masks[1:] if classes.labels == target else masks), core
 
-        monkeypatch.setattr(dynred.reducts, "reduct_masks", dropping)
+        monkeypatch.setattr(dynred.dynamic, "_reducts", dropping)
         status = run(["dynamic", "--input", fixa_path, "--exact", *self.ARGS])
         out, err = capsys.readouterr()
         assert status == 70
@@ -1036,3 +1041,78 @@ def test_module_entry_point(fixa_path):
     proc = run_module(["reducts", "--input", fixa_path, "--decision", "d"])
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["static"]["core"] == ["a"]
+
+
+class TestParserReuse:
+    """``run`` builds its parser once per process, and reusing it changes no result.
+
+    Each sequence runs once on the cached parser and once with a fresh
+    parser per call (``build_parser.__wrapped__``); every exit code,
+    stdout and stderr must agree.
+    """
+
+    class ClosedStream(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    @classmethod
+    def _run(cls, argv, closed=False):
+        out = cls.ClosedStream() if closed else io.StringIO()
+        err = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = run(argv)
+        return status, None if closed else out.getvalue(), err.getvalue()
+
+    def _both(self, monkeypatch, calls):
+        cached = [self._run(*call) for call in calls]
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            fresh = [self._run(*call) for call in calls]
+        return cached, fresh
+
+    def test_a_sequence_matches_fresh_parsers(self, monkeypatch, fixa_path):
+        common = ["--input", fixa_path, "--decision", "d"]
+        family = ["--fractions", "0.6,1", "--samples", "4", "--seed", "5", "--lambda", "0.75"]
+        calls = [
+            (["--help"],),
+            (["reducts", "--input", fixa_path],),  # a usage error: --decision is missing
+            (["reducts", *common, "--exact"],),
+            (["verify", *common, *family],),
+            (["reducts", *common],),
+            (["core", *common],),
+            (["--help"], True),
+        ]
+        cli.build_parser.cache_clear()
+        cached, fresh = self._both(monkeypatch, calls)
+        assert cached == fresh
+        assert [status for status, _, _ in cached] == [0, 1, 0, 0, 0, 0, 1]
+        reducts, plain = json.loads(cached[2][1]), json.loads(cached[4][1])
+        assert reducts["params"]["exact"] and not plain["params"]["exact"]
+        assert plain["params"]["lambda"] is None
+
+    def test_help_follows_columns_on_each_call(self, monkeypatch):
+        calls = [(["--help"],), (["verify", "--help"],)]
+        widths = {}
+        cli.build_parser.cache_clear()
+        for columns in ("40", "200"):  # one cached parser for both widths
+            monkeypatch.setenv("COLUMNS", columns)
+            cached, fresh = self._both(monkeypatch, calls)
+            assert cached == fresh
+            widths[columns] = cached
+        assert widths["40"] != widths["200"]
+
+    def test_no_parser_is_built_after_the_first_run(self, monkeypatch):
+        import argparse
+
+        self._run(["--help"])
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert self._run(["--help"])[0] == 0
+        assert self._run(["core", "--help"])[0] == 0
+        assert built == []

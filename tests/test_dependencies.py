@@ -41,9 +41,11 @@ def test_pyproject_declares_no_dependencies():
 PRIMITIVES = {"positive_region", "condition_classes", "generalized_decision"}
 # The oracle's own definitions: the primitives and the clause reference.
 ORACLE_ONLY = PRIMITIVES | {"discernibility_function"}
-# The engine's reads of a table: the class table, its probe, the clause
-# build, the search's bitmask absorption, and the reduct predicate.
-ENGINE_PROBES = {"class_table", "preserves", "pair_masks", "_minimal_masks", "is_reduct"}
+# The engine's reads of a table: the class table, a family's packed rows,
+# its probe, the clause build, the search's bitmask absorption, and the
+# reduct predicate.
+ENGINE_PROBES = {"class_table", "family_classes", "preserves", "pair_masks", "_minimal_masks",
+                 "is_reduct"}
 
 
 def _names(tree):

@@ -40,7 +40,7 @@ from dynred import (
     verify_theorems,
 )
 
-from dynred.reducts import mask_indices
+from dynred.reducts import mask_indices, table_reducts
 from dynred.table import parse_rational
 
 from conftest import as_mask, inside, mask, mask_names, matching_csv, random_family, random_system
@@ -85,6 +85,26 @@ class TestLambdaParsing:
 
     def test_check_accepts_fraction(self):
         assert check_lambda(Fraction(3, 4)) == Fraction(3, 4)
+
+    @pytest.mark.parametrize("value", [Fraction(51, 100), Fraction(3, 4), Fraction(1),
+                                       Fraction(1, 2), Fraction(101, 100), Fraction(-3, 4)])
+    def test_fraction_is_range_checked_without_the_text_reader(self, monkeypatch, value):
+        import dynred.dynamic
+
+        def verdict(v):
+            try:
+                return check_lambda(v)
+            except ParameterError as exc:
+                return str(exc)
+
+        expected = verdict(str(value))
+        monkeypatch.setattr(dynred.dynamic, "parse_rational", None)  # a call would fail
+        got = verdict(value)
+        assert got == expected and type(got) is type(expected)
+
+    def test_bool_is_refused(self):
+        with pytest.raises(ParameterError, match="cannot parse"):
+            check_lambda(True)
 
 
 class TestLibraryStringInput:
@@ -221,22 +241,48 @@ class TestAnalyzeFamily:
         with pytest.raises(CapacityError, match="^base system: "):
             analyze_family(s, family, max_reducts=1)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_members_read_through_packed_rows_match_table_reducts(self, seed):
+        # Random parents, inconsistent ones among them, and random members.
+        rng = random.Random(seed)
+        s = random_system(rng, max_objects=12, max_attrs=6)
+        members = random_family(rng, s, max_members=6).members
+        a = analyze_family(s, Family(members))
+        assert (a.red_s, a.core_s) == table_reducts(s)
+        assert a.per_member == tuple(MemberAnalysis(*table_reducts(m)) for m in members)
+
+    def test_member_keeping_one_side_of_a_boundary_class(self, fix_b):
+        # FIX-B's objects 0 and 1 share a condition row but not a decision,
+        # so the parent must split that boundary class from row 2 on b. A
+        # member keeping one side labels the row with that side's decision.
+        members = tuple(make_subsystem(fix_b, rows) for rows in ({0, 2}, {1, 2}, {0, 1}))
+        a = analyze(fix_b, *members)
+        b = mask(fix_b, "b")
+        assert (a.red_s, a.core_s) == table_reducts(fix_b) == ((b,), b)
+        assert a.per_member == tuple(MemberAnalysis(*table_reducts(m)) for m in members)
+        assert a.per_member == (MemberAnalysis((0,), 0), MemberAnalysis((b,), b),
+                                MemberAnalysis((0,), 0))
+
     def test_one_search_per_distinct_row_set(self, monkeypatch):
         import dynred.dynamic
+        from dynred.rough import class_table
 
+        # The search reads class tables; the matching table's rows are
+        # distinct, so a table's labels name its rows.
         searched = []
-        search = dynred.dynamic.table_reducts
+        search = dynred.dynamic._reducts
 
-        def counted(table, **caps):
-            searched.append(table.object_indices)
-            return search(table, **caps)
+        def counted(classes, *caps):
+            searched.append(classes.labels)
+            return search(classes, *caps)
 
-        monkeypatch.setattr(dynred.dynamic, "table_reducts", counted)
+        monkeypatch.setattr(dynred.dynamic, "_reducts", counted)
         s = parse_decision_table(matching_csv(3), "d")
         b1, b2 = make_subsystem(s, {0, 1, 2}), make_subsystem(s, {1, 3})
         members = (b1, full_subsystem(s), b2, b1, full_subsystem(s), b2, b1)
         analyze(s, *members)
-        assert searched == [s.object_indices, b1.object_indices, b2.object_indices]
+        assert searched == [class_table(t).labels for t in (s, b1, b2)]
 
     def test_sampled_identity_family(self, fix_a):
         from dynred import SamplingPlan, sample_family

@@ -27,10 +27,15 @@ from dynred import (
     positive_region,
 )
 from dynred import reducts as reducts_module
-from dynred.reducts import attr_mask, mask_indices, reduct_masks
-from dynred.rough import class_table, pair_masks, preserves
+from dynred.reducts import attr_mask, mask_indices, table_reducts
+from dynred.rough import ClassTable, class_table, family_classes, pair_masks, preserves
 
 from conftest import cycle_csv, idx, matching_csv, random_system, reduct_names
+
+
+def _reduct_masks(table, **caps):
+    """The table's reducts as a list of masks in ascending order (``table_reducts``)."""
+    return list(table_reducts(table, **caps)[0])
 
 
 class TestFixtureValues:
@@ -48,7 +53,7 @@ class TestFixtureValues:
 
     def test_fix_a_function_clauses(self, fix_a):
         # (a) and (b or c); the three-attribute cell is absorbed away.
-        assert reducts_module._minimal_masks(pair_masks(fix_a)) == [0b001, 0b110]
+        assert reducts_module._minimal_masks(pair_masks(class_table(fix_a))) == [0b001, 0b110]
         assert discernibility_function(fix_a) == (idx(fix_a, "a"), idx(fix_a, "bc"))
 
 
@@ -72,7 +77,7 @@ class TestCanonicalOrder:
         # Clauses (a|b) and (b|c): reducts {b} = 0b010 and {a, c} = 0b101. The
         # frozenset view orders them by index list, not by mask.
         s = parse_decision_table("a,b,c,d\n0,0,0,0\n1,1,0,1\n0,1,1,1\n", "d")
-        assert reduct_masks(s) == [0b010, 0b101]
+        assert _reduct_masks(s) == [0b010, 0b101]
         assert all_reducts(s) == (frozenset({0, 2}), frozenset({1}))
 
     def test_mask_indices_lists_set_bits_in_ascending_order(self):
@@ -141,7 +146,7 @@ class TestCapacityLimits:
         ]
         for cap in range(1, 7):
             with pytest.raises(CapacityError, match=f"max_reducts = {cap} reducts"):
-                reduct_masks(s, max_reducts=cap)
+                _reduct_masks(s, max_reducts=cap)
 
     def test_product_of_twins_stops_at_the_cap(self):
         # 20 triples of identical columns: 3**20 reducts from one quotient
@@ -242,7 +247,7 @@ def _attrs(mask):
 
 
 def _oracle_masks(table):
-    """The subset oracle's reducts as masks in ascending order, as ``reduct_masks`` returns them."""
+    """The subset oracle's reducts as masks in ascending order, as ``_reduct_masks`` lists them."""
     return sorted(map(attr_mask, brute_force_reducts(table)))
 
 
@@ -254,7 +259,7 @@ def _assert_engine_matches_oracle(system, table):
     """
     # The engine's clauses in its own order: by size, then by mask value.
     oracle_clauses = map(attr_mask, discernibility_function(table))
-    clauses = reducts_module._minimal_masks(pair_masks(table))
+    clauses = reducts_module._minimal_masks(pair_masks(class_table(table)))
     assert clauses == sorted(oracle_clauses, key=lambda m: (m.bit_count(), m))
     cells = [cell for _, cell in discernibility_matrix(table).cells]
     core = core_of(table)
@@ -297,7 +302,7 @@ class TestClauseOracleAgreement:
 
     def test_constant_decision(self):
         s = _coded_table(random.Random(12), 15, 5, d_arity=1)
-        assert reducts_module._minimal_masks(pair_masks(s)) == []
+        assert reducts_module._minimal_masks(pair_masks(class_table(s))) == []
         _assert_engine_matches_oracle(s, s)
 
     def test_one_row(self):
@@ -336,7 +341,7 @@ class TestClauseOracleAgreement:
         # Every row packs to the empty class; the sole reduct is the empty set.
         s = parse_decision_table("d\n" + decisions.replace(",", "\n") + "\n", "d")
         assert s.n_attrs == 0
-        assert reducts_module._minimal_masks(pair_masks(s)) == []
+        assert reducts_module._minimal_masks(pair_masks(class_table(s))) == []
         assert all_reducts(s) == (frozenset(),)
         assert is_reduct(s, ())
         _assert_engine_matches_oracle(s, s)
@@ -369,6 +374,28 @@ def test_class_table_memory_follows_the_member_not_the_code_range():
     _assert_engine_matches_oracle(s, member)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 10 ** 6))
+def test_family_classes_label_members_as_class_table_does(seed):
+    # Parents with boundary classes, repeated rows (few short columns), no
+    # condition column, or an id-like first column of 5 to 40 codes (at
+    # least three planes); every table of the parent reads its labels off
+    # the parent's packed rows and keeps the parent's plane count.
+    rng = random.Random(seed)
+    m = rng.choice((0, 1, 2, 5, 12))
+    s = _coded_table(rng, rng.randint(1, 40), m, d_arity=rng.randint(1, 3),
+                     conflicts=rng.randint(0, 6),
+                     wide_rows=rng.choice((0, rng.randint(5, 40))) if m else 0)
+    classes = family_classes(s)
+    parent = class_table(s)
+    assert classes(s) == parent
+    for _ in range(5):
+        member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
+        own = class_table(member)
+        assert own.planes <= parent.planes
+        assert classes(member) == ClassTable(own.labels, m, parent.planes)
+
+
 def test_clause_build_memory_follows_the_masks_not_the_pairs():
     # 600 rows with 10-bit id codes. Even rows take codes 0 or 3 and odd
     # rows 1 or 2, so each of the 90,000 pairs of differently labelled rows
@@ -383,7 +410,7 @@ def test_clause_build_memory_follows_the_masks_not_the_pairs():
     assert class_table(s).planes == 10
     tracemalloc.start()
     try:
-        masks = reducts_module._minimal_masks(pair_masks(s))
+        masks = reducts_module._minimal_masks(pair_masks(class_table(s)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -416,9 +443,9 @@ class TestBitSlicedPairLoop:
         s = DecisionSystem("slots", tuple(f"c{a}" for a in range(m)), "d",
                            tuple(map(tuple, rows)), tuple(decisions), {})
         oracle_clauses = map(attr_mask, discernibility_function(s))
-        clauses = reducts_module._minimal_masks(pair_masks(s))
+        clauses = reducts_module._minimal_masks(pair_masks(class_table(s)))
         assert clauses == sorted(oracle_clauses, key=lambda c: (c.bit_count(), c))
-        assert set(clauses) <= pair_masks(s)
+        assert set(clauses) <= pair_masks(class_table(s))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -432,7 +459,7 @@ class TestBitSlicedPairLoop:
         member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
         q = s.n_attrs
         for table in (s, member):
-            masks = pair_masks(table)
+            masks = pair_masks(class_table(table))
             clauses = reducts_module._minimal_masks(masks)
             assert set(clauses) <= masks
             found = reducts_module._sweep(masks, q, 1 << q)
@@ -447,12 +474,12 @@ class TestBitSlicedPairLoop:
         # clauses. With absorption made to fail, the lattice path still
         # returns the same reducts and raises the same cap text.
         s = _coded_table(random.Random(43), 300, 12, arities=[3] * 12)
-        clauses = reducts_module._minimal_masks(pair_masks(s))
-        assert len(pair_masks(s)) > 2 * len(clauses)
-        expected = reduct_masks(s)
+        clauses = reducts_module._minimal_masks(pair_masks(class_table(s)))
+        assert len(pair_masks(class_table(s))) > 2 * len(clauses)
+        expected = _reduct_masks(s)
         cap = len(expected) - 1
         with pytest.raises(CapacityError) as exc:
-            reduct_masks(s, max_reducts=cap)
+            _reduct_masks(s, max_reducts=cap)
         text = str(exc.value)
         assert text == (f"more than max_reducts = {cap} reducts "
                         f"({len(clauses)} absorbed clauses, |C| = 12); raise the cap")
@@ -462,10 +489,10 @@ class TestBitSlicedPairLoop:
 
         monkeypatch.setattr(reducts_module, "_minimal_masks", absorb)
         with pytest.raises(AssertionError):
-            reducts_module._mmcs(pair_masks(s), 12, cap)
-        assert reduct_masks(s) == expected
+            reducts_module._mmcs(pair_masks(class_table(s)), 12, cap)
+        assert _reduct_masks(s) == expected
         with pytest.raises(CapacityError) as exc:
-            reduct_masks(s, max_reducts=cap)
+            _reduct_masks(s, max_reducts=cap)
         assert str(exc.value) == text
 
 
@@ -481,7 +508,7 @@ def test_core_past_the_oracle_limit(arities):
     decisions = tuple(rng.randrange(2) for _ in range(n))
     s = DecisionSystem("uniform", tuple(f"c{a}" for a in range(m)), "d", rows, decisions, {})
     core = core_of(s)
-    assert core == frozenset(mask_indices(intersect_all(reduct_masks(s), m)))
+    assert core == frozenset(mask_indices(intersect_all(_reduct_masks(s), m)))
     full = positive_region(s, range(m))
     assert core == {a for a in range(m) if positive_region(s, set(range(m)) - {a}) != full}
 
@@ -502,7 +529,7 @@ class TestEnumeratorOracleAgreement:
         )
         member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
         for table in (s, member):
-            assert reduct_masks(table) == _oracle_masks(table)
+            assert _reduct_masks(table) == _oracle_masks(table)
             assert all_reducts(table) == brute_force_reducts(table)
 
     @settings(max_examples=80, deadline=None)
@@ -520,7 +547,7 @@ class TestEnumeratorOracleAgreement:
         ))
         member = make_subsystem(s, rng.sample(range(s.n_objects), rng.randint(1, s.n_objects)))
         for table in (s, member):
-            assert reduct_masks(table) == _oracle_masks(table)
+            assert _reduct_masks(table) == _oracle_masks(table)
 
     def test_inconsistent_table(self):
         rng = random.Random(21)
@@ -586,7 +613,7 @@ def test_deep_search_needs_no_recursion():
 
 
 def _search(table, width=None, **caps):
-    """``reduct_masks`` with ``LATTICE_MAX_ATTRS`` set to ``width`` (kept
+    """``_reduct_masks`` with ``LATTICE_MAX_ATTRS`` set to ``width`` (kept
     when None), and whether the lattice sweep ran."""
     calls = []
     sweep = reducts_module._sweep
@@ -594,7 +621,7 @@ def _search(table, width=None, **caps):
         mp.setattr(reducts_module, "_sweep", lambda *args: calls.append(args) or sweep(*args))
         if width is not None:
             mp.setattr(reducts_module, "LATTICE_MAX_ATTRS", width)
-        masks = reduct_masks(table, **caps)
+        masks = _reduct_masks(table, **caps)
     return masks, bool(calls)
 
 
@@ -704,7 +731,7 @@ class TestLatticeAndMMCS:
         masks, swept = _search(s, max_reducts=57)
         assert swept and len(masks) == 57
         with pytest.raises(CapacityError) as exc:
-            reduct_masks(s, max_reducts=56)
+            _reduct_masks(s, max_reducts=56)
         assert str(exc.value) == (
             "more than max_reducts = 56 reducts (12 absorbed clauses, |C| = 12); raise the cap"
         )
@@ -734,7 +761,7 @@ class TestLatticeAndMMCS:
         assert swept and len(masks) == 256
         assert masks == sorted(masks)
         with pytest.raises(CapacityError) as exc:
-            reduct_masks(s, max_reducts=255)
+            _reduct_masks(s, max_reducts=255)
         assert str(exc.value) == (
             "more than max_reducts = 255 reducts (8 absorbed clauses, |C| = 16); raise the cap"
         )
@@ -754,4 +781,4 @@ class TestLatticeAndMMCS:
         masks, swept = _search(s)
         assert not swept and masks == [0]
         with pytest.raises(CapacityError, match="max_reducts = 0 reducts"):
-            reduct_masks(s, max_reducts=0)
+            _reduct_masks(s, max_reducts=0)
