@@ -14,14 +14,6 @@ from .dynamic import (
     TheoremCheck,
     analyze_family,
     check_lambda,
-    dynamic_core,
-    dynamic_core_lambda,
-    dynamic_reduct,
-    dynamic_reduct_lambda,
-    generalized_dynamic_core,
-    generalized_dynamic_core_lambda,
-    generalized_dynamic_reduct,
-    generalized_dynamic_reduct_lambda,
     stability_report,
     verify_theorems,
 )
@@ -106,16 +98,8 @@ __all__ = [
     "core_of",
     "discernibility_function",
     "discernibility_matrix",
-    "dynamic_core",
-    "dynamic_core_lambda",
-    "dynamic_reduct",
-    "dynamic_reduct_lambda",
     "full_subsystem",
     "generalized_decision",
-    "generalized_dynamic_core",
-    "generalized_dynamic_core_lambda",
-    "generalized_dynamic_reduct",
-    "generalized_dynamic_reduct_lambda",
     "intersect_all",
     "is_antichain",
     "is_reduct",

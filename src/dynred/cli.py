@@ -274,7 +274,7 @@ def _execute(args) -> tuple[dict, int]:
     if args.command == "dynamic":
         return report, EXIT_OK
 
-    checks = verify_theorems(analysis, stability)
+    checks = verify_theorems(stability)
     report["verification"] = [
         {
             "check": c.check,

@@ -17,9 +17,10 @@ each plain set is its thresholded counterpart at lambda = 1; the literal
 "in every member" definitions live in ``oracle.py`` as the independent
 reference. Threshold comparisons are exact: lambda is a rational and
 support/|F| >= lambda is decided by integer cross-multiplication, so
-boundary ties are deterministic. ``stability_report`` holds the support
-counts and the eight sets at one threshold; ``verify_theorems`` checks the
-containment laws tying the eight sets together on that record. Every
+boundary ties are deterministic. ``stability_report`` is the one producer
+of the eight sets: its record holds them at one threshold with the support
+counts and the facts the laws read, and ``verify_theorems`` checks the
+containment laws tying the eight sets together on that record alone. Every
 attribute set is a bitmask (bit ``a`` is condition attribute ``a``) and
 every reduct collection a tuple of masks in ascending order.
 """
@@ -139,69 +140,26 @@ def analyze_family(
     return FamilyAnalysis(system, family, base.reducts, base.core, per_member)
 
 
-def _supported(
-    analysis: FamilyAnalysis, pool: Iterable, support: Counter, lam: Fraction | int | str
-) -> list:
-    """The candidates in ``pool`` whose ``support`` reaches a ``lam`` share of the family."""
-    lam = check_lambda(lam)
-    # support/|F| >= lam without leaving the integers
-    need, den = lam.numerator * analysis.family_size, lam.denominator
+def _supported(pool: Iterable, support, size: int, lam: Fraction | int) -> list:
+    """The candidates in ``pool`` whose ``support`` reaches a ``lam`` share of ``size`` members."""
+    # support/size >= lam without leaving the integers
+    need, den = lam.numerator * size, lam.denominator
     return [x for x in pool if support[x] * den >= need]
-
-
-def dynamic_reduct_lambda(analysis: FamilyAnalysis, lam: Fraction | int | str) -> tuple[int, ...]:
-    """Reducts of the system recurring in at least a ``lam`` share of members."""
-    return tuple(_supported(analysis, analysis.red_s, analysis.reduct_support, lam))
-
-
-def generalized_dynamic_reduct_lambda(
-    analysis: FamilyAnalysis, lam: Fraction | int | str
-) -> tuple[int, ...]:
-    """Member reducts recurring in at least a ``lam`` share of members.
-
-    Candidates are the union of the members' reduct sets; anything with
-    non-zero support lies there, so the pool is lossless.
-    """
-    support = analysis.reduct_support
-    return tuple(sorted(_supported(analysis, support, support, lam)))
-
-
-def dynamic_core_lambda(analysis: FamilyAnalysis, lam: Fraction | int | str) -> int:
-    """Core attributes of the system recurring in at least a ``lam`` share of member cores."""
-    return analysis.core_s & generalized_dynamic_core_lambda(analysis, lam)
-
-
-def generalized_dynamic_core_lambda(analysis: FamilyAnalysis, lam: Fraction | int | str) -> int:
-    """Any condition attribute recurring in at least a ``lam`` share of member cores."""
-    support = analysis.core_support
-    return attr_mask(_supported(analysis, range(analysis.n_attrs), support, lam))
-
-
-def dynamic_reduct(analysis: FamilyAnalysis) -> tuple[int, ...]:
-    """Reducts of the system that survive as reducts of every member."""
-    return dynamic_reduct_lambda(analysis, 1)
-
-
-def generalized_dynamic_reduct(analysis: FamilyAnalysis) -> tuple[int, ...]:
-    """Attribute sets that are reducts of every member; the system is not consulted."""
-    return generalized_dynamic_reduct_lambda(analysis, 1)
-
-
-def dynamic_core(analysis: FamilyAnalysis) -> int:
-    """Core attributes of the system that stay core in every member."""
-    return dynamic_core_lambda(analysis, 1)
-
-
-def generalized_dynamic_core(analysis: FamilyAnalysis) -> int:
-    """Attributes that are core in every member, regardless of the system."""
-    return generalized_dynamic_core_lambda(analysis, 1)
 
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """A family's support counts and its eight sets at one threshold ``lam``."""
+    """A family's support counts, the facts its laws read, and its eight sets at ``lam``.
+
+    ``covering`` counts the members covering the whole system, and
+    ``literal_dcore`` is the plain stable core by its literal definition
+    (``oracle.literal_dynamic_core``), the reference of law T2b.
+    """
 
     family_size: int
+    covering: int
+    core_s: int
+    literal_dcore: int
     attr_core_support: dict[int, int]
     reduct_support: tuple[tuple[int, int], ...]
     lam: Fraction
@@ -215,26 +173,42 @@ class StabilityReport:
     gdcore_lambda: int
 
 
-def stability_report(analysis: FamilyAnalysis, lam: Fraction | int | str = 1) -> StabilityReport:
+def stability_report(
+    analysis: FamilyAnalysis, lam: Fraction | int | str = Fraction(1)
+) -> StabilityReport:
     """Support counts for every attribute and reduct candidate, and the eight sets at ``lam``.
 
     Counts respect multiplicity. The plain four sets are the filters at 1.
+    Generalized reducts are drawn from the union of the members' reduct
+    sets; anything with non-zero support lies there, so the pool is lossless.
     """
     lam = check_lambda(lam)
-    candidates = sorted({*analysis.red_s, *analysis.reduct_support})
+    size, core_s = analysis.family_size, analysis.core_s
+    reducts, cores = analysis.reduct_support, analysis.core_support
+    (dr, gdr, gdcore), (dr_lambda, gdr_lambda, gdcore_lambda) = (
+        (
+            tuple(_supported(analysis.red_s, reducts, size, at)),
+            tuple(sorted(_supported(reducts, reducts, size, at))),
+            attr_mask(_supported(range(analysis.n_attrs), cores, size, at)),
+        )
+        for at in (1, lam)
+    )
     return StabilityReport(
-        family_size=analysis.family_size,
-        attr_core_support={a: analysis.core_support[a] for a in range(analysis.n_attrs)},
-        reduct_support=tuple((r, analysis.reduct_support[r]) for r in candidates),
+        family_size=size,
+        covering=sum(m.covers_parent() for m in analysis.family.members),
+        core_s=core_s,
+        literal_dcore=literal_dynamic_core(analysis),
+        attr_core_support={a: cores[a] for a in range(analysis.n_attrs)},
+        reduct_support=tuple((r, reducts[r]) for r in sorted({*analysis.red_s, *reducts})),
         lam=lam,
-        dr=dynamic_reduct(analysis),
-        dr_lambda=dynamic_reduct_lambda(analysis, lam),
-        gdr=generalized_dynamic_reduct(analysis),
-        gdr_lambda=generalized_dynamic_reduct_lambda(analysis, lam),
-        dcore=dynamic_core(analysis),
-        dcore_lambda=dynamic_core_lambda(analysis, lam),
-        gdcore=generalized_dynamic_core(analysis),
-        gdcore_lambda=generalized_dynamic_core_lambda(analysis, lam),
+        dr=dr,
+        dr_lambda=dr_lambda,
+        gdr=gdr,
+        gdr_lambda=gdr_lambda,
+        dcore=core_s & gdcore,
+        dcore_lambda=core_s & gdcore_lambda,
+        gdcore=gdcore,
+        gdcore_lambda=gdcore_lambda,
     )
 
 
@@ -283,21 +257,19 @@ def _equality(check: str, left: int, right: int, detail: str) -> TheoremCheck:
     return TheoremCheck(check, "pass", detail)
 
 
-def verify_theorems(analysis: FamilyAnalysis, report: StabilityReport) -> tuple[TheoremCheck, ...]:
-    """Evaluate the eleven containment/identity laws on ``analysis`` and its ``report``.
+def verify_theorems(report: StabilityReport) -> tuple[TheoremCheck, ...]:
+    """Evaluate the eleven containment/identity laws on one ``report``.
 
-    ``report`` is ``stability_report(analysis, lam)``: the laws read its
-    eight sets at ``report.lam``. Checks whose hypothesis does not hold
-    (single-member family equal to the system; some member covering the
-    whole universe) report "not-applicable". Containments over an empty
-    reduct set hold through the full-set intersection convention and report
-    "vacuous" instead of "pass". Failures carry the offending attribute and
-    both sets; they are data, not errors. T2b compares the threshold-1 core
-    with the literal intersection in ``oracle.py``, since the engine's plain
-    core is that same filter.
+    The laws read the report alone: its eight sets at ``report.lam``, the
+    static core, the covering count and T2b's reference. Checks whose hypothesis does not hold (single-member family equal
+    to the system; some member covering the whole universe) report
+    "not-applicable". Containments over an empty reduct set hold through
+    the full-set intersection convention and report "vacuous" instead of
+    "pass". Failures carry the offending attribute and both sets; they are
+    data, not errors. T2b compares the threshold-1 core with its literal
+    intersection, since the engine's plain core is that same filter.
     """
-    n = analysis.n_attrs
-    members = analysis.family.members
+    n = len(report.attr_core_support)
 
     checks = [
         _inside_reducts(
@@ -307,8 +279,8 @@ def verify_theorems(analysis: FamilyAnalysis, report: StabilityReport) -> tuple[
     ]
 
     t2a = "single-member family equal to the system: stable core is the static core"
-    if len(members) == 1 and members[0].covers_parent():
-        checks.append(_equality("T2a", report.dcore, analysis.core_s, t2a))
+    if report.family_size == report.covering == 1:
+        checks.append(_equality("T2a", report.dcore, report.core_s, t2a))
     else:
         checks.append(TheoremCheck("T2a", "not-applicable", t2a))
 
@@ -316,23 +288,24 @@ def verify_theorems(analysis: FamilyAnalysis, report: StabilityReport) -> tuple[
         _equality(
             "T2b",
             report.dcore,
-            literal_dynamic_core(analysis),
+            report.literal_dcore,
             "threshold 1 collapses the thresholded core to the plain stable core",
         )
     )
 
     # Each step of the ladder is one containment; the first failing step reports.
+    support = report.attr_core_support
     ladder = sorted(set(LAMBDA_GRID) | {report.lam})
+    cores = [report.core_s & attr_mask(_supported(support, support, report.family_size, at))
+             for at in ladder]
     steps = [
         _containment(
-            "T2c",
-            dynamic_core_lambda(analysis, high),
-            dynamic_core_lambda(analysis, low),
+            "T2c", high_core, low_core,
             "thresholded cores shrink as the threshold grows",
             lambda_low=str(low),
             lambda_high=str(high),
         )
-        for low, high in zip(ladder, ladder[1:])
+        for low, high, low_core, high_core in zip(ladder, ladder[1:], cores, cores[1:])
     ]
     checks.append(next((c for c in steps if c.status == "fail"), steps[0]))
 
@@ -362,7 +335,7 @@ def verify_theorems(analysis: FamilyAnalysis, report: StabilityReport) -> tuple[
     )
 
     t4c = "family containing the full system: generalized and plain stable cores agree"
-    if any(m.covers_parent() for m in members):
+    if report.covering:
         checks.append(_equality("T4c", report.gdcore, report.dcore, t4c))
     else:
         checks.append(TheoremCheck("T4c", "not-applicable", t4c))

@@ -16,9 +16,11 @@ so the routes can catch each other's bugs.
 The four plain family-level sets are given here by their literal
 definitions, membership in every member intersected member by member. The
 engine computes them as its support filter at threshold 1 instead, so these
-are the reference that keeps the threshold-1 laws from comparing a
-function with itself. They read a ``dynamic.FamilyAnalysis`` and speak its
-form: attribute sets are bitmasks and ``&`` intersects them.
+are the reference that keeps a threshold-1 set from being checked against
+itself: ``dynamic.stability_report`` records ``literal_dynamic_core`` as
+the reference of law T2b, and the tests hold the report's plain sets to all
+four. They read a ``dynamic.FamilyAnalysis`` and speak its form: attribute
+sets are bitmasks and ``&`` intersects them.
 """
 
 from __future__ import annotations

@@ -20,13 +20,7 @@ from dynred import (
     brute_force_core,
     brute_force_reducts,
     core_of,
-    dynamic_core,
-    dynamic_core_lambda,
-    dynamic_reduct_lambda,
     full_subsystem,
-    generalized_dynamic_core_lambda,
-    generalized_dynamic_reduct,
-    generalized_dynamic_reduct_lambda,
     literal_dynamic_core,
     literal_dynamic_reduct,
     literal_generalized_dynamic_core,
@@ -102,7 +96,7 @@ def test_criterion_3_theorem_suite(sampled_instances):
     failures = []
     for i, (s, family, lam) in enumerate(sampled_instances):
         analysis = analyze_family(s, family)
-        for check in verify_theorems(analysis, stability_report(analysis, lam)):
+        for check in verify_theorems(stability_report(analysis, lam)):
             if check.status == "fail":
                 failures.append((i, lam, check))
     assert not failures, failures
@@ -112,22 +106,22 @@ def test_criterion_3_theorem_suite(sampled_instances):
 def test_criterion_4_definitional_identities(sampled_instances):
     for s, family, lam in sampled_instances:
         identity = analyze_family(s, Family((full_subsystem(s),)))
-        assert dynamic_core(identity) == identity.core_s
-        assert generalized_dynamic_reduct(identity) == identity.red_s
+        plain = stability_report(identity)
+        assert plain.dcore == identity.core_s
+        assert plain.gdr == identity.red_s
 
         analysis = analyze_family(s, family)
         # threshold 1 against the literal "in every member" definitions
-        assert dynamic_core_lambda(analysis, 1) == literal_dynamic_core(analysis)
-        assert (generalized_dynamic_reduct_lambda(analysis, 1)
-                == literal_generalized_dynamic_reduct(analysis))
-        assert dynamic_reduct_lambda(analysis, 1) == literal_dynamic_reduct(analysis)
-        assert (generalized_dynamic_core_lambda(analysis, 1)
-                == literal_generalized_dynamic_core(analysis))
+        at_one = stability_report(analysis, 1)
+        assert at_one.dcore_lambda == literal_dynamic_core(analysis)
+        assert at_one.gdr_lambda == literal_generalized_dynamic_reduct(analysis)
+        assert at_one.dr_lambda == literal_dynamic_reduct(analysis)
+        assert at_one.gdcore_lambda == literal_generalized_dynamic_core(analysis)
 
-        for low, high in zip(GRID, GRID[1:]):
-            assert inside(dynamic_core_lambda(analysis, high), dynamic_core_lambda(analysis, low))
-            assert inside(generalized_dynamic_core_lambda(analysis, high),
-                          generalized_dynamic_core_lambda(analysis, low))
+        ladder = [stability_report(analysis, lam) for lam in GRID]
+        for low, high in zip(ladder, ladder[1:]):
+            assert inside(high.dcore_lambda, low.dcore_lambda)
+            assert inside(high.gdcore_lambda, low.gdcore_lambda)
     _passed(4, "identity-family, threshold-1, and threshold-chain identities")
 
 

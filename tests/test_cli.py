@@ -906,8 +906,11 @@ class TestExitCodes:
         import dynred.cli as cli_mod
         from dynred import TheoremCheck
 
-        def failing(analysis, report):
-            a, c = map(analysis.system.cond_attrs.index, "ac")
+        # The engine reads FIX-A in name order, so its indices are those of that copy.
+        attrs = name_ordered(parse_decision_table(FIX_A_CSV, "d"))[0].cond_attrs
+
+        def failing(report):
+            a, c = map(attrs.index, "ac")
             witness = {"attribute": a, "subset": sorted([a, c]), "superset": [c],
                        "lambda_low": "3/4"}
             return (TheoremCheck("T1", "fail", "forced", witness),)

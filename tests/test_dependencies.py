@@ -137,6 +137,27 @@ def test_clauses_are_absorbed_only_where_they_are_made():
     assert callers == ["reducts.py:_mmcs"]
 
 
+def test_the_eight_sets_come_from_one_filter_and_one_report():
+    # One support filter makes every stability set: stability_report at 1
+    # and at its threshold, and the verifier's T2c ladder on the report's
+    # counts. No public wrapper restates it.
+    definitions, callers = [], set()
+    for path in sorted((ROOT / "src" / "dynred").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef):
+                if node.name == "_supported":
+                    definitions.append(path.name)
+                callers |= {f"{path.name}:{node.name}" for _, name in _names(node)
+                            if name == "_supported"}
+    assert definitions == ["dynamic.py"]
+    assert callers == {"dynamic.py:stability_report", "dynamic.py:verify_theorems"}
+
+    tree = ast.parse((ROOT / "src" / "dynred" / "dynamic.py").read_text(encoding="utf-8"))
+    public = {node.name for node in tree.body
+              if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
+    assert public == {"check_lambda", "analyze_family", "stability_report", "verify_theorems"}
+
+
 FROZENSET_PATH = {"frozenset", "all_reducts", "reduct_sets", "canonical_reducts"}
 FROZENSET_VIEWS = {"all_reducts", "core_of"}
 
@@ -164,8 +185,11 @@ def test_benchmark_reads_resolve_on_the_package():
     import dynred
     import dynred.cli  # noqa: F401  (binds the submodule the benchmark reads)
 
+    bench = ROOT / "perfbench"
+    sources = sorted(bench.rglob("*.py"))
+    assert sources, f"no benchmark sources under {bench}: this test reads the names they use"
     reads = set()
-    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+    for path in sources:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id == "dynred"):

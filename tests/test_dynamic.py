@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 import subprocess
@@ -9,24 +10,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dynred import (
+    LAMBDA_GRID,
     DomainError,
     Family,
     MemberAnalysis,
     ParameterError,
     SamplingPlan,
+    StabilityReport,
     all_reducts,
     analyze_family,
     check_lambda,
     core_of,
-    dynamic_core,
-    dynamic_core_lambda,
-    dynamic_reduct,
-    dynamic_reduct_lambda,
     full_subsystem,
-    generalized_dynamic_core,
-    generalized_dynamic_core_lambda,
-    generalized_dynamic_reduct,
-    generalized_dynamic_reduct_lambda,
     intersect_all,
     is_antichain,
     literal_dynamic_core,
@@ -289,42 +284,43 @@ class TestAnalyzeFamily:
 
         plan = SamplingPlan(seed=42, fractions=(Fraction(1),), samples_per_fraction=1)
         a = analyze_family(fix_a, sample_family(fix_a, plan))
-        assert dynamic_core(a) == a.core_s
-        assert generalized_dynamic_reduct(a) == a.red_s
+        rep = stability_report(a)
+        assert rep.dcore == a.core_s
+        assert rep.gdr == a.red_s
 
 
 class TestDynamicReduct:
     def test_family_of_system_is_static(self, fam):
         s, *_ = fam
         a = analyze(s, full_subsystem(s))
-        assert dynamic_reduct(a) == a.red_s
+        assert stability_report(a).dr == a.red_s
 
     def test_disjoint_member_reducts_empty(self, fam):
         s, b1, b2, b3 = fam
-        assert dynamic_reduct(analyze(s, b1, b2, b3)) == ()
+        assert stability_report(analyze(s, b1, b2, b3)).dr == ()
 
     def test_constant_member_kills_everything(self, fam):
         s, _, _, b3 = fam
-        assert dynamic_reduct(analyze(s, b3)) == ()
+        assert stability_report(analyze(s, b3)).dr == ()
 
 
 class TestDynamicReductLambda:
     def test_zero_support(self, fam):
         s, b1, b2, _ = fam
         a = analyze(s, b1, b1, b2)
-        assert dynamic_reduct_lambda(a, Fraction(3, 5)) == ()
+        assert stability_report(a, Fraction(3, 5)).dr_lambda == ()
 
     def test_threshold_one_equals_plain(self, fam):
         s, b1, b2, b3 = fam
         for members in [(b1,), (b1, b2), (b1, b2, b3), (full_subsystem(s),)]:
             a = analyze(s, *members)
-            assert dynamic_reduct_lambda(a, 1) == literal_dynamic_reduct(a)
+            assert stability_report(a, 1).dr_lambda == literal_dynamic_reduct(a)
 
     def test_partial_support(self, fam):
         s, _, b2, _ = fam
         full = full_subsystem(s)
         a = analyze(s, full, full, b2)
-        assert mask_names(s, dynamic_reduct_lambda(a, Fraction(3, 5))) == [
+        assert mask_names(s, stability_report(a, Fraction(3, 5)).dr_lambda) == [
             ["a", "b"],
             ["a", "c"],
         ]
@@ -333,109 +329,111 @@ class TestDynamicReductLambda:
 class TestGeneralizedDynamicReduct:
     def test_repeated_member(self, fam):
         s, b1, *_ = fam
-        assert mask_names(s, generalized_dynamic_reduct(analyze(s, b1, b1))) == [["a"]]
+        assert mask_names(s, stability_report(analyze(s, b1, b1)).gdr) == [["a"]]
 
     def test_disjoint_members(self, fam):
         s, b1, b2, _ = fam
-        assert generalized_dynamic_reduct(analyze(s, b1, b2)) == ()
+        assert stability_report(analyze(s, b1, b2)).gdr == ()
 
     def test_single_full_member_is_static(self, fam):
         s, *_ = fam
         a = analyze(s, full_subsystem(s))
-        assert generalized_dynamic_reduct(a) == a.red_s
+        assert stability_report(a).gdr == a.red_s
 
 
 class TestGeneralizedDynamicReductLambda:
     def test_majority_support(self, fam):
         s, b1, _, b3 = fam
         a = analyze(s, b1, b1, b3)
-        assert mask_names(s, generalized_dynamic_reduct_lambda(a, Fraction(3, 5))) == [["a"]]
+        assert mask_names(s, stability_report(a, Fraction(3, 5)).gdr_lambda) == [["a"]]
 
     def test_all_below_threshold(self, fam):
         s, b1, b2, b3 = fam
         a = analyze(s, b1, b2, b3)
-        assert generalized_dynamic_reduct_lambda(a, Fraction(3, 5)) == ()
+        assert stability_report(a, Fraction(3, 5)).gdr_lambda == ()
 
     def test_threshold_one_equals_plain(self, fam):
         s, b1, b2, b3 = fam
         for members in [(b1, b1), (b1, b2), (b1, b2, b3)]:
             a = analyze(s, *members)
-            assert generalized_dynamic_reduct_lambda(a, 1) == literal_generalized_dynamic_reduct(a)
+            assert stability_report(a, 1).gdr_lambda == literal_generalized_dynamic_reduct(a)
 
 
 class TestDynamicCore:
     def test_family_of_system_is_static_core(self, fam):
         s, *_ = fam
         a = analyze(s, full_subsystem(s))
-        assert dynamic_core(a) == a.core_s
+        assert stability_report(a).dcore == a.core_s
 
     def test_shared_core(self, fam):
         s, b1, *_ = fam
-        assert dynamic_core(analyze(s, b1)) == mask(s, "a")
+        assert stability_report(analyze(s, b1)).dcore == mask(s, "a")
 
     def test_empty_member_core_empties_result(self, fam):
         s, b1, b2, _ = fam
-        assert dynamic_core(analyze(s, b1, b2)) == 0
+        assert stability_report(analyze(s, b1, b2)).dcore == 0
 
 
 class TestDynamicCoreLambda:
     def test_majority_support(self, fam):
         s, b1, b2, _ = fam
         a = analyze(s, b1, b1, b2)
-        assert dynamic_core_lambda(a, Fraction(3, 5)) == mask(s, "a")
+        assert stability_report(a, Fraction(3, 5)).dcore_lambda == mask(s, "a")
 
     def test_minority_support(self, fam):
         s, b1, b2, b3 = fam
         a = analyze(s, b1, b2, b3)
-        assert dynamic_core_lambda(a, Fraction(3, 5)) == 0
+        assert stability_report(a, Fraction(3, 5)).dcore_lambda == 0
 
     def test_threshold_one_equals_plain(self, fam):
         s, b1, b2, b3 = fam
         for members in [(b1,), (b1, b2), (b1, b2, b3)]:
             a = analyze(s, *members)
-            assert dynamic_core_lambda(a, 1) == literal_dynamic_core(a)
+            assert stability_report(a, 1).dcore_lambda == literal_dynamic_core(a)
 
     def test_boundary_tie_uses_at_least(self, fam):
         # support 3 of 4 at threshold 3/4: 3*4 >= 3*4 holds, so kept
         s, b1, b2, _ = fam
         a = analyze(s, b1, b1, b1, b2)
-        assert dynamic_core_lambda(a, Fraction(3, 4)) == mask(s, "a")
+        assert stability_report(a, Fraction(3, 4)).dcore_lambda == mask(s, "a")
         # support 1 of 2 at 51/100 fails: 1*100 < 51*2
         a2 = analyze(s, b1, b2)
-        assert dynamic_core_lambda(a2, Fraction(51, 100)) == 0
+        assert stability_report(a2, Fraction(51, 100)).dcore_lambda == 0
 
 
 class TestGeneralizedDynamicCore:
     def test_repeated_member(self, fam):
         s, b1, *_ = fam
-        assert generalized_dynamic_core(analyze(s, b1, b1)) == mask(s, "a")
+        assert stability_report(analyze(s, b1, b1)).gdcore == mask(s, "a")
 
     def test_empty_on_disjoint_cores(self, fam):
         s, b1, b2, _ = fam
-        assert generalized_dynamic_core(analyze(s, b1, b2)) == 0
+        assert stability_report(analyze(s, b1, b2)).gdcore == 0
 
     def test_family_containing_system_matches_plain(self, fam):
         s, b1, *_ = fam
         a = analyze(s, full_subsystem(s), b1)
-        assert generalized_dynamic_core(a) == dynamic_core(a)
+        rep = stability_report(a)
+        assert rep.gdcore == rep.dcore
 
 
 class TestGeneralizedDynamicCoreLambda:
     def test_majority_support(self, fam):
         s, b1, _, b3 = fam
         a = analyze(s, b1, b1, b3)
-        assert generalized_dynamic_core_lambda(a, Fraction(3, 5)) == mask(s, "a")
+        assert stability_report(a, Fraction(3, 5)).gdcore_lambda == mask(s, "a")
 
     def test_all_supports_zero(self, fam):
         s, _, b2, _ = fam
         a = analyze(s, b2, b2)
-        assert generalized_dynamic_core_lambda(a, Fraction(3, 4)) == 0
+        assert stability_report(a, Fraction(3, 4)).gdcore_lambda == 0
 
     def test_contains_plain_lambda_variant(self, fam):
         s, b1, b2, b3 = fam
         a = analyze(s, b1, b1, b3)
         for lam in (Fraction(51, 100), Fraction(3, 4), Fraction(1)):
-            assert inside(dynamic_core_lambda(a, lam), generalized_dynamic_core_lambda(a, lam))
+            rep = stability_report(a, lam)
+            assert inside(rep.dcore_lambda, rep.gdcore_lambda)
 
 
 class TestStabilityReport:
@@ -467,32 +465,105 @@ class TestStabilityReport:
         a = analyze(s, b1, b1, b3)
         reps = [stability_report(a, Fraction(3, 5)), stability_report(a, Fraction(1))]
         assert [rep.lam for rep in reps] == [Fraction(3, 5), Fraction(1)]
-        assert reps[0].gdr_lambda == generalized_dynamic_reduct_lambda(a, Fraction(3, 5))
-        assert reps[1].dcore_lambda == dynamic_core(a)
+        assert reps[0].gdr_lambda == _scanned_lambda_sets(a, Fraction(3, 5))[1]
+        assert reps[1].dcore_lambda == literal_dynamic_core(a)
 
     def test_one_record_at_threshold_one_by_default(self, fam):
         s, b1, _, b3 = fam
         a = analyze(s, b1, b1, b3)
         rep = stability_report(a)
         assert rep == stability_report(a, 1)
-        assert rep.lam == 1
-        assert (rep.dr, rep.dr_lambda, rep.gdr, rep.gdr_lambda) == (
-            dynamic_reduct(a), dynamic_reduct_lambda(a, 1),
-            generalized_dynamic_reduct(a), generalized_dynamic_reduct_lambda(a, 1),
-        )
-        assert (rep.dcore, rep.dcore_lambda, rep.gdcore, rep.gdcore_lambda) == (
-            dynamic_core(a), dynamic_core_lambda(a, 1),
-            generalized_dynamic_core(a), generalized_dynamic_core_lambda(a, 1),
-        )
+        assert rep.lam == 1 and type(rep.lam) is Fraction
+        plain = (rep.dr, rep.gdr, rep.dcore, rep.gdcore)
+        assert plain == (rep.dr_lambda, rep.gdr_lambda, rep.dcore_lambda, rep.gdcore_lambda)
+        assert plain == (literal_dynamic_reduct(a), literal_generalized_dynamic_reduct(a),
+                         literal_dynamic_core(a), literal_generalized_dynamic_core(a))
         with pytest.raises(ParameterError):
             stability_report(a, "1/2")
 
+    def test_fraction_thresholds_skip_the_text_reader(self, monkeypatch, fam):
+        import dynred.dynamic
+
+        def refuse(*args):
+            raise AssertionError("a Fraction threshold was read as text")
+
+        s, b1, _, b3 = fam
+        a = analyze(s, b1, b1, b3)
+        monkeypatch.setattr(dynred.dynamic, "parse_rational", refuse)
+        assert stability_report(a).lam == 1
+        assert stability_report(a, Fraction(3, 4)).lam == Fraction(3, 4)
+
+    def test_facts_the_laws_read(self, fam):
+        s, b1, b2, _ = fam
+        full = full_subsystem(s)
+        a = analyze(s, b1, full, b2, full)
+        rep = stability_report(a)
+        assert (rep.covering, rep.core_s, rep.literal_dcore) == (2, a.core_s, literal_dynamic_core(a))
+        assert stability_report(analyze(s, b1, b2)).covering == 0
+
+
+def _fix_a_report(s):
+    """By hand: FIX-A over rows {0, 1} twice, {0, 2} and the full table, at 3/4."""
+    a, b, c = (mask(s, n) for n in "abc")
+    return StabilityReport(
+        family_size=4, covering=1, core_s=a, literal_dcore=0,
+        attr_core_support={0: 3, 1: 0, 2: 0},
+        reduct_support=((a, 2), (b, 1), (a | b, 1), (c, 1), (a | c, 1)),
+        lam=Fraction(3, 4),
+        dr=(), dr_lambda=(), gdr=(), gdr_lambda=(),
+        dcore=0, dcore_lambda=a, gdcore=0, gdcore_lambda=a,
+    )
+
 
 class TestVerifyTheorems:
+    def test_laws_read_a_report_built_without_an_analysis(self, fam):
+        s, b1, b2, _ = fam
+        by_hand = _fix_a_report(s)
+        assert verify_theorems(by_hand) == verify_theorems(
+            stability_report(analyze(s, b1, b1, b2, full_subsystem(s)), Fraction(3, 4))
+        )
+        assert [c.status for c in verify_theorems(by_hand)] == [
+            "vacuous", "not-applicable", "pass", "pass", "pass", "vacuous",
+            "pass", "pass", "pass", "vacuous", "vacuous",
+        ]
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.integers(0, 10 ** 9), st.sampled_from(LAMBDA_GRID))
+    def test_a_copied_report_gives_the_same_checks(self, seed, lam):
+        rep = stability_report(_analyzed_family_with_repeats(random.Random(seed)), lam)
+        copy = StabilityReport(**{f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)})
+        assert len(verify_theorems(copy)) == 11
+        assert verify_theorems(copy) == verify_theorems(rep)
+
+    def test_t2b_compares_the_reported_reference(self, fam):
+        # The reference {a, b, c} against the stable core {a}: b and c differ,
+        # and b is the witness.
+        s, *_ = fam
+        rep = stability_report(analyze(s, full_subsystem(s)))
+        assert rep.dcore == rep.literal_dcore == mask(s, "a")
+        checks = {c.check: c for c in verify_theorems(
+            dataclasses.replace(rep, literal_dcore=mask(s, "abc")))}
+        assert checks["T2b"].status == "fail"
+        assert checks["T2b"].witness == {
+            "attribute": s.cond_attrs.index("b"),
+            "left": [s.cond_attrs.index("a")],
+            "right": [s.cond_attrs.index(n) for n in "abc"],
+        }
+
+    def test_no_covering_member_leaves_t2a_and_t4c_not_applicable(self, fam):
+        s, *_ = fam
+        rep = stability_report(analyze(s, full_subsystem(s)))
+        before = {c.check: c.status for c in verify_theorems(rep)}
+        after = {c.check: c.status for c in verify_theorems(dataclasses.replace(rep, covering=0))}
+        assert (before["T2a"], before["T4c"]) == ("pass", "pass")
+        assert (after["T2a"], after["T4c"]) == ("not-applicable", "not-applicable")
+        assert {k: v for k, v in after.items() if k not in ("T2a", "T4c")} == {
+            k: v for k, v in before.items() if k not in ("T2a", "T4c")}
+
     def test_fix_a_family_all_green(self, fam):
         s, b1, b2, b3 = fam
         a = analyze(s, b1, b2, b3)
-        checks = verify_theorems(a, stability_report(a, Fraction(3, 5)))
+        checks = verify_theorems(stability_report(a, Fraction(3, 5)))
         assert len(checks) == 11
         assert not [c for c in checks if c.status == "fail"]
         by_name = {c.check: c.status for c in checks}
@@ -503,7 +574,7 @@ class TestVerifyTheorems:
     def test_identity_family(self, fam):
         s, *_ = fam
         a = analyze(s, full_subsystem(s))
-        checks = {c.check: c.status for c in verify_theorems(a, stability_report(a, 1))}
+        checks = {c.check: c.status for c in verify_theorems(stability_report(a, 1))}
         assert checks["T2a"] == "pass"
         assert checks["T2b"] == "pass"
         assert checks["T4c"] == "pass"
@@ -512,15 +583,13 @@ class TestVerifyTheorems:
     def test_witness_on_forced_failure(self, fam):
         # A tampered analysis exposes the witness payload of a failing check:
         # pretend 'a' is core of a member whose reducts never contain it.
-        import dataclasses
-
         from dynred import MemberAnalysis
 
         s, _, b2, _ = fam
         a = analyze(s, b2, b2)
         fake = tuple(MemberAnalysis(m.reducts, mask(s, "a")) for m in a.per_member)
         bad = dataclasses.replace(a, per_member=fake)
-        checks = {c.check: c for c in verify_theorems(bad, stability_report(bad, 1))}
+        checks = {c.check: c for c in verify_theorems(stability_report(bad, 1))}
         assert checks["T5a"].status == "fail"
         witness = checks["T5a"].witness
         assert witness["attribute"] == s.cond_attrs.index("a")
@@ -529,15 +598,13 @@ class TestVerifyTheorems:
     def test_containment_witness_names_the_lowest_missing_attribute(self, fam):
         # Cores {a, b} in members whose reducts are {b} and {c}: both a and b
         # lie outside the empty reduct intersection, and a is the witness.
-        import dataclasses
-
         from dynred import MemberAnalysis
 
         s, _, b2, _ = fam
         a = analyze(s, b2, b2)
         fake = tuple(MemberAnalysis(m.reducts, mask(s, "ab")) for m in a.per_member)
         bad = dataclasses.replace(a, per_member=fake)
-        check = {c.check: c for c in verify_theorems(bad, stability_report(bad, 1))}
+        check = {c.check: c for c in verify_theorems(stability_report(bad, 1))}
         assert check["T5a"].status == "fail"
         assert check["T5a"].witness["attribute"] == s.cond_attrs.index("a")
         assert check["T5a"].witness["subset"] == [s.cond_attrs.index(n) for n in "ab"]
@@ -545,12 +612,10 @@ class TestVerifyTheorems:
     def test_equality_witness_names_the_lowest_differing_attribute(self, fam):
         # A static core {a, b, c} against the member core {a}: b and c differ,
         # and b is the witness.
-        import dataclasses
-
         s, *_ = fam
         a = analyze(s, full_subsystem(s))
         bad = dataclasses.replace(a, core_s=mask(s, "abc"))
-        check = {c.check: c for c in verify_theorems(bad, stability_report(bad, 1))}
+        check = {c.check: c for c in verify_theorems(stability_report(bad, 1))}
         assert check["T2a"].status == "fail"
         assert check["T2a"].witness == {
             "attribute": s.cond_attrs.index("b"),
@@ -567,28 +632,26 @@ def test_random_families_satisfy_all_laws(seed, lam):
     rng = random.Random(seed)
     s = random_system(rng, max_objects=8, max_attrs=5)
     a = analyze_family(s, random_family(rng, s))
-    checks = verify_theorems(a, stability_report(a, lam))
+    rep = stability_report(a, lam)
+    checks = verify_theorems(rep)
     assert not [c for c in checks if c.status == "fail"], checks
 
     n = s.n_attrs
-    dr = dynamic_reduct(a)
+    dr = rep.dr
     red_sets = [set(m.reducts) for m in a.per_member]
     assert set(dr) <= set(a.red_s)
     assert all(all(r in member for member in red_sets) for r in dr)
-    for collection in (dr, dynamic_reduct_lambda(a, lam),
-                       generalized_dynamic_reduct(a),
-                       generalized_dynamic_reduct_lambda(a, lam)):
+    for collection in (dr, rep.dr_lambda, rep.gdr, rep.gdr_lambda):
         assert is_antichain(frozenset(mask_indices(r)) for r in collection)
     # threshold ladder shrinks both thresholded cores
     grid = [Fraction(51, 100), Fraction(3, 5), Fraction(3, 4), Fraction(9, 10), Fraction(1)]
-    for low, high in zip(grid, grid[1:]):
-        assert inside(dynamic_core_lambda(a, high), dynamic_core_lambda(a, low))
-        assert inside(generalized_dynamic_core_lambda(a, high),
-                      generalized_dynamic_core_lambda(a, low))
+    ladder = [stability_report(a, at) for at in grid]
+    for low, high in zip(ladder, ladder[1:]):
+        assert inside(high.dcore_lambda, low.dcore_lambda)
+        assert inside(high.gdcore_lambda, low.gdcore_lambda)
     # majority thresholds force every kept attribute into every kept reduct
-    kept = generalized_dynamic_core_lambda(a, lam)
-    assert all(inside(kept, r) for r in generalized_dynamic_reduct_lambda(a, lam))
-    assert inside(dynamic_core(a), intersect_all(dr, n))
+    assert all(inside(rep.gdcore_lambda, r) for r in rep.gdr_lambda)
+    assert inside(rep.dcore, intersect_all(dr, n))
 
 
 def _scanned_lambda_sets(a, lam):
@@ -633,17 +696,12 @@ def test_all_eight_sets_match_the_oracle(seed, lam):
     # shared member analyses and support counts could drift from a scan.
     a = _analyzed_family_with_repeats(random.Random(seed))
 
-    plain = (dynamic_reduct(a), generalized_dynamic_reduct(a),
-             dynamic_core(a), generalized_dynamic_core(a))
-    assert plain == (literal_dynamic_reduct(a), literal_generalized_dynamic_reduct(a),
-                     literal_dynamic_core(a), literal_generalized_dynamic_core(a))
-    thresholded = (dynamic_reduct_lambda(a, lam), generalized_dynamic_reduct_lambda(a, lam),
-                   dynamic_core_lambda(a, lam), generalized_dynamic_core_lambda(a, lam))
-    assert thresholded == _scanned_lambda_sets(a, lam)
-
     sl = stability_report(a, lam)
-    assert (sl.dr, sl.gdr, sl.dcore, sl.gdcore) == plain
-    assert (sl.dr_lambda, sl.gdr_lambda, sl.dcore_lambda, sl.gdcore_lambda) == thresholded
+    assert (sl.dr, sl.gdr, sl.dcore, sl.gdcore) == (
+        literal_dynamic_reduct(a), literal_generalized_dynamic_reduct(a),
+        literal_dynamic_core(a), literal_generalized_dynamic_core(a))
+    assert (sl.dr_lambda, sl.gdr_lambda, sl.dcore_lambda, sl.gdcore_lambda) == (
+        _scanned_lambda_sets(a, lam))
 
 
 # Thresholds just above 1/2, where gdr_lambda is closest to nesting, and others.
