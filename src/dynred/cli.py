@@ -41,6 +41,7 @@ from .dynamic import (
 from .errors import (
     CapacityError,
     DomainError,
+    EngineError,
     MissingValueError,
     ParameterError,
     ParseError,
@@ -65,6 +66,13 @@ EXIT_PARSE = 2
 EXIT_CAPACITY = 3
 EXIT_VERIFY = 4
 EXIT_SELFCHECK = 70
+
+# The exit code of each error this package raises on purpose.
+_EXIT_CODES = {
+    ParameterError: EXIT_USAGE, DomainError: EXIT_USAGE,
+    ParseError: EXIT_PARSE, SchemaError: EXIT_PARSE, MissingValueError: EXIT_PARSE,
+    CapacityError: EXIT_CAPACITY, SelfCheckError: EXIT_SELFCHECK,
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -299,15 +307,9 @@ def run(argv=None) -> int:
         text = render(report)
     except SystemExit as exc:  # from argparse: help, or a usage error already on stderr
         text, status = help_text.getvalue(), int(exc.code or 0)
-    except (ParameterError, DomainError) as exc:
+    except EngineError as exc:
         print(f"dynred: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParseError, SchemaError, MissingValueError) as exc:
-        print(f"dynred: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapacityError as exc:
-        print(f"dynred: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
+        return _EXIT_CODES[type(exc)]
     except MemoryError:
         # The family's rows and members are bounded (table.MAX_FAMILY_ROWS,
         # table.MAX_FAMILY_MEMBERS), but not the table, the reducts under
@@ -315,9 +317,6 @@ def run(argv=None) -> int:
         # memory is reported as a capacity limit.
         print("dynred: out of memory: the table or the family is too large", file=sys.stderr)
         return EXIT_CAPACITY
-    except SelfCheckError as exc:
-        print(f"dynred: {exc}", file=sys.stderr)
-        return EXIT_SELFCHECK
     except OSError as exc:
         print(f"dynred: cannot read input: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -17,18 +17,19 @@ each plain set is its thresholded counterpart at lambda = 1; the literal
 "in every member" definitions live in ``oracle.py`` as the independent
 reference. Threshold comparisons are exact: lambda is a rational and
 support/|F| >= lambda is decided by integer cross-multiplication, so
-boundary ties are deterministic. ``stability_report`` is the one producer
-of the eight sets: its record holds them at one threshold with the support
-counts and the facts the laws read, and ``verify_theorems`` checks the
-containment laws tying the eight sets together on that record alone. Every
-attribute set is a bitmask (bit ``a`` is condition attribute ``a``) and
-every reduct collection a tuple of masks in ascending order.
+boundary ties are deterministic. ``stability_report`` alone counts support
+and produces the eight sets from the searches ``analyze_family`` records:
+its record holds them at one threshold with the support counts and the
+facts the laws read, and ``verify_theorems`` checks the containment laws
+tying the eight sets together on that record alone. Every attribute set is
+a bitmask (bit ``a`` is condition attribute ``a``) and every reduct
+collection a tuple of masks in ascending order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -75,35 +76,13 @@ class MemberAnalysis:
 
 @dataclass(frozen=True)
 class FamilyAnalysis:
-    """Cached reducts and cores of a system and of every family member.
-
-    ``reduct_support`` counts, per attribute mask, the members having it as
-    a reduct; ``core_support`` counts, per attribute index, the members
-    having it in their core. Both respect multiplicity and are derived once
-    from ``per_member``.
-    """
+    """The searches of a system and of every family member; ``stability_report`` counts support."""
 
     system: DecisionSystem
     family: Family
     red_s: tuple[int, ...]
     core_s: int
     per_member: tuple[MemberAnalysis, ...]
-    reduct_support: Counter = field(init=False, repr=False, compare=False)
-    core_support: Counter = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        members = self.per_member
-        object.__setattr__(self, "reduct_support", Counter(r for m in members for r in m.reducts))
-        cores = Counter(a for m in members for a in mask_indices(m.core))
-        object.__setattr__(self, "core_support", cores)
-
-    @property
-    def family_size(self) -> int:
-        return len(self.per_member)
-
-    @property
-    def n_attrs(self) -> int:
-        return self.system.n_attrs
 
 
 def analyze_family(
@@ -178,18 +157,21 @@ def stability_report(
 ) -> StabilityReport:
     """Support counts for every attribute and reduct candidate, and the eight sets at ``lam``.
 
-    Counts respect multiplicity. The plain four sets are the filters at 1.
-    Generalized reducts are drawn from the union of the members' reduct
-    sets; anything with non-zero support lies there, so the pool is lossless.
+    Support is counted here and nowhere else, a repeated member each time.
+    The plain four sets are the filters at 1. Generalized reducts are drawn
+    from the union of the members' reduct sets; anything with non-zero
+    support lies there, so the pool is lossless.
     """
     lam = check_lambda(lam)
-    size, core_s = analysis.family_size, analysis.core_s
-    reducts, cores = analysis.reduct_support, analysis.core_support
+    members, n, core_s = analysis.per_member, analysis.system.n_attrs, analysis.core_s
+    size = len(members)
+    reducts = Counter(r for m in members for r in m.reducts)
+    cores = Counter(a for m in members for a in mask_indices(m.core))
     (dr, gdr, gdcore), (dr_lambda, gdr_lambda, gdcore_lambda) = (
         (
             tuple(_supported(analysis.red_s, reducts, size, at)),
             tuple(sorted(_supported(reducts, reducts, size, at))),
-            attr_mask(_supported(range(analysis.n_attrs), cores, size, at)),
+            attr_mask(_supported(range(n), cores, size, at)),
         )
         for at in (1, lam)
     )
@@ -198,7 +180,7 @@ def stability_report(
         covering=sum(m.covers_parent() for m in analysis.family.members),
         core_s=core_s,
         literal_dcore=literal_dynamic_core(analysis),
-        attr_core_support={a: cores[a] for a in range(analysis.n_attrs)},
+        attr_core_support={a: cores[a] for a in range(n)},
         reduct_support=tuple((r, reducts[r]) for r in sorted({*analysis.red_s, *reducts})),
         lam=lam,
         dr=dr,
@@ -261,13 +243,14 @@ def verify_theorems(report: StabilityReport) -> tuple[TheoremCheck, ...]:
     """Evaluate the eleven containment/identity laws on one ``report``.
 
     The laws read the report alone: its eight sets at ``report.lam``, the
-    static core, the covering count and T2b's reference. Checks whose hypothesis does not hold (single-member family equal
-    to the system; some member covering the whole universe) report
-    "not-applicable". Containments over an empty reduct set hold through
-    the full-set intersection convention and report "vacuous" instead of
-    "pass". Failures carry the offending attribute and both sets; they are
-    data, not errors. T2b compares the threshold-1 core with its literal
-    intersection, since the engine's plain core is that same filter.
+    static core, the covering count and T2b's reference. Checks whose
+    hypothesis does not hold (single-member family equal to the system; some
+    member covering the whole universe) report "not-applicable".
+    Containments over an empty reduct set hold through the full-set
+    intersection convention and report "vacuous" instead of "pass". Failures
+    carry the offending attribute and both sets; they are data, not errors.
+    T2b compares the threshold-1 core with its literal intersection, since
+    the engine's plain core is that same filter.
     """
     n = len(report.attr_core_support)
 

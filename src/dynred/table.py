@@ -274,7 +274,8 @@ class SamplingPlan:
             self, "fractions", tuple(parse_rational(f, "fraction") for f in self.fractions)
         )
         for name in ("seed", "samples_per_fraction"):
-            if not isinstance(getattr(self, name), int):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
                 raise ParameterError(f"{name} must be an int")
         if not 0 <= self.seed <= MASK64:
             raise ParameterError("seed must fit in an unsigned 64-bit integer")

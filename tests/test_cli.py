@@ -28,8 +28,10 @@ from dynred import (
     make_subsystem,
     parse_decision_table,
     sample_family,
+    stability_report,
 )
 from dynred.cli import run
+from dynred.errors import EngineError
 from dynred.output import name_ordered, render as _render
 
 from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv
@@ -457,7 +459,7 @@ def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):
     system = parse_decision_table(text, "d")
     plan = SamplingPlan(seed=3, fractions=("0.5", "0.75", "1"), samples_per_fraction=4)
     analysis = analyze_family(system, sample_family(system, plan))
-    reducts = {*analysis.red_s, *analysis.reduct_support}
+    reducts = {*analysis.red_s, *dict(stability_report(analysis).reduct_support)}
     mentions = Counter(r for mem in analysis.per_member for r in mem.reducts)
     mentions.update(analysis.red_s)
     # The core of each distinct row set, the table's included.
@@ -742,6 +744,32 @@ class TestExitCodes:
             os.close(write)
         assert proc.returncode == 1
         assert proc.stderr == self._write_error(errno.EPIPE)
+
+    # The exit codes the CLI documents for each error the package raises.
+    DOCUMENTED = {"ParameterError": 1, "DomainError": 1, "ParseError": 2, "SchemaError": 2,
+                  "MissingValueError": 2, "CapacityError": 3, "SelfCheckError": 70}
+
+    def test_every_package_error_exits_with_its_documented_code(self, capsys, monkeypatch,
+                                                                 fixa_path):
+        def subclasses(cls):
+            for sub in cls.__subclasses__():
+                yield sub
+                yield from subclasses(sub)
+
+        errors = list(subclasses(EngineError))
+        assert sorted(e.__name__ for e in errors) == sorted(self.DOCUMENTED)
+        for error in errors:
+            assert error in cli._EXIT_CODES
+
+            def failing(args, error=error):
+                raise error(f"{error.__name__} raised")
+
+            monkeypatch.setattr(cli, "_execute", failing)
+            status = run(["core", "--input", fixa_path, "--decision", "d"])
+            captured = capsys.readouterr()
+            assert status == self.DOCUMENTED[error.__name__], error
+            assert captured.out == ""
+            assert captured.err == f"dynred: {error.__name__} raised\n"
 
     def test_help_exits_0(self, capsys):
         assert run(["--help"]) == 0

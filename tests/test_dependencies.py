@@ -4,8 +4,10 @@ The classical primitives and the clause reference live in the oracle, and
 the engine and the oracle name none of each other's: they share only the
 table model, and every read of a table goes through its ``parent`` and
 ``object_indices``, so only ``table.py`` tells a system from a sub-system.
-The engine speaks bitmasks outside its two public frozenset views, and every
-name the benchmark reads on the package resolves.
+The engine speaks bitmasks outside its two public frozenset views, the family
+layer's records are plain data with support counted only in
+``stability_report``, and every name the benchmark reads on the package
+resolves.
 """
 
 import ast
@@ -156,6 +158,31 @@ def test_the_eight_sets_come_from_one_filter_and_one_report():
     public = {node.name for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert public == {"check_lambda", "analyze_family", "stability_report", "verify_theorems"}
+
+
+RECORDS = {"MemberAnalysis", "FamilyAnalysis", "StabilityReport", "TheoremCheck"}
+
+
+def test_family_records_are_plain_data_and_support_is_counted_once():
+    # The family layer's records hold only fields; the producers do the work.
+    # FamilyAnalysis keeps the searches, and stability_report is the one
+    # place that counts support from them.
+    tree = ast.parse((ROOT / "src" / "dynred" / "dynamic.py").read_text(encoding="utf-8"))
+    fields, extra, counting = {}, [], set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and node.name in RECORDS:
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                body = body[1:]
+            fields[node.name] = [s.target.id for s in body if isinstance(s, ast.AnnAssign)]
+            extra += [f"{node.name}:{s.lineno}" for s in body if not isinstance(s, ast.AnnAssign)]
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if any(name == "Counter" for _, name in _names(node)):
+                counting.add(node.name)
+    assert set(fields) == RECORDS
+    assert extra == []
+    assert fields["FamilyAnalysis"] == ["system", "family", "red_s", "core_s", "per_member"]
+    assert counting == {"stability_report"}
 
 
 FROZENSET_PATH = {"frozenset", "all_reducts", "reduct_sets", "canonical_reducts"}

@@ -153,8 +153,9 @@ class TestLibraryNumberInput:
         with pytest.raises(ParameterError):
             SamplingPlan(seed=0, fractions=(value,), samples_per_fraction=1)
 
-    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", "7"),
-                                             ("samples_per_fraction", 2.0)])
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("seed", "7"), ("seed", True),
+                                             ("samples_per_fraction", 2.0),
+                                             ("samples_per_fraction", True)])
     def test_non_int_counts_are_parameter_errors(self, field, value):
         kwargs = dict(seed=0, fractions=("0.5",), samples_per_fraction=1)
         kwargs[field] = value
@@ -658,7 +659,7 @@ def _scanned_lambda_sets(a, lam):
     """The four thresholded sets, support counted by scanning every member."""
 
     def held(count):
-        return Fraction(count, a.family_size) >= lam
+        return Fraction(count, len(a.per_member)) >= lam
 
     def reduct_support(r):
         return sum(r in m.reducts for m in a.per_member)
@@ -667,7 +668,7 @@ def _scanned_lambda_sets(a, lam):
         return sum(m.core >> attr & 1 for m in a.per_member)
 
     member_reducts = {r for m in a.per_member for r in m.reducts}
-    attrs = range(a.n_attrs)
+    attrs = range(a.system.n_attrs)
     return (
         tuple(r for r in a.red_s if held(reduct_support(r))),
         tuple(sorted(r for r in member_reducts if held(reduct_support(r)))),
