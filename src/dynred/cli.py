@@ -2,22 +2,21 @@
 
 Subcommands: ``reducts`` and ``core`` for the static analysis, ``dynamic``
 for the family-level sets, ``verify`` to run the containment-law checks.
-One canonically ordered JSON document goes to stdout (sorted keys, sorted
-attribute-name arrays, reduct lists ordered by their name arrays),
-diagnostics to stderr. The engine's attribute sets are bitmasks
-(``reducts.table_reducts``, ``FamilyAnalysis``) over a copy of the table
-with columns in descending name order (``output.name_ordered``): a
-mask names as its quoted names in name order, and an ascending reduct
-list, reversed, is report order, so no name list is sorted. A failing
-law's witness ``attribute``, a mask's lowest bit, is the largest name
-outside the superset (or in the difference). ``output.render`` writes
-the text. ``--exact`` compares the engine's results with the oracle's
-(``_cross_check``). The parser is built once per process. Exit codes: 0
-success, 1 usage error (including a decimal exponent above 1000 in
-magnitude in --fractions or --lambda, and a report or help text that
-cannot be written), 2 parse/schema error, 3 capacity limit or out of
-memory, 4 non-vacuous verification failure, 70 self-check mismatch under
---exact.
+Only ``dynamic`` and ``verify`` import the family layer; ``reducts`` and
+``core`` import the oracle only under ``--exact``, which compares the
+engine's results with the oracle's (``_cross_check``). One canonically
+ordered JSON document goes to stdout (sorted keys and name arrays, reduct
+lists ordered by their name arrays), diagnostics to stderr. The engine's
+attribute sets are bitmasks over a copy of the table with columns in
+descending name order (``output.name_ordered``): a mask names as its
+quoted names in name order, and an ascending reduct list, reversed, is
+report order, so no name list is sorted. A failing law's witness
+``attribute``, a mask's lowest bit, is the largest name outside the
+superset (or in the difference). Exit codes: 0 success, 1 usage error
+(including a --fractions or --lambda decimal exponent above 1000 in
+magnitude, and a report or help text that cannot be written), 2
+parse/schema error, 3 capacity limit or out of memory, 4 non-vacuous
+verification failure, 70 self-check mismatch under --exact.
 """
 
 from __future__ import annotations
@@ -29,15 +28,8 @@ import os
 import sys
 from functools import cache
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .dynamic import (
-    FamilyAnalysis,
-    StabilityReport,
-    analyze_family,
-    check_lambda,
-    stability_report,
-    verify_theorems,
-)
 from .errors import (
     CapacityError,
     DomainError,
@@ -48,7 +40,6 @@ from .errors import (
     SchemaError,
     SelfCheckError,
 )
-from .oracle import brute_force_reducts
 from .output import name_ordered, render
 from .reducts import (
     DEFAULT_MAX_ATTRS,
@@ -59,6 +50,9 @@ from .reducts import (
     table_reducts,
 )
 from .table import DecisionSystem, SamplingPlan, parse_decision_table, sample_family
+
+if TYPE_CHECKING:
+    from .dynamic import FamilyAnalysis, StabilityReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,6 +149,8 @@ def _cross_check(results) -> None:
     masks come sorted and are not deduplicated, so a repeated one shows.
     Reducts given as None are not compared, so ``core`` checks its core alone.
     """
+    from .oracle import brute_force_reducts
+
     oracle: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
     for what, table, reducts, core in results:
         rows = table.object_indices
@@ -165,19 +161,6 @@ def _cross_check(results) -> None:
             raise SelfCheckError(f"{what}: engine reducts disagree with the exhaustive oracle")
         if core != oracle[rows][1]:
             raise SelfCheckError(f"{what}: engine core disagrees with the exhaustive oracle")
-
-
-def _analyze(system: DecisionSystem, args) -> FamilyAnalysis:
-    fractions = tuple(piece.strip() for piece in args.fractions.split(","))
-    plan = SamplingPlan(seed=args.seed, fractions=fractions, samples_per_fraction=args.samples)
-    analysis = analyze_family(system, sample_family(system, plan),
-                              max_attrs=args.max_attrs, max_reducts=args.max_reducts)
-    if args.exact:
-        results = [("base system", system, analysis.red_s, analysis.core_s)]
-        for i, (member, mem) in enumerate(zip(analysis.family.members, analysis.per_member)):
-            results.append((f"family member {i}", member, mem.reducts, mem.core))
-        _cross_check(results)
-    return analysis
 
 
 def _base_report(system: DecisionSystem, args) -> dict:
@@ -273,8 +256,18 @@ def _execute(args) -> tuple[dict, int]:
         report["static"] = {"core": name(core)}
         return report, EXIT_OK
 
+    from .dynamic import analyze_family, check_lambda, stability_report, verify_theorems
+
     lam = check_lambda(args.lam)
-    analysis = _analyze(system, args)
+    fractions = tuple(piece.strip() for piece in args.fractions.split(","))
+    plan = SamplingPlan(seed=args.seed, fractions=fractions, samples_per_fraction=args.samples)
+    analysis = analyze_family(system, sample_family(system, plan),
+                              max_attrs=args.max_attrs, max_reducts=args.max_reducts)
+    if args.exact:
+        results = [("base system", system, analysis.red_s, analysis.core_s)]
+        for i, (member, mem) in enumerate(zip(analysis.family.members, analysis.per_member)):
+            results.append((f"family member {i}", member, mem.reducts, mem.core))
+        _cross_check(results)
     # One record at the requested threshold feeds the report and the laws.
     stability = stability_report(analysis, lam)
     report.update(_family_sections(key, name, analysis, stability))

@@ -14,9 +14,8 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import count
-from typing import Iterable, Union
+from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import (
     CapacityError,
@@ -26,6 +25,9 @@ from .errors import (
     ParseError,
     SchemaError,
 )
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 MASK64 = (1 << 64) - 1
 
@@ -247,6 +249,9 @@ def parse_rational(value: Fraction | int | float | str, what: str) -> Fraction:
     included, and for a decimal exponent outside [-MAX_EXPONENT,
     MAX_EXPONENT], refused before it is expanded.
     """
+    # Imported here, its only run-time use, so ``reducts`` and ``core`` never load it.
+    from fractions import Fraction
+
     try:
         text = value if isinstance(value, str) else str(value)
         # Valid text has at most one "e", which starts an integer exponent.

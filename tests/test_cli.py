@@ -433,6 +433,8 @@ def _copied_analysis(*args, **kwargs):
 
 
 def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):
+    import dynred.dynamic
+
     # Members of this family share reducts with one another and with the
     # table, so a report that named each mention would name a mask again.
     # The second input gives every member its own equal MemberAnalysis, so
@@ -467,7 +469,7 @@ def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):
     for member, mem in zip(analysis.family.members, analysis.per_member):
         row_cores.setdefault(member.object_indices, mem.core)
     for analyze in (analyze_family, _copied_analysis):
-        monkeypatch.setattr(cli, "analyze_family", analyze)
+        monkeypatch.setattr(dynred.dynamic, "analyze_family", analyze)
         named.clear()
         status, out = run_json(capsys, ["dynamic", "--input", str(tmp_path / "t.csv"),
                                         "--decision", "d", "--fractions", "0.5,0.75,1",
@@ -931,7 +933,7 @@ class TestExitCodes:
         # The laws hold on real data, so force a failing check to cover the
         # path, with a witness shaped like the verifier's own. The report
         # bytes are pinned; the relative --input keeps input.path stable.
-        import dynred.cli as cli_mod
+        import dynred.dynamic
         from dynred import TheoremCheck
 
         # The engine reads FIX-A in name order, so its indices are those of that copy.
@@ -943,7 +945,7 @@ class TestExitCodes:
                        "lambda_low": "3/4"}
             return (TheoremCheck("T1", "fail", "forced", witness),)
 
-        monkeypatch.setattr(cli_mod, "verify_theorems", failing)
+        monkeypatch.setattr(dynred.dynamic, "verify_theorems", failing)
         (tmp_path / "fixa.csv").write_text(FIX_A_CSV)
         monkeypatch.chdir(tmp_path)
         argv = ["verify", "--input", "fixa.csv", "--decision", "d",
@@ -1007,12 +1009,9 @@ class TestEachIntermediateOnce:
     @pytest.mark.parametrize("command", ["dynamic", "verify"])
     def test_oracle_runs_once_per_distinct_table(self, capsys, monkeypatch, fixa_path,
                                                  family, command):
-        import dynred.cli
         import dynred.oracle
 
-        # brute_force_core reaches the oracle through its own module, the CLI through its own.
         calls = self._counting(monkeypatch, dynred.oracle, "brute_force_reducts")
-        monkeypatch.setattr(dynred.cli, "brute_force_reducts", dynred.oracle.brute_force_reducts)
         status, _ = run_json(capsys, [command, "--input", fixa_path, "--exact", *self.ARGS])
         assert status == 0
         distinct = {m.object_indices for m in family} | {(0, 1, 2)}
@@ -1021,9 +1020,9 @@ class TestEachIntermediateOnce:
 
     @pytest.mark.parametrize("command", ["dynamic", "verify"])
     def test_one_slice_per_run(self, capsys, monkeypatch, fixa_path, command):
-        import dynred.cli
+        import dynred.dynamic
 
-        calls = self._counting(monkeypatch, dynred.cli, "stability_report")
+        calls = self._counting(monkeypatch, dynred.dynamic, "stability_report")
         status, out = run_json(capsys, [command, "--input", fixa_path, *self.ARGS])
         assert status == 0 and out
         assert len(calls) == 1

@@ -7,13 +7,18 @@ table model, and every read of a table goes through its ``parent`` and
 The engine speaks bitmasks outside its two public frozenset views, the family
 layer's records are plain data with support counted only in
 ``stability_report``, and every name the benchmark reads on the package
-resolves.
+resolves. A process loads only the layers its subcommand runs, and the
+package's public names resolve on first access.
 """
 
 import ast
+import json
 import re
+import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -223,3 +228,91 @@ def test_benchmark_reads_resolve_on_the_package():
                 reads.add(node.attr)
     assert "parse_decision_table" in reads
     assert sorted(n for n in reads if not hasattr(dynred, n)) == []
+
+
+SUBMODULES = ("cli", "dynamic", "errors", "oracle", "output", "reducts", "rough", "table")
+
+# Run with -S -I, so no site hook preloads a module, and -B, so the run writes
+# no bytecode beside the sources; argv[1] is the source tree.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("dynred.") or m == "fractions")
+import dynred, dynred.cli
+steps = [["import", None, loaded()]]
+for argv in (["reducts"], ["core"], ["reducts", "--exact"],
+             ["verify", "--fractions", "0.5,1", "--lambda", "0.75"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = dynred.cli.run([*argv, "--input", sys.argv[2], "--decision", "d"])
+    steps.append([" ".join(argv), status, loaded()])
+print(json.dumps(steps))
+"""
+
+
+def _fresh(script, *args):
+    argv = [sys.executable, "-S", "-I", "-B", "-c", script, str(ROOT / "src"), *args]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_each_subcommand_loads_only_its_layers(tmp_path):
+    # reducts and core never load the family layer or fractions (and with it
+    # decimal); the oracle loads only for --exact. verify needs all three.
+    csv = tmp_path / "t.csv"
+    csv.write_text("a,b,c,d\n0,0,0,0\n1,0,0,1\n0,1,1,1\n", encoding="utf-8")
+    static = [f"dynred.{m}" for m in ("cli", "errors", "output", "reducts", "rough", "table")]
+    assert _fresh(IMPORT_PROBE, str(csv)) == [
+        ["import", None, static],
+        ["reducts", 0, static],
+        ["core", 0, static],
+        ["reducts --exact", 0, sorted([*static, "dynred.oracle"])],
+        ["verify --fractions 0.5,1 --lambda 0.75", 0,
+         sorted([*static, "dynred.dynamic", "dynred.oracle", "fractions"])],
+    ]
+
+
+PUBLIC_NAMES = [
+    "CapacityError", "DEFAULT_MAX_ATTRS", "DEFAULT_MAX_REDUCTS", "DecisionSystem",
+    "DiscernibilityMatrix", "DomainError", "EngineError", "Family", "FamilyAnalysis",
+    "LAMBDA_GRID", "MemberAnalysis", "MissingValueError", "ParameterError", "ParseError",
+    "SamplingPlan", "SchemaError", "SelfCheckError", "SplitMix64", "StabilityReport",
+    "SubSystem", "TheoremCheck", "absorb", "all_reducts", "analyze_family",
+    "brute_force_core", "brute_force_reducts", "check_lambda", "condition_classes", "core_of",
+    "discernibility_function", "discernibility_matrix", "full_subsystem",
+    "generalized_decision", "intersect_all", "is_antichain", "is_reduct",
+    "literal_dynamic_core", "literal_dynamic_reduct", "literal_generalized_dynamic_core",
+    "literal_generalized_dynamic_reduct", "make_subsystem", "parse_decision_table",
+    "positive_region", "render_csv", "sample_family", "stability_report", "verify_theorems",
+]
+
+
+def test_public_names_resolve_from_their_defining_modules():
+    import importlib
+
+    import dynred
+
+    assert dynred.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        module = importlib.import_module(f"dynred.{dynred._SOURCE[name]}")
+        value = getattr(dynred, name)
+        assert value is getattr(module, name)
+        assert getattr(value, "__module__", module.__name__) == module.__name__, name
+    star = {}
+    exec("from dynred import *", star)
+    assert sorted(star.keys() - {"__builtins__"}) == PUBLIC_NAMES
+    assert set(dir(dynred)) >= {*PUBLIC_NAMES, *SUBMODULES}
+    # perfbench's work counts read a missing name as absent through this.
+    assert getattr(dynred, "no_such_name", None) is None
+    with pytest.raises(AttributeError, match="no_such_name"):
+        dynred.no_such_name
+
+
+def test_submodules_resolve_after_a_bare_import():
+    script = (
+        "import json, sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import dynred\n"
+        f"print(json.dumps([getattr(dynred, m).__name__ for m in {SUBMODULES!r}]))\n"
+    )
+    assert _fresh(script) == [f"dynred.{m}" for m in SUBMODULES]
