@@ -20,10 +20,12 @@ support/|F| >= lambda is decided by integer cross-multiplication, so
 boundary ties are deterministic. ``stability_report`` alone counts support
 and produces the eight sets from the searches ``analyze_family`` records:
 its record holds them at one threshold with the support counts and the
-facts the laws read, and ``verify_theorems`` checks the containment laws
-tying the eight sets together on that record alone. Every attribute set is
-a bitmask (bit ``a`` is condition attribute ``a``) and every reduct
-collection a tuple of masks in ascending order.
+facts the laws read. ``verify_theorems`` checks the eleven laws tying the
+eight sets together on that record alone: it walks one law table, each row
+naming two report fields, whether one lies inside or equals the other, and
+the hypothesis under which the law applies, and one evaluator judges every
+row. Every attribute set is a bitmask (bit ``a`` is condition attribute
+``a``) and every reduct collection a tuple of masks in ascending order.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapacityError, DomainError, ParameterError
 from .oracle import literal_dynamic_core
@@ -204,136 +206,113 @@ class TheoremCheck:
     witness: dict | None = None
 
 
-def _containment(
-    check: str, small: int, big: int, detail: str, vacuous: bool = False, **context: str
+class _Law(NamedTuple):
+    """One law: report set ``small`` lies ``inside`` or ``equals`` set ``big``.
+
+    A reduct tuple stands for its intersection. T2c names ``dcore_lambda``
+    on both sides: it compares that core at each step of a threshold ladder
+    with the core a step below.
+    """
+
+    name: str
+    statement: str
+    small: str
+    relation: str
+    big: str
+    hypothesis: str = "always"
+
+
+# When a law applies, keyed by the words the README's law table uses.
+_HYPOTHESES = {
+    "always": lambda report: True,
+    "family_size == covering == 1": lambda report: report.family_size == report.covering == 1,
+    "covering > 0": lambda report: report.covering > 0,
+}
+
+# The eleven laws in check order.
+_LAWS = (
+    _Law("T1", "stable core lies inside the intersection of stable reducts",
+         "dcore", "inside", "dr"),
+    _Law("T2a", "single-member family equal to the system: stable core is the static core",
+         "dcore", "equals", "core_s", "family_size == covering == 1"),
+    _Law("T2b", "threshold 1 collapses the thresholded core to the plain stable core",
+         "dcore", "equals", "literal_dcore"),
+    _Law("T2c", "thresholded cores shrink as the threshold grows",
+         "dcore_lambda", "inside", "dcore_lambda"),
+    _Law("T2d", "the plain stable core lies inside every thresholded core",
+         "dcore", "inside", "dcore_lambda"),
+    _Law("T3", "thresholded core lies inside the intersection of thresholded reducts",
+         "dcore_lambda", "inside", "dr_lambda"),
+    _Law("T4a", "stable core lies inside the generalized stable core",
+         "dcore", "inside", "gdcore"),
+    _Law("T4b", "thresholded core lies inside the generalized thresholded core",
+         "dcore_lambda", "inside", "gdcore_lambda"),
+    _Law("T4c", "family containing the full system: generalized and plain stable cores agree",
+         "gdcore", "equals", "dcore", "covering > 0"),
+    _Law("T5a", "generalized core lies inside the intersection of generalized reducts",
+         "gdcore", "inside", "gdr"),
+    _Law("T5b", "generalized thresholded core lies inside the intersection of "
+         "generalized thresholded reducts", "gdcore_lambda", "inside", "gdr_lambda"),
+)
+
+
+def _evaluate(
+    law: _Law, small: int, big: int | tuple[int, ...], n: int, **context: str
 ) -> TheoremCheck:
-    """``small`` lies inside ``big``; a failure names the lowest attribute outside it."""
-    missing = small & ~big
-    if missing:
-        witness = {
-            "attribute": mask_indices(missing)[0],
-            **context,
-            "subset": mask_indices(small),
-            "superset": mask_indices(big),
-        }
-        return TheoremCheck(check, "fail", detail, witness)
-    return TheoremCheck(check, "vacuous" if vacuous else "pass", detail)
+    """``law`` on two sets; an empty reduct tuple makes a holding law "vacuous".
 
-
-def _inside_reducts(
-    check: str, core: int, reducts: tuple[int, ...], n: int, detail: str
-) -> TheoremCheck:
-    """``core`` lies inside ``intersect_all(reducts, n)``; vacuous when there are no reducts."""
-    return _containment(check, core, intersect_all(reducts, n), detail, vacuous=not reducts)
-
-
-def _equality(check: str, left: int, right: int, detail: str) -> TheoremCheck:
-    diff = left ^ right
-    if diff:
-        witness = {
-            "attribute": mask_indices(diff)[0],
-            "left": mask_indices(left),
-            "right": mask_indices(right),
-        }
-        return TheoremCheck(check, "fail", detail, witness)
-    return TheoremCheck(check, "pass", detail)
+    A failure's witness names the lowest attribute in ``small`` outside
+    ``big`` (for "equals", in their difference), then ``context``, then both
+    sets.
+    """
+    vacuous = big == ()
+    if type(big) is tuple:
+        big = intersect_all(big, n)
+    if law.relation == "equals":
+        odd, keys = small ^ big, ("left", "right")
+    else:
+        odd, keys = small & ~big, ("subset", "superset")
+    if not odd:
+        return TheoremCheck(law.name, "vacuous" if vacuous else "pass", law.statement)
+    witness = {
+        "attribute": mask_indices(odd)[0],
+        **context,
+        keys[0]: mask_indices(small),
+        keys[1]: mask_indices(big),
+    }
+    return TheoremCheck(law.name, "fail", law.statement, witness)
 
 
 def verify_theorems(report: StabilityReport) -> tuple[TheoremCheck, ...]:
-    """Evaluate the eleven containment/identity laws on one ``report``.
+    """Evaluate the eleven containment/identity laws of ``_LAWS`` on one ``report``.
 
     The laws read the report alone: its eight sets at ``report.lam``, the
-    static core, the covering count and T2b's reference. Checks whose
-    hypothesis does not hold (single-member family equal to the system; some
-    member covering the whole universe) report "not-applicable".
-    Containments over an empty reduct set hold through the full-set
-    intersection convention and report "vacuous" instead of "pass". Failures
-    carry the offending attribute and both sets; they are data, not errors.
-    T2b compares the threshold-1 core with its literal intersection, since
-    the engine's plain core is that same filter.
+    static core, the covering count and T2b's reference. A law whose
+    hypothesis does not hold (T2a: a single member covering the system; T4c:
+    some member covering it) reports "not-applicable". Containments over an
+    empty reduct set hold through the full-set intersection convention and
+    report "vacuous" instead of "pass". Failures carry the offending
+    attribute and both sets; they are data, not errors. T2b compares the
+    threshold-1 core with its literal intersection, since the engine's plain
+    core is that same filter. T2c walks ``LAMBDA_GRID`` and ``report.lam`` in
+    ascending order and reports its first failing step, with
+    ``lambda_low`` and ``lambda_high`` in the witness.
     """
     n = len(report.attr_core_support)
-
-    checks = [
-        _inside_reducts(
-            "T1", report.dcore, report.dr, n,
-            "stable core lies inside the intersection of stable reducts",
-        )
-    ]
-
-    t2a = "single-member family equal to the system: stable core is the static core"
-    if report.family_size == report.covering == 1:
-        checks.append(_equality("T2a", report.dcore, report.core_s, t2a))
-    else:
-        checks.append(TheoremCheck("T2a", "not-applicable", t2a))
-
-    checks.append(
-        _equality(
-            "T2b",
-            report.dcore,
-            report.literal_dcore,
-            "threshold 1 collapses the thresholded core to the plain stable core",
-        )
-    )
-
-    # Each step of the ladder is one containment; the first failing step reports.
-    support = report.attr_core_support
-    ladder = sorted(set(LAMBDA_GRID) | {report.lam})
-    cores = [report.core_s & attr_mask(_supported(support, support, report.family_size, at))
-             for at in ladder]
-    steps = [
-        _containment(
-            "T2c", high_core, low_core,
-            "thresholded cores shrink as the threshold grows",
-            lambda_low=str(low),
-            lambda_high=str(high),
-        )
-        for low, high, low_core, high_core in zip(ladder, ladder[1:], cores, cores[1:])
-    ]
-    checks.append(next((c for c in steps if c.status == "fail"), steps[0]))
-
-    checks.append(
-        _containment(
-            "T2d", report.dcore, report.dcore_lambda,
-            "the plain stable core lies inside every thresholded core",
-        )
-    )
-    checks.append(
-        _inside_reducts(
-            "T3", report.dcore_lambda, report.dr_lambda, n,
-            "thresholded core lies inside the intersection of thresholded reducts",
-        )
-    )
-    checks.append(
-        _containment(
-            "T4a", report.dcore, report.gdcore,
-            "stable core lies inside the generalized stable core",
-        )
-    )
-    checks.append(
-        _containment(
-            "T4b", report.dcore_lambda, report.gdcore_lambda,
-            "thresholded core lies inside the generalized thresholded core",
-        )
-    )
-
-    t4c = "family containing the full system: generalized and plain stable cores agree"
-    if report.covering:
-        checks.append(_equality("T4c", report.gdcore, report.dcore, t4c))
-    else:
-        checks.append(TheoremCheck("T4c", "not-applicable", t4c))
-
-    checks.append(
-        _inside_reducts(
-            "T5a", report.gdcore, report.gdr, n,
-            "generalized core lies inside the intersection of generalized reducts",
-        )
-    )
-    checks.append(
-        _inside_reducts(
-            "T5b", report.gdcore_lambda, report.gdr_lambda, n,
-            "generalized thresholded core lies inside the intersection of "
-            "generalized thresholded reducts",
-        )
-    )
+    checks = []
+    for law in _LAWS:
+        if not _HYPOTHESES[law.hypothesis](report):
+            checks.append(TheoremCheck(law.name, "not-applicable", law.statement))
+        elif law.small != law.big:
+            checks.append(_evaluate(law, getattr(report, law.small), getattr(report, law.big), n))
+        else:
+            support, size = report.attr_core_support, report.family_size
+            ladder = sorted({*LAMBDA_GRID, report.lam})
+            cores = [report.core_s & attr_mask(_supported(support, support, size, at))
+                     for at in ladder]
+            steps = [
+                _evaluate(law, high_core, low_core, n, lambda_low=str(low), lambda_high=str(high))
+                for low, high, low_core, high_core in zip(ladder, ladder[1:], cores, cores[1:])
+            ]
+            checks.append(next((c for c in steps if c.status == "fail"), steps[0]))
     return tuple(checks)

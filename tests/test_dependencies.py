@@ -6,8 +6,8 @@ table model, and every read of a table goes through its ``parent`` and
 ``object_indices``, so only ``table.py`` tells a system from a sub-system.
 The engine speaks bitmasks outside its two public frozenset views, the family
 layer's records are plain data with support counted only in
-``stability_report``, and every name the benchmark reads on the package
-resolves. A process loads only the layers its subcommand runs, and the
+``stability_report``, one evaluator checks every law, and every name the
+benchmark reads on the package resolves. A process loads only the layers its subcommand runs, and the
 package's public names resolve on first access.
 """
 
@@ -163,6 +163,26 @@ def test_the_eight_sets_come_from_one_filter_and_one_report():
     public = {node.name for node in tree.body
               if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     assert public == {"check_lambda", "analyze_family", "stability_report", "verify_theorems"}
+
+
+def test_every_law_is_checked_by_one_evaluator():
+    # verify_theorems walks one law table. Every TheoremCheck is built by the
+    # one evaluator, or by verify_theorems for a law whose hypothesis fails;
+    # no per-relation helper restates the evaluator.
+    tree = ast.parse((ROOT / "src" / "dynred" / "dynamic.py").read_text(encoding="utf-8"))
+    builders, verifier_statuses = set(), []
+    for node in tree.body:
+        where = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "TheoremCheck":
+                builders.add(where)
+                if where == "verify_theorems":
+                    verifier_statuses += [arg.value for arg in call.args
+                                          if isinstance(arg, ast.Constant)]
+    assert builders == {"_evaluate", "verify_theorems"}
+    assert verifier_statuses == ["not-applicable"]
+    functions = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert not functions & {"_containment", "_inside_reducts", "_equality"}
 
 
 RECORDS = {"MemberAnalysis", "FamilyAnalysis", "StabilityReport", "TheoremCheck"}

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -623,6 +624,77 @@ class TestVerifyTheorems:
             "left": [s.cond_attrs.index("a")],
             "right": [s.cond_attrs.index(n) for n in "abc"],
         }
+
+
+def _quiet_report(**planted):
+    """A one-member report over three attributes that covers the system, every set empty."""
+    quiet = StabilityReport(
+        family_size=1, covering=1, core_s=0, literal_dcore=0,
+        attr_core_support={0: 0, 1: 0, 2: 0}, reduct_support=(), lam=Fraction(3, 4),
+        dr=(), dr_lambda=(), gdr=(), gdr_lambda=(),
+        dcore=0, dcore_lambda=0, gdcore=0, gdcore_lambda=0,
+    )
+    return dataclasses.replace(quiet, **planted)
+
+
+# Every law but T2c by the report sets it relates, the small (or left) side
+# first, and the witness keys naming them. Written out here rather than read
+# from the verifier's table, so that a law turned round fails.
+INSIDE, EQUALS = ("subset", "superset"), ("left", "right")
+LAW_SETS = [
+    ("T1", "dcore", "dr", INSIDE),
+    ("T2a", "dcore", "core_s", EQUALS),
+    ("T2b", "dcore", "literal_dcore", EQUALS),
+    ("T2d", "dcore", "dcore_lambda", INSIDE),
+    ("T3", "dcore_lambda", "dr_lambda", INSIDE),
+    ("T4a", "dcore", "gdcore", INSIDE),
+    ("T4b", "dcore_lambda", "gdcore_lambda", INSIDE),
+    ("T4c", "gdcore", "dcore", EQUALS),
+    ("T5a", "gdcore", "gdr", INSIDE),
+    ("T5b", "gdcore_lambda", "gdr_lambda", INSIDE),
+]
+
+
+class TestOneLawAtATime:
+    @pytest.mark.parametrize("law, small, big, keys", LAW_SETS)
+    def test_an_attribute_planted_outside_the_big_set_fails_the_law(self, law, small, big, keys):
+        # Attribute 1 lies in the small set {0, 1} and outside the big set
+        # {0, 2} (a reduct field holds that set as its one reduct).
+        quiet = _quiet_report()
+        assert [c.check for c in verify_theorems(quiet) if c.status == "fail"] == []
+        big_set = (0b101,) if type(getattr(quiet, big)) is tuple else 0b101
+        planted = _quiet_report(**{small: 0b011, big: big_set})
+        checks = {c.check: c for c in verify_theorems(planted)}
+        assert checks[law].status == "fail"
+        assert checks[law].witness == {"attribute": 1, keys[0]: [0, 1], keys[1]: [0, 2]}
+
+    def test_t2c_reports_its_first_failing_ladder_step(self, monkeypatch):
+        # A filter that is not monotone in the threshold: the cores at 3/5 and
+        # 3/4 are {0} and {0, 1}, so 1 leaves the core a step below. The later
+        # failing step, 2 at 9/10 against 3/4, is not the one reported.
+        import dynred.dynamic
+
+        kept = {Fraction(51, 100): [0, 1, 2], Fraction(3, 5): [0], Fraction(3, 4): [0, 1],
+                Fraction(9, 10): [0, 1, 2], Fraction(1): []}
+        monkeypatch.setattr(dynred.dynamic, "_supported", lambda pool, support, size, at: kept[at])
+        checks = {c.check: c for c in verify_theorems(_quiet_report(core_s=0b111))}
+        assert checks["T2c"].status == "fail"
+        assert checks["T2c"].witness == {
+            "attribute": 1, "lambda_low": "3/5", "lambda_high": "3/4",
+            "subset": [0, 1], "superset": [0],
+        }
+
+    def test_readme_law_table_matches_the_verifier(self):
+        # The README lists each law as: name, statement, the two report sets
+        # and their relation, and the hypothesis under which it applies.
+        from dynred.dynamic import _LAWS
+
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        row = r"^\| `(T\w+)` \| (.+?) \| `(\w+)` (inside|equals) `(\w+)` \| `?(.+?)`? \|$"
+        rows = re.findall(row, readme, re.MULTILINE)
+        assert len(rows) == 11
+        assert rows == [tuple(law) for law in _LAWS]
+        assert [c.check for c in verify_theorems(_quiet_report())] == [law.name for law in _LAWS]
 
 
 @settings(deadline=None, max_examples=60)
