@@ -31,7 +31,6 @@ row. Every attribute set is a bitmask (bit ``a`` is condition attribute
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -46,7 +45,7 @@ from .reducts import (
     mask_indices,
 )
 from .rough import family_classes
-from .table import DecisionSystem, Family, parse_rational
+from .table import DecisionSystem, Family, _Record, parse_rational
 
 ONE_HALF = Fraction(1, 2)
 
@@ -68,16 +67,14 @@ def check_lambda(value: Fraction | int | float | str) -> Fraction:
     return lam
 
 
-@dataclass(frozen=True)
-class MemberAnalysis:
+class MemberAnalysis(_Record):
     """One table's reduct masks in ascending order and its core mask."""
 
     reducts: tuple[int, ...]
     core: int
 
 
-@dataclass(frozen=True)
-class FamilyAnalysis:
+class FamilyAnalysis(_Record):
     """The searches of a system and of every family member; ``stability_report`` counts support."""
 
     system: DecisionSystem
@@ -128,8 +125,7 @@ def _supported(pool: Iterable, support, size: int, lam: Fraction | int) -> list:
     return [x for x in pool if support[x] * den >= need]
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(_Record):
     """A family's support counts, the facts its laws read, and its eight sets at ``lam``.
 
     ``covering`` counts the members covering the whole system, and
@@ -196,8 +192,7 @@ def stability_report(
     )
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
+class TheoremCheck(_Record):
     """Outcome of one verified law: pass, fail, vacuous, or not-applicable."""
 
     check: str

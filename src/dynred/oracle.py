@@ -25,12 +25,11 @@ sets are bitmasks and ``&`` intersects them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
 
 from .errors import CapacityError
-from .table import Table, checked_attrs
+from .table import Table, _Record, checked_attrs
 
 ORACLE_MAX_ATTRS = 16
 ORACLE_MAX_OBJECTS = 64
@@ -99,8 +98,7 @@ def brute_force_core(table: Table) -> frozenset[int]:
     return frozenset.intersection(*brute_force_reducts(table))
 
 
-@dataclass(frozen=True)
-class DiscernibilityMatrix:
+class DiscernibilityMatrix(_Record):
     """Cells (object pair, attribute set) for the pairs a reduct must split."""
 
     cells: tuple[tuple[tuple[int, int], frozenset[int]], ...]

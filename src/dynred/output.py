@@ -8,7 +8,6 @@ knows report order and that a tuple is a list of quoted names.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
@@ -67,7 +66,7 @@ def name_ordered(system):
             b >>= 8
         return out
 
-    return replace(system, cond_attrs=names, rows=rows), key, name
+    return system._replace(cond_attrs=names, rows=rows), key, name
 
 
 def render(report) -> str:

@@ -20,18 +20,16 @@ class table is one labelling pass over the member's object indices.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from itertools import repeat
 from operator import lshift, or_
 from typing import Callable, Collection, Iterable, Sequence
 
-from .table import Table, checked_attrs
+from .table import Table, _Record, checked_attrs
 
 BOUNDARY = -1  # label of a class whose objects disagree on the decision
 
 
-@dataclass(frozen=True)
-class ClassTable:
+class ClassTable(_Record):
     """Distinct full-attribute condition classes of one table, packed and labelled.
 
     ``labels`` maps each packed class row to its decision code, or to

@@ -7,14 +7,20 @@ engine and the oracle read any ``Table`` through those two names alone.
 Sampling is bit-exact across platforms: one splitmix64 stream per plan drives
 a partial Fisher-Yates shuffle, with rejection sampling for unbiased bounded
 draws. Identical (table, plan) inputs always produce identical families.
+
+Every record of the package derives from ``_Record``, defined here because
+every layer imports this module: a frozen class whose fields are its own
+annotations. Its methods are written once, not generated per class, so a
+short-lived CLI process neither imports a record library nor compiles code
+for each record.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
 from itertools import count
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import (
@@ -32,8 +38,68 @@ if TYPE_CHECKING:
 MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True)
-class DecisionSystem:
+class _Record:
+    """A frozen record: its fields are its class's own annotations, in order.
+
+    A field with a class-level value may be omitted. Records are built by
+    position or by name, then ``__post_init__`` checks them; they compare
+    (same class only), hash and print by their fields as a frozen dataclass
+    does, and ``_replace`` builds a changed copy through the same checks.
+    """
+
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = fields = tuple(cls.__annotations__)
+        cls._defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        cls._key = attrgetter(*fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            rest = fields[len(args):]
+            named = self._defaults | kwargs
+            if len(args) > len(fields) or not kwargs.keys() <= set(rest) <= named.keys():
+                raise TypeError(
+                    f"{type(self).__name__}({', '.join(fields)}) got {len(args)} values by "
+                    f"position and {sorted(kwargs)} by name: a field is missing, unknown or twice given"
+                )
+            args = (*args, *map(named.__getitem__, rest))
+        # Set one field at a time: reading ``__dict__`` would give the instance
+        # a materialised dict, which makes every later attribute read slower.
+        for field, value in zip(fields, args):
+            object.__setattr__(self, field, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def _replace(self, **changes) -> _Record:
+        """A copy with ``changes`` applied, checked again by ``__post_init__``."""
+        return type(self)(**{f: getattr(self, f) for f in self._fields} | changes)
+
+
+class DecisionSystem(_Record):
     """A finite table of objects with coded condition attributes and one decision.
 
     Value codes are dense integers assigned per attribute in first-occurrence
@@ -48,7 +114,6 @@ class DecisionSystem:
     rows: tuple[tuple[int, ...], ...]
     decisions: tuple[int, ...]
     dictionaries: dict[str, dict[str, int]]
-    object_indices: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.rows:
@@ -76,8 +141,7 @@ class DecisionSystem:
         return len(self.cond_attrs)
 
 
-@dataclass(frozen=True)
-class SubSystem:
+class SubSystem(_Record):
     """A row-subset view of a parent system over the same attributes."""
 
     parent: DecisionSystem
@@ -266,8 +330,7 @@ def parse_rational(value: Fraction | int | float | str, what: str) -> Fraction:
         raise ParameterError(f"cannot parse {what} {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class SamplingPlan:
+class SamplingPlan(_Record):
     """Deterministic sampling plan: seed, sample-size fractions, repeat count."""
 
     seed: int
@@ -293,8 +356,7 @@ class SamplingPlan:
             raise ParameterError("samples_per_fraction must be >= 1")
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(_Record):
     """Ordered multiset of sub-systems of one parent; duplicates count."""
 
     members: tuple[SubSystem, ...]

@@ -428,8 +428,8 @@ def test_render_writes_same_kind_lists_as_json_dumps(data):
 def _copied_analysis(*args, **kwargs):
     """``analyze_family`` with an equal but distinct object in every ``per_member`` slot."""
     analysis = analyze_family(*args, **kwargs)
-    copies = tuple(dataclasses.replace(mem) for mem in analysis.per_member)
-    return dataclasses.replace(analysis, per_member=copies)
+    copies = tuple(mem._replace() for mem in analysis.per_member)
+    return analysis._replace(per_member=copies)
 
 
 def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):

@@ -257,7 +257,8 @@ SUBMODULES = ("cli", "dynamic", "errors", "oracle", "output", "reducts", "rough"
 IMPORT_PROBE = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
-loaded = lambda: sorted(m for m in sys.modules if m.startswith("dynred.") or m == "fractions")
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("dynred.")
+                        or m in ("dataclasses", "fractions", "inspect"))
 import dynred, dynred.cli
 steps = [["import", None, loaded()]]
 for argv in (["reducts"], ["core"], ["reducts", "--exact"],
@@ -279,6 +280,7 @@ def _fresh(script, *args):
 def test_each_subcommand_loads_only_its_layers(tmp_path):
     # reducts and core never load the family layer or fractions (and with it
     # decimal); the oracle loads only for --exact. verify needs all three.
+    # No command loads dataclasses or inspect: the records are plain classes.
     csv = tmp_path / "t.csv"
     csv.write_text("a,b,c,d\n0,0,0,0\n1,0,0,1\n0,1,1,1\n", encoding="utf-8")
     static = [f"dynred.{m}" for m in ("cli", "errors", "output", "reducts", "rough", "table")]

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import random
 import re
@@ -533,7 +532,7 @@ class TestVerifyTheorems:
     @given(st.integers(0, 10 ** 9), st.sampled_from(LAMBDA_GRID))
     def test_a_copied_report_gives_the_same_checks(self, seed, lam):
         rep = stability_report(_analyzed_family_with_repeats(random.Random(seed)), lam)
-        copy = StabilityReport(**{f.name: getattr(rep, f.name) for f in dataclasses.fields(rep)})
+        copy = StabilityReport(**{f: getattr(rep, f) for f in rep._fields})
         assert len(verify_theorems(copy)) == 11
         assert verify_theorems(copy) == verify_theorems(rep)
 
@@ -544,7 +543,7 @@ class TestVerifyTheorems:
         rep = stability_report(analyze(s, full_subsystem(s)))
         assert rep.dcore == rep.literal_dcore == mask(s, "a")
         checks = {c.check: c for c in verify_theorems(
-            dataclasses.replace(rep, literal_dcore=mask(s, "abc")))}
+            rep._replace(literal_dcore=mask(s, "abc")))}
         assert checks["T2b"].status == "fail"
         assert checks["T2b"].witness == {
             "attribute": s.cond_attrs.index("b"),
@@ -556,7 +555,7 @@ class TestVerifyTheorems:
         s, *_ = fam
         rep = stability_report(analyze(s, full_subsystem(s)))
         before = {c.check: c.status for c in verify_theorems(rep)}
-        after = {c.check: c.status for c in verify_theorems(dataclasses.replace(rep, covering=0))}
+        after = {c.check: c.status for c in verify_theorems(rep._replace(covering=0))}
         assert (before["T2a"], before["T4c"]) == ("pass", "pass")
         assert (after["T2a"], after["T4c"]) == ("not-applicable", "not-applicable")
         assert {k: v for k, v in after.items() if k not in ("T2a", "T4c")} == {
@@ -590,7 +589,7 @@ class TestVerifyTheorems:
         s, _, b2, _ = fam
         a = analyze(s, b2, b2)
         fake = tuple(MemberAnalysis(m.reducts, mask(s, "a")) for m in a.per_member)
-        bad = dataclasses.replace(a, per_member=fake)
+        bad = a._replace(per_member=fake)
         checks = {c.check: c for c in verify_theorems(stability_report(bad, 1))}
         assert checks["T5a"].status == "fail"
         witness = checks["T5a"].witness
@@ -605,7 +604,7 @@ class TestVerifyTheorems:
         s, _, b2, _ = fam
         a = analyze(s, b2, b2)
         fake = tuple(MemberAnalysis(m.reducts, mask(s, "ab")) for m in a.per_member)
-        bad = dataclasses.replace(a, per_member=fake)
+        bad = a._replace(per_member=fake)
         check = {c.check: c for c in verify_theorems(stability_report(bad, 1))}
         assert check["T5a"].status == "fail"
         assert check["T5a"].witness["attribute"] == s.cond_attrs.index("a")
@@ -616,7 +615,7 @@ class TestVerifyTheorems:
         # and b is the witness.
         s, *_ = fam
         a = analyze(s, full_subsystem(s))
-        bad = dataclasses.replace(a, core_s=mask(s, "abc"))
+        bad = a._replace(core_s=mask(s, "abc"))
         check = {c.check: c for c in verify_theorems(stability_report(bad, 1))}
         assert check["T2a"].status == "fail"
         assert check["T2a"].witness == {
@@ -634,7 +633,7 @@ def _quiet_report(**planted):
         dr=(), dr_lambda=(), gdr=(), gdr_lambda=(),
         dcore=0, dcore_lambda=0, gdcore=0, gdcore_lambda=0,
     )
-    return dataclasses.replace(quiet, **planted)
+    return quiet._replace(**planted)
 
 
 # Every law but T2c by the report sets it relates, the small (or left) side

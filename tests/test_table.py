@@ -8,22 +8,28 @@ from hypothesis import given, strategies as st
 from dynred import (
     CapacityError,
     DecisionSystem,
+    DiscernibilityMatrix,
     DomainError,
     EngineError,
     MissingValueError,
     ParameterError,
     ParseError,
     Family,
+    FamilyAnalysis,
+    MemberAnalysis,
     SamplingPlan,
     SchemaError,
     SplitMix64,
+    StabilityReport,
     SubSystem,
+    TheoremCheck,
     full_subsystem,
     make_subsystem,
     parse_decision_table,
     render_csv,
     sample_family,
 )
+from dynred.rough import ClassTable
 from dynred.table import _draw_indices
 
 from conftest import FIX_A_CSV, random_table_csv
@@ -298,6 +304,97 @@ class TestConstructorChecks:
         with pytest.raises(ParameterError) as exc:
             SplitMix64(5).below(n)
         assert str(exc.value) == "bounded draw needs n >= 1"
+
+
+_SYSTEM = parse_decision_table("a,b,d\n0,1,0\n1,1,1\n", "d", name="t")
+_SUB = SubSystem(_SYSTEM, (0,))
+
+# Valid fields of each of the package's ten records, in declaration order.
+RECORD_FIELDS = [
+    (DecisionSystem, dict(name="t", cond_attrs=("a", "b"), decision_attr="d",
+                          rows=((0, 0), (1, 0)), decisions=(0, 1), dictionaries={})),
+    (SubSystem, dict(parent=_SYSTEM, object_indices=(0, 1))),
+    (SamplingPlan, dict(seed=7, fractions=(Fraction(1, 2), Fraction(1)), samples_per_fraction=2)),
+    (Family, dict(members=(_SUB, _SUB))),
+    (ClassTable, dict(labels={0: 0, 1: 1}, n_attrs=2, planes=1)),
+    (MemberAnalysis, dict(reducts=(1,), core=1)),
+    (FamilyAnalysis, dict(system=_SYSTEM, family=Family((_SUB,)), red_s=(1,), core_s=1,
+                          per_member=(MemberAnalysis((1,), 1),))),
+    (StabilityReport, dict(family_size=1, covering=0, core_s=1, literal_dcore=1,
+                           attr_core_support={0: 1, 1: 0}, reduct_support=((1, 1),),
+                           lam=Fraction(3, 4), dr=(1,), dr_lambda=(1,), gdr=(1,),
+                           gdr_lambda=(1,), dcore=1, dcore_lambda=1, gdcore=1,
+                           gdcore_lambda=1)),
+    (TheoremCheck, dict(check="T1", status="pass", detail="x", witness={"attribute": 0})),
+    (DiscernibilityMatrix, dict(cells=(((0, 1), frozenset({0})),))),
+]
+_RECORD_IDS = [cls.__name__ for cls, _ in RECORD_FIELDS]
+
+
+@pytest.mark.parametrize("cls, fields", RECORD_FIELDS, ids=_RECORD_IDS)
+class TestRecordContract:
+    # Every record is frozen, built by position or by name, and compared,
+    # hashed and printed by its fields in declaration order.
+    def test_position_and_name_build_equal_records(self, cls, fields):
+        by_name = cls(**fields)
+        assert cls._fields == tuple(fields)
+        assert cls(*fields.values()) == by_name
+        assert by_name._replace() == by_name and by_name._replace() is not by_name
+        assert repr(by_name) == (
+            f"{cls.__name__}(" + ", ".join(f"{k}={v!r}" for k, v in fields.items()) + ")"
+        )
+
+    def test_assignment_and_deletion_raise(self, cls, fields):
+        record = cls(**fields)
+        name, value = next(iter(fields.items()))
+        for attr in (name, "not_a_field"):
+            with pytest.raises(AttributeError):
+                setattr(record, attr, value)
+            with pytest.raises(AttributeError):
+                delattr(record, attr)
+        assert getattr(record, name) is value
+        assert not hasattr(record, "not_a_field")
+
+    def test_missing_unknown_or_duplicated_field_raises(self, cls, fields):
+        first, *rest = fields
+        values = list(fields.values())
+        for args, kwargs in [
+            ((), {k: fields[k] for k in rest}),
+            ((), {**fields, "not_a_field": 1}),
+            ((values[0],), fields),
+            ((*values, None), {}),
+        ]:
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+        with pytest.raises(TypeError):
+            cls(**fields)._replace(not_a_field=1)
+
+    def test_records_of_different_types_never_compare_equal(self, cls, fields):
+        record = cls(**fields)
+        assert record != tuple(fields.values())
+        for other, other_fields in RECORD_FIELDS:
+            if other is not cls:
+                assert record != other(**other_fields)
+                assert not record == other(**other_fields)
+
+
+class TestRecordChecks:
+    def test_equal_plans_hash_equal(self):
+        plan = SamplingPlan(7, ("1/2", 1), 2)
+        same = SamplingPlan(seed=7, fractions=(Fraction(1, 2), Fraction(1)), samples_per_fraction=2)
+        assert plan == same and hash(plan) == hash(same)
+        assert len({plan, same, plan._replace(seed=8)}) == 2
+
+    def test_witness_defaults_to_none(self):
+        assert TheoremCheck("T1", "pass", "x").witness is None
+        assert TheoremCheck("T1", "pass", "x") == TheoremCheck("T1", "pass", "x", None)
+
+    def test_replace_runs_the_checks_again(self):
+        with pytest.raises(DomainError):
+            _SYSTEM._replace(rows=())
+        with pytest.raises(ParameterError):
+            SamplingPlan(7, (1,), 2)._replace(samples_per_fraction=0)
+        assert _SYSTEM._replace(name="u").object_indices == (0, 1)
 
 
 class TestSplitMix64:
