@@ -27,7 +27,6 @@ import io
 import os
 import sys
 from functools import cache
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -198,7 +197,7 @@ def _family_sections(key, name, analysis: FamilyAnalysis, report: StabilityRepor
         return [*map(named.__getitem__, reversed(masks))]
 
     # Each distinct row set, the system's included, is named once.
-    system, members = analysis.system, analysis.family.members
+    system, members = analysis.family.parent, analysis.family.members
     rows = {system.object_indices: {"reducts": listed(analysis.red_s),
                                     "core": name(analysis.core_s)}}
     for member, mem in zip(members, analysis.per_member):
@@ -234,10 +233,11 @@ def _family_sections(key, name, analysis: FamilyAnalysis, report: StabilityRepor
 
 def _execute(args) -> tuple[dict, int]:
     try:
-        text = Path(args.input).read_text(encoding="utf-8-sig")
+        with open(args.input, encoding="utf-8-sig") as f:
+            text = f.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from exc
-    system = parse_decision_table(text, args.decision, name=Path(args.input).stem)
+    system = parse_decision_table(text, args.decision)
     report = _base_report(system, args)
     # input.attributes keeps header order; the rest runs in name order.
     system, key, name = name_ordered(system)

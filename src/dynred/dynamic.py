@@ -75,9 +75,8 @@ class MemberAnalysis(_Record):
 
 
 class FamilyAnalysis(_Record):
-    """The searches of a system and of every family member; ``stability_report`` counts support."""
+    """``family``, the reducts and core of its system (``family.parent``) and of each member."""
 
-    system: DecisionSystem
     family: Family
     red_s: tuple[int, ...]
     core_s: int
@@ -115,7 +114,7 @@ def analyze_family(
             raise CapacityError(f"{where}: {exc}") from exc
     base = seen[system.object_indices]
     per_member = tuple(seen[m.object_indices] for m in family.members)
-    return FamilyAnalysis(system, family, base.reducts, base.core, per_member)
+    return FamilyAnalysis(family, base.reducts, base.core, per_member)
 
 
 def _supported(pool: Iterable, support, size: int, lam: Fraction | int) -> list:
@@ -161,7 +160,7 @@ def stability_report(
     support lies there, so the pool is lossless.
     """
     lam = check_lambda(lam)
-    members, n, core_s = analysis.per_member, analysis.system.n_attrs, analysis.core_s
+    members, n, core_s = analysis.per_member, analysis.family.parent.n_attrs, analysis.core_s
     size = len(members)
     reducts = Counter(r for m in members for r in m.reducts)
     cores = Counter(a for m in members for a in mask_indices(m.core))

@@ -4,10 +4,10 @@ The clauses, one attribute mask per pair of condition classes that a reduct
 must split, form a monotone CNF over condition attributes; its prime
 implicants, the minimal attribute sets hitting every clause, are exactly
 the reducts. ``_reducts`` reads a class table's clauses once, as the class
-pairs make them (``rough.pair_masks``), and hands them to one of two
-searches, chosen from |C| alone. Both read only the clause set, |C| and
-the cap, return the minimal transversals in ascending mask order, and
-count them against the cap before listing them:
+pairs make them (``rough.pair_masks``), takes the core off them (the
+singleton clauses) and hands them to one of two searches, chosen from |C|
+alone. Both read only the clause set, |C| and the cap, return the minimal
+transversals in ascending mask order, and count them against the cap first:
 
 * ``_sweep``, for at most ``LATTICE_MAX_ATTRS`` (16) attributes, marks the
   whole subset lattice in 2|C| shift-and-mask steps on 2**|C|-bit ints and
@@ -15,18 +15,17 @@ count them against the cap before listing them:
 * ``_mmcs``, for wider tables, is a depth-first search over twin groups
   that absorbs its own input, the only place clauses are absorbed.
 
-The core needs no clauses: it is the attributes whose deletion fails the
-positive-region probe of the table's labelled class table
-(``rough.preserves``), one probe per attribute. Clauses and
-attribute sets are bitmasks (bit ``a`` is condition attribute ``a``, listed
-by ``mask_indices``):
-``table_reducts`` is ``_reducts`` on one table's ``rough.class_table``, the
-result the CLI reads; the family analysis calls ``_reducts`` on class
-tables read through its system's rows, packed once
+``core_of`` needs no clauses: the core is the attributes whose deletion
+fails the positive-region probe of the table's labelled class table
+(``rough.preserves``), one probe per attribute. Clauses and attribute sets
+are bitmasks (bit ``a`` is condition attribute ``a``, listed by
+``mask_indices``). ``table_reducts`` is ``_reducts`` on one table's
+``rough.class_table``, the result the CLI reads; the family analysis calls
+``_reducts`` on class tables read through its system's rows, packed once
 (``rough.family_classes``). ``all_reducts`` and ``core_of`` are the only
 frozenset views: the library's public reduct and core, in the form the
-benchmark's output checks and the oracle's references read. The clause reference is the
-oracle's ``discernibility_function``.
+benchmark's output checks and the oracle's references read. The clause
+reference is the oracle's ``discernibility_function``.
 """
 
 from __future__ import annotations
@@ -236,7 +235,8 @@ def _reducts(classes: ClassTable, max_attrs: int, max_reducts: int) -> tuple[tup
 
     The reducts are the minimal transversals of the table's clauses
     (``rough.pair_masks``), found by ``_sweep`` when |C| is at most
-    ``LATTICE_MAX_ATTRS`` and by ``_mmcs`` above it; the core is their AND.
+    ``LATTICE_MAX_ATTRS`` and by ``_mmcs`` above it. The core is the
+    singleton clauses, not the reducts' AND, so it can check the search.
     Each reduct appears exactly once; a table with no clauses yields the
     single empty mask. Raises CapacityError rather than truncating when |C|
     exceeds ``max_attrs`` or the table has more than ``max_reducts``
@@ -247,8 +247,9 @@ def _reducts(classes: ClassTable, max_attrs: int, max_reducts: int) -> tuple[tup
     if n > max_attrs:
         raise CapacityError(f"|C| = {n} exceeds the enumeration limit max_attrs = {max_attrs}")
     search = _sweep if n <= LATTICE_MAX_ATTRS else _mmcs
-    masks = tuple(search(pair_masks(classes), n, max_reducts))
-    return masks, intersect_all(masks, n)
+    clauses = pair_masks(classes)
+    core = attr_mask(a for a in range(n) if 1 << a in clauses)
+    return tuple(search(clauses, n, max_reducts)), core
 
 
 def table_reducts(
@@ -257,7 +258,7 @@ def table_reducts(
     max_attrs: int = DEFAULT_MAX_ATTRS,
     max_reducts: int = DEFAULT_MAX_REDUCTS,
 ) -> tuple[tuple[int, ...], int]:
-    """The table's reducts as masks in ascending order, and the core as their AND.
+    """The table's reducts as masks in ascending order, and the core from the singleton clauses.
 
     ``_reducts`` on the table's ``rough.class_table``, with its caps.
     """

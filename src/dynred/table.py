@@ -100,7 +100,7 @@ class _Record:
 
 
 class DecisionSystem(_Record):
-    """A finite table of objects with coded condition attributes and one decision.
+    """A finite, unnamed table of objects with coded condition attributes and one decision.
 
     Value codes are dense integers assigned per attribute in first-occurrence
     order; ``dictionaries`` maps each attribute name to its raw-string -> code
@@ -108,7 +108,6 @@ class DecisionSystem(_Record):
     is its own ``parent``; ``object_indices`` is no part of init, ``==`` or ``repr``.
     """
 
-    name: str
     cond_attrs: tuple[str, ...]
     decision_attr: str
     rows: tuple[tuple[int, ...], ...]
@@ -176,8 +175,8 @@ def checked_attrs(table: Table, attrs: Iterable[int]) -> tuple[int, ...]:
     return out
 
 
-def parse_decision_table(text: str, decision_column: str, name: str = "table") -> DecisionSystem:
-    """Build a DecisionSystem from a CSV document with a header row.
+def parse_decision_table(text: str, decision_column: str) -> DecisionSystem:
+    """Build a DecisionSystem, which keeps no name or path, from a CSV text with a header row.
 
     Condition attributes keep header order (decision column excluded); each
     column is coded once, its value dictionary in first-occurrence order;
@@ -219,7 +218,6 @@ def parse_decision_table(text: str, decision_column: str, name: str = "table") -
         codes.append(map(table.__getitem__, column))
     decisions = tuple(codes.pop(header.index(decision_column)))
     return DecisionSystem(
-        name=name,
         cond_attrs=tuple(h for h in header if h != decision_column),
         decision_attr=decision_column,
         # With no condition column, zip gives no rows; each row is then empty.

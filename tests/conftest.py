@@ -22,17 +22,17 @@ FIX_C_CSV = "a,b,d\n0,0,0\n1,0,0\n0,1,0\n"
 
 @pytest.fixture
 def fix_a() -> DecisionSystem:
-    return parse_decision_table(FIX_A_CSV, "d", name="fix-a")
+    return parse_decision_table(FIX_A_CSV, "d")
 
 
 @pytest.fixture
 def fix_b() -> DecisionSystem:
-    return parse_decision_table(FIX_B_CSV, "d", name="fix-b")
+    return parse_decision_table(FIX_B_CSV, "d")
 
 
 @pytest.fixture
 def fix_c() -> DecisionSystem:
-    return parse_decision_table(FIX_C_CSV, "d", name="fix-c")
+    return parse_decision_table(FIX_C_CSV, "d")
 
 
 def idx(system: DecisionSystem, names: str) -> frozenset[int]:
@@ -107,6 +107,23 @@ def cycle_csv(k: int) -> str:
         for j in range(3):
             cells[(i + j) % k] = "1"
         lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def planted_core_csv(width: int) -> str:
+    """40 rows over binary c0..c{width-1} and d = c0 XOR c1, so the core is {c0, c1}.
+
+    c0..c3 are drawn by ``random.Random(3)`` and every column past c3
+    repeats c2 or c3, so its rows take at most 16 distinct condition
+    values, and deleting c0 or c1 merges two of them with different
+    decisions. Columns c2 and up lie in no reduct.
+    """
+    rng = random.Random(3)
+    lines = [",".join([f"c{a}" for a in range(width)] + ["d"])]
+    for _ in range(40):
+        bits = [rng.randrange(2) for _ in range(4)]
+        cells = bits[:2] + [bits[2 + a % 2] for a in range(width - 2)] + [bits[0] ^ bits[1]]
+        lines.append(",".join(map(str, cells)))
     return "\n".join(lines) + "\n"
 
 

@@ -34,7 +34,7 @@ from dynred.cli import run
 from dynred.errors import EngineError
 from dynred.output import name_ordered, render as _render
 
-from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv
+from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv, planted_core_csv
 
 # Condition names with an accent, a CSV-escaped double quote, a backslash,
 # and one holding a tab, an astral character and U+2028.
@@ -132,8 +132,8 @@ class TestReductsCommand:
                                                                 fixa_path):
         import dynred.cli
 
-        # Engine and oracle both take the core as the AND of their reducts,
-        # so only a result patched after the search reaches this check.
+        # The engine's core comes from the clauses and the oracle's from its
+        # reducts; patching the result the CLI reads changes the core alone.
         original = dynred.cli.table_reducts
 
         def wrong_core(table, **kwargs):
@@ -163,7 +163,7 @@ def _two_rows(m):
 
 def _ordered_over(names):
     """``name_ordered`` on a two-row table whose condition columns are ``names``."""
-    return name_ordered(DecisionSystem("t", names, "decision", _two_rows(len(names)), (0, 1), {}))
+    return name_ordered(DecisionSystem(names, "decision", _two_rows(len(names)), (0, 1), {}))
 
 
 def _names_of(table, mask):
@@ -584,6 +584,29 @@ class TestVerifyCommand:
         assert len(checks) == 11
         assert all(c["status"] in {"pass", "vacuous", "not-applicable"} for c in checks)
 
+    def test_a_search_listing_a_non_reduct_fails_the_reduct_laws(self, capsys, monkeypatch,
+                                                                tmp_path):
+        # The cores come from the clauses, not the search. A search that also
+        # lists the empty set puts it in every reduct set, while the planted
+        # core {c0, c1} stays; the four laws comparing the two then fail.
+        import dynred.reducts
+
+        p = tmp_path / "planted.csv"
+        p.write_text(planted_core_csv(4))
+        argv = ["verify", "--input", str(p), "--decision", "d", "--fractions", "0.5,0.75,1",
+                "--samples", "10", "--seed", "42", "--lambda", "0.75"]
+        statuses = []
+        for mutated in (False, True):
+            if mutated:
+                sweep = dynred.reducts._sweep
+                monkeypatch.setattr(dynred.reducts, "_sweep", lambda *a: [0, *sweep(*a)])
+            status, out = run_json(capsys, argv)
+            report = json.loads(out)
+            assert report["dynamic"]["dcore"] == ["c0", "c1"]
+            failed = [c["check"] for c in report["verification"] if c["status"] == "fail"]
+            statuses.append((status, failed))
+        assert statuses == [(0, []), (4, ["T1", "T3", "T5a", "T5b"])]
+
 
 class TestGoldenBytes:
     """Report bytes pinned by SHA-256; rerun comparisons alone cannot see a drift.
@@ -687,6 +710,37 @@ class TestExitCodes:
         status, _ = run_json(capsys, ["reducts", "--input", "/no/such/file.csv",
                                       "--decision", "d"])
         assert status == 1
+
+    @pytest.mark.parametrize("path, code", [
+        ("missing.csv", errno.ENOENT),
+        ("missing/", errno.ENOENT),
+        ("directory", errno.EISDIR),
+        ("", errno.ENOENT),
+        ("t.csv/", errno.ENOTDIR),
+    ], ids=["missing", "missing-slash", "directory", "empty", "file-slash"])
+    def test_unreadable_input_is_echoed_as_typed(self, capsys, monkeypatch, tmp_path, path,
+                                                 code):
+        # The path is opened as typed, as cat opens it: a trailing slash
+        # stays, so a file named with one is not a directory.
+        (tmp_path / "directory").mkdir()
+        (tmp_path / "t.csv").write_text(FIX_A_CSV)
+        monkeypatch.chdir(tmp_path)
+        status = run(["reducts", "--input", path, "--decision", "d"])
+        out, err = capsys.readouterr()
+        assert (status, out) == (1, "")
+        assert err == f"dynred: cannot read input: {OSError(code, os.strerror(code), path)}\n"
+
+    def test_a_leading_byte_order_mark_changes_no_report_byte(self, capsys, tmp_path):
+        reports = []
+        for name, prefix in (("plain.csv", ""), ("bom.csv", "\ufeff")):
+            p = tmp_path / name
+            p.write_text(prefix + FIX_A_CSV, encoding="utf-8")
+            argv = ["verify", "--input", str(p), "--decision", "d",
+                    "--fractions", "0.5,1", "--lambda", "0.75"]
+            status, out = run_json(capsys, argv)
+            reports.append((status, out.replace(json.dumps(str(p)), '"<input>"')))
+        assert reports[0] == reports[1]
+        assert reports[0][0] == 0
 
     @staticmethod
     def _write_error(code):

@@ -206,7 +206,7 @@ def test_family_records_are_plain_data_and_support_is_counted_once():
                 counting.add(node.name)
     assert set(fields) == RECORDS
     assert extra == []
-    assert fields["FamilyAnalysis"] == ["system", "family", "red_s", "core_s", "per_member"]
+    assert fields["FamilyAnalysis"] == ["family", "red_s", "core_s", "per_member"]
     assert counting == {"stability_report"}
 
 
@@ -258,7 +258,7 @@ IMPORT_PROBE = """
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("dynred.")
-                        or m in ("dataclasses", "fractions", "inspect"))
+                        or m in ("dataclasses", "fractions", "inspect", "pathlib"))
 import dynred, dynred.cli
 steps = [["import", None, loaded()]]
 for argv in (["reducts"], ["core"], ["reducts", "--exact"],
@@ -281,6 +281,7 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     # reducts and core never load the family layer or fractions (and with it
     # decimal); the oracle loads only for --exact. verify needs all three.
     # No command loads dataclasses or inspect: the records are plain classes.
+    # None loads pathlib: the CLI opens its input with open().
     csv = tmp_path / "t.csv"
     csv.write_text("a,b,c,d\n0,0,0,0\n1,0,0,1\n0,1,1,1\n", encoding="utf-8")
     static = [f"dynred.{m}" for m in ("cli", "errors", "output", "reducts", "rough", "table")]

@@ -739,7 +739,7 @@ def _scanned_lambda_sets(a, lam):
         return sum(m.core >> attr & 1 for m in a.per_member)
 
     member_reducts = {r for m in a.per_member for r in m.reducts}
-    attrs = range(a.system.n_attrs)
+    attrs = range(a.family.parent.n_attrs)
     return (
         tuple(r for r in a.red_s if held(reduct_support(r))),
         tuple(sorted(r for r in member_reducts if held(reduct_support(r)))),

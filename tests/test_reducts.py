@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import example, given, settings, strategies as st
 from dynred import (
     CapacityError,
     DecisionSystem,
+    SamplingPlan,
     absorb,
     all_reducts,
+    analyze_family,
     brute_force_core,
     brute_force_reducts,
     core_of,
@@ -25,12 +28,13 @@ from dynred import (
     make_subsystem,
     parse_decision_table,
     positive_region,
+    sample_family,
 )
 from dynred import reducts as reducts_module
 from dynred.reducts import attr_mask, mask_indices, table_reducts
 from dynred.rough import ClassTable, class_table, family_classes, pair_masks, preserves
 
-from conftest import cycle_csv, idx, matching_csv, random_system, reduct_names
+from conftest import cycle_csv, idx, matching_csv, planted_core_csv, random_system, reduct_names
 
 
 def _reduct_masks(table, **caps):
@@ -361,7 +365,7 @@ def test_class_table_memory_follows_the_member_not_the_code_range():
     n = 200_000
     rows = tuple((i, i % 3, i % 2) for i in range(n))
     decisions = tuple(rng.randrange(2) for _ in rows)
-    s = DecisionSystem("ids", ("id", "a", "b"), "d", rows, decisions, {})
+    s = DecisionSystem(("id", "a", "b"), "d", rows, decisions, {})
     member = make_subsystem(s, rng.sample(range(n - 1), 19) + [n - 1])
     tracemalloc.start()
     try:
@@ -406,7 +410,7 @@ def test_clause_build_memory_follows_the_masks_not_the_pairs():
     n, m = 600, 16
     rows = tuple((i,) + tuple(rng.choice(((0, 3), (1, 2))[i % 2]) for _ in range(m)) for i in range(n))
     decisions = tuple(i % 2 for i in range(n))
-    s = DecisionSystem("pairs", ("id",) + tuple(f"c{a}" for a in range(m)), "d", rows, decisions, {})
+    s = DecisionSystem(("id",) + tuple(f"c{a}" for a in range(m)), "d", rows, decisions, {})
     assert class_table(s).planes == 10
     tracemalloc.start()
     try:
@@ -440,7 +444,7 @@ class TestBitSlicedPairLoop:
         low[-1], high[-1] = 0, arities[-1] - 1
         rows += [low, high]
         decisions = [rng.randrange(3) for _ in rows[:-2]] + [0, 1]
-        s = DecisionSystem("slots", tuple(f"c{a}" for a in range(m)), "d",
+        s = DecisionSystem(tuple(f"c{a}" for a in range(m)), "d",
                            tuple(map(tuple, rows)), tuple(decisions), {})
         oracle_clauses = map(attr_mask, discernibility_function(s))
         clauses = reducts_module._minimal_masks(pair_masks(class_table(s)))
@@ -506,11 +510,27 @@ def test_core_past_the_oracle_limit(arities):
     n, m = 2000, len(arities)
     rows = tuple(tuple(rng.randrange(k) for k in arities) for _ in range(n))
     decisions = tuple(rng.randrange(2) for _ in range(n))
-    s = DecisionSystem("uniform", tuple(f"c{a}" for a in range(m)), "d", rows, decisions, {})
+    s = DecisionSystem(tuple(f"c{a}" for a in range(m)), "d", rows, decisions, {})
     core = core_of(s)
     assert core == frozenset(mask_indices(intersect_all(_reduct_masks(s), m)))
     full = positive_region(s, range(m))
     assert core == {a for a in range(m) if positive_region(s, set(range(m)) - {a}) != full}
+
+
+@pytest.mark.parametrize("search, width", [("_sweep", 4), ("_mmcs", 18)])
+def test_core_comes_from_the_clauses_not_the_search(monkeypatch, search, width):
+    # A search that also lists the empty set, which preserves nothing, would
+    # empty a core taken as the AND of its reducts. Read off the singleton
+    # clauses, the planted core {c0, c1} stays, so the laws can see the
+    # search is wrong. Both paths: 4 attributes sweep, 18 run MMCS.
+    s = parse_decision_table(planted_core_csv(width), "d")
+    found = getattr(reducts_module, search)
+    monkeypatch.setattr(reducts_module, search, lambda *args: [0, *found(*args)])
+    assert table_reducts(s) == ((0, 0b11), 0b11)
+    assert attr_mask(core_of(s)) == 0b11
+    plan = SamplingPlan(42, (Fraction(1, 2), Fraction(3, 4), Fraction(1)), 10)
+    analysis = analyze_family(s, sample_family(s, plan))
+    assert (analysis.red_s, analysis.core_s) == ((0, 0b11), 0b11)
 
 
 class TestEnumeratorOracleAgreement:

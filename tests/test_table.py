@@ -165,7 +165,7 @@ def _row_wise_parse(text, decision_column):
         decisions.append(codes[d_pos])
         rows.append(tuple(c for i, c in enumerate(codes) if i != d_pos))
     cond_attrs = tuple(h for i, h in enumerate(header) if i != d_pos)
-    return DecisionSystem("table", cond_attrs, decision_column, tuple(rows),
+    return DecisionSystem(cond_attrs, decision_column, tuple(rows),
                           tuple(decisions), dictionaries)
 
 
@@ -249,13 +249,13 @@ class TestTableInterface:
 
     def test_row_set_is_no_part_of_equality_or_repr(self):
         text = "a,b,d\n0,1,0\n1,1,1\n"
-        s = parse_decision_table(text, "d", name="t")
-        assert s == parse_decision_table(text, "d", name="t")
-        assert s == DecisionSystem(name="t", cond_attrs=s.cond_attrs, decision_attr="d",
+        s = parse_decision_table(text, "d")
+        assert s == parse_decision_table(text, "d")
+        assert s == DecisionSystem(cond_attrs=s.cond_attrs, decision_attr="d",
                                    rows=s.rows, decisions=s.decisions,
                                    dictionaries=s.dictionaries)
         assert repr(s) == (
-            "DecisionSystem(name='t', cond_attrs=('a', 'b'), decision_attr='d', "
+            "DecisionSystem(cond_attrs=('a', 'b'), decision_attr='d', "
             "rows=((0, 0), (1, 0)), decisions=(0, 1), "
             "dictionaries={'a': {'0': 0, '1': 1}, 'b': {'1': 0}, 'd': {'0': 0, '1': 1}})"
         )
@@ -269,7 +269,7 @@ class TestTableInterface:
 class TestConstructorChecks:
     # Library callers build systems, sub-systems and families directly, past
     # the parser's checks; each malformed one is refused with its own message.
-    SYSTEM = dict(name="t", cond_attrs=("a", "b"), decision_attr="d",
+    SYSTEM = dict(cond_attrs=("a", "b"), decision_attr="d",
                   rows=((0, 0), (1, 1)), decisions=(0, 1), dictionaries={})
 
     @pytest.mark.parametrize("fields, error, text", [
@@ -306,19 +306,19 @@ class TestConstructorChecks:
         assert str(exc.value) == "bounded draw needs n >= 1"
 
 
-_SYSTEM = parse_decision_table("a,b,d\n0,1,0\n1,1,1\n", "d", name="t")
+_SYSTEM = parse_decision_table("a,b,d\n0,1,0\n1,1,1\n", "d")
 _SUB = SubSystem(_SYSTEM, (0,))
 
 # Valid fields of each of the package's ten records, in declaration order.
 RECORD_FIELDS = [
-    (DecisionSystem, dict(name="t", cond_attrs=("a", "b"), decision_attr="d",
+    (DecisionSystem, dict(cond_attrs=("a", "b"), decision_attr="d",
                           rows=((0, 0), (1, 0)), decisions=(0, 1), dictionaries={})),
     (SubSystem, dict(parent=_SYSTEM, object_indices=(0, 1))),
     (SamplingPlan, dict(seed=7, fractions=(Fraction(1, 2), Fraction(1)), samples_per_fraction=2)),
     (Family, dict(members=(_SUB, _SUB))),
     (ClassTable, dict(labels={0: 0, 1: 1}, n_attrs=2, planes=1)),
     (MemberAnalysis, dict(reducts=(1,), core=1)),
-    (FamilyAnalysis, dict(system=_SYSTEM, family=Family((_SUB,)), red_s=(1,), core_s=1,
+    (FamilyAnalysis, dict(family=Family((_SUB,)), red_s=(1,), core_s=1,
                           per_member=(MemberAnalysis((1,), 1),))),
     (StabilityReport, dict(family_size=1, covering=0, core_s=1, literal_dcore=1,
                            attr_core_support={0: 1, 1: 0}, reduct_support=((1, 1),),
@@ -394,7 +394,7 @@ class TestRecordChecks:
             _SYSTEM._replace(rows=())
         with pytest.raises(ParameterError):
             SamplingPlan(7, (1,), 2)._replace(samples_per_fraction=0)
-        assert _SYSTEM._replace(name="u").object_indices == (0, 1)
+        assert _SYSTEM._replace(decision_attr="u").object_indices == (0, 1)
 
 
 class TestSplitMix64:
