@@ -68,7 +68,6 @@ _EXPORTS = {
         "SamplingPlan",
         "SplitMix64",
         "SubSystem",
-        "full_subsystem",
         "make_subsystem",
         "parse_decision_table",
         "render_csv",

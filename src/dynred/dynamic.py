@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .errors import CapacityError, DomainError, ParameterError
 from .oracle import literal_dynamic_core
@@ -200,7 +200,7 @@ class TheoremCheck(_Record):
     witness: dict | None = None
 
 
-class _Law(NamedTuple):
+class _Law(_Record):
     """One law: report set ``small`` lies ``inside`` or ``equals`` set ``big``.
 
     A reduct tuple stands for its intersection. T2c names ``dcore_lambda``

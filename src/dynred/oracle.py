@@ -13,14 +13,16 @@ together, is the reference for the clauses the engine absorbs on bitmasks.
 the table model (``table.py``) with the engine and imports no engine module,
 so the routes can catch each other's bugs.
 
-The four plain family-level sets are given here by their literal
-definitions, membership in every member intersected member by member. The
-engine computes them as its support filter at threshold 1 instead, so these
-are the reference that keeps a threshold-1 set from being checked against
-itself: ``dynamic.stability_report`` records ``literal_dynamic_core`` as
-the reference of law T2b, and the tests hold the report's plain sets to all
-four. They read a ``dynamic.FamilyAnalysis`` and speak its form: attribute
-sets are bitmasks and ``&`` intersects them.
+The four family-level sets are given here by their literal definitions.
+Each generalized set intersects membership member by member, and each plain
+set is its generalized form restricted to the system's: the dynamic core is
+Core(S) & GDCore(F), and the dynamic reducts are those of RED(S) in GDR(F).
+The engine computes all four as its support filter at threshold 1 instead,
+so these are the reference that keeps a threshold-1 set from being checked
+against itself: ``dynamic.stability_report`` records ``literal_dynamic_core``
+as the reference of law T2b, and the tests hold the report's plain sets to
+all four. They read a ``dynamic.FamilyAnalysis`` and speak its form:
+attribute sets are bitmasks and ``&`` intersects them.
 """
 
 from __future__ import annotations
@@ -149,9 +151,9 @@ def is_antichain(sets: Iterable[frozenset[int]]) -> bool:
 
 
 def literal_dynamic_reduct(analysis) -> tuple[int, ...]:
-    """Reducts of the system that survive as reducts of every member."""
-    member_sets = [set(m.reducts) for m in analysis.per_member]
-    return tuple(r for r in analysis.red_s if all(r in s for s in member_sets))
+    """Reducts of the system that are reducts of every member: RED(S) intersected with GDR(F)."""
+    common = set(literal_generalized_dynamic_reduct(analysis))
+    return tuple(r for r in analysis.red_s if r in common)
 
 
 def literal_generalized_dynamic_reduct(analysis) -> tuple[int, ...]:
@@ -163,11 +165,8 @@ def literal_generalized_dynamic_reduct(analysis) -> tuple[int, ...]:
 
 
 def literal_dynamic_core(analysis) -> int:
-    """Core attributes of the system that stay core in every member."""
-    out = analysis.core_s
-    for m in analysis.per_member:
-        out &= m.core
-    return out
+    """Core attributes of the system that are core in every member: Core(S) & GDCore(F)."""
+    return analysis.core_s & literal_generalized_dynamic_core(analysis)
 
 
 def literal_generalized_dynamic_core(analysis) -> int:

@@ -248,16 +248,8 @@ def render_csv(system: DecisionSystem) -> str:
 
 
 def make_subsystem(system: DecisionSystem, indices: Iterable[int]) -> SubSystem:
-    """Sub-system over the given rows; indices are deduplicated and sorted."""
-    idx = tuple(sorted(set(indices)))
-    if not idx:
-        raise DomainError("cannot build a sub-system over an empty object set")
-    return SubSystem(system, idx)
-
-
-def full_subsystem(system: DecisionSystem) -> SubSystem:
-    """The sub-system covering every row, equivalent to the system itself."""
-    return SubSystem(system, system.object_indices)
+    """Sub-system over the given rows, deduplicated and sorted; ``SubSystem`` checks them."""
+    return SubSystem(system, tuple(sorted(set(indices))))
 
 
 class SplitMix64:

@@ -15,12 +15,12 @@ import pytest
 from dynred import (
     Family,
     SamplingPlan,
+    SubSystem,
     all_reducts,
     analyze_family,
     brute_force_core,
     brute_force_reducts,
     core_of,
-    full_subsystem,
     literal_dynamic_core,
     literal_dynamic_reduct,
     literal_generalized_dynamic_core,
@@ -105,7 +105,7 @@ def test_criterion_3_theorem_suite(sampled_instances):
 
 def test_criterion_4_definitional_identities(sampled_instances):
     for s, family, lam in sampled_instances:
-        identity = analyze_family(s, Family((full_subsystem(s),)))
+        identity = analyze_family(s, Family((SubSystem(s, s.object_indices),)))
         plain = stability_report(identity)
         assert plain.dcore == identity.core_s
         assert plain.gdr == identity.red_s

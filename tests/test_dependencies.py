@@ -4,11 +4,12 @@ The classical primitives and the clause reference live in the oracle, and
 the engine and the oracle name none of each other's: they share only the
 table model, and every read of a table goes through its ``parent`` and
 ``object_indices``, so only ``table.py`` tells a system from a sub-system.
-The engine speaks bitmasks outside its two public frozenset views, the family
-layer's records are plain data with support counted only in
-``stability_report``, one evaluator checks every law, and every name the
-benchmark reads on the package resolves. A process loads only the layers its subcommand runs, and the
-package's public names resolve on first access.
+The engine speaks bitmasks outside its two public frozenset views, every
+record derives from one base, the family layer's records are plain data with
+support counted only in ``stability_report``, one evaluator checks every law,
+and every name the benchmark reads on the package resolves. A process loads
+only the layers its subcommand runs, and the package's public names resolve
+on first access.
 """
 
 import ast
@@ -210,6 +211,27 @@ def test_family_records_are_plain_data_and_support_is_counted_once():
     assert counting == {"stability_report"}
 
 
+RECORD_LIBRARIES = {"NamedTuple", "namedtuple", "dataclass", "dataclasses"}
+
+
+def test_every_record_derives_from_one_base():
+    # table._Record is the package's one record mechanism: no module names a
+    # record library, and every class that declares annotated fields is a
+    # _Record, apart from _Record itself.
+    libraries, strays = [], []
+    for path in sorted((ROOT / "src" / "dynred").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        libraries += [f"{path.name}:{line}: {name}" for line, name in _names(tree)
+                      if name in RECORD_LIBRARIES]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ClassDef) and node.name != "_Record"
+                    and any(isinstance(s, ast.AnnAssign) for s in node.body)
+                    and "_Record" not in {getattr(b, "id", None) for b in node.bases}):
+                strays.append(f"{path.name}:{node.lineno}: {node.name}")
+    assert libraries == []
+    assert strays == []
+
+
 FROZENSET_PATH = {"frozenset", "all_reducts", "reduct_sets", "canonical_reducts"}
 FROZENSET_VIEWS = {"all_reducts", "core_of"}
 
@@ -302,8 +324,8 @@ PUBLIC_NAMES = [
     "SamplingPlan", "SchemaError", "SelfCheckError", "SplitMix64", "StabilityReport",
     "SubSystem", "TheoremCheck", "absorb", "all_reducts", "analyze_family",
     "brute_force_core", "brute_force_reducts", "check_lambda", "condition_classes", "core_of",
-    "discernibility_function", "discernibility_matrix", "full_subsystem",
-    "generalized_decision", "intersect_all", "is_antichain", "is_reduct",
+    "discernibility_function", "discernibility_matrix", "generalized_decision",
+    "intersect_all", "is_antichain", "is_reduct",
     "literal_dynamic_core", "literal_dynamic_reduct", "literal_generalized_dynamic_core",
     "literal_generalized_dynamic_reduct", "make_subsystem", "parse_decision_table",
     "positive_region", "render_csv", "sample_family", "stability_report", "verify_theorems",

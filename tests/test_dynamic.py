@@ -17,11 +17,11 @@ from dynred import (
     ParameterError,
     SamplingPlan,
     StabilityReport,
+    SubSystem,
     all_reducts,
     analyze_family,
     check_lambda,
     core_of,
-    full_subsystem,
     intersect_all,
     is_antichain,
     literal_dynamic_core,
@@ -174,7 +174,7 @@ class TestAnalyzeFamily:
 
     def test_full_member_mirrors_system(self, fam):
         s, *_ = fam
-        a = analyze(s, full_subsystem(s))
+        a = analyze(s, SubSystem(s, s.object_indices))
         assert a.per_member[0].reducts == a.red_s
         assert a.per_member[0].core == a.core_s
 
@@ -206,7 +206,8 @@ class TestAnalyzeFamily:
         for _ in range(20):
             s = random_system(rng, max_objects=10, max_attrs=5)
             members = list(random_family(rng, s, max_members=4).members)
-            members += [full_subsystem(s)] + rng.choices(members, k=3) + [full_subsystem(s)]
+            full = SubSystem(s, s.object_indices)
+            members += [full] + rng.choices(members, k=3) + [full]
             rng.shuffle(members)
             a = analyze(s, *members)
             # The frozenset views, read back as masks in ascending order.
@@ -223,7 +224,7 @@ class TestAnalyzeFamily:
         text = "p,q,r,s,t,u,d\n0,0,0,0,0,0,0\n1,1,1,1,1,1,1\n1,0,0,0,0,0,1\n"
         s = parse_decision_table(text, "d")
         bad = make_subsystem(s, {0, 1})
-        family = Family((full_subsystem(s), make_subsystem(s, {0, 2}), bad, bad))
+        family = Family((SubSystem(s, s.object_indices), make_subsystem(s, {0, 2}), bad, bad))
         with pytest.raises(CapacityError, match="family member 2:"):
             analyze_family(s, family, max_reducts=5)
 
@@ -276,7 +277,8 @@ class TestAnalyzeFamily:
         monkeypatch.setattr(dynred.dynamic, "_reducts", counted)
         s = parse_decision_table(matching_csv(3), "d")
         b1, b2 = make_subsystem(s, {0, 1, 2}), make_subsystem(s, {1, 3})
-        members = (b1, full_subsystem(s), b2, b1, full_subsystem(s), b2, b1)
+        full = SubSystem(s, s.object_indices)
+        members = (b1, full, b2, b1, full, b2, b1)
         analyze(s, *members)
         assert searched == [class_table(t).labels for t in (s, b1, b2)]
 
@@ -293,7 +295,7 @@ class TestAnalyzeFamily:
 class TestDynamicReduct:
     def test_family_of_system_is_static(self, fam):
         s, *_ = fam
-        a = analyze(s, full_subsystem(s))
+        a = analyze(s, SubSystem(s, s.object_indices))
         assert stability_report(a).dr == a.red_s
 
     def test_disjoint_member_reducts_empty(self, fam):
@@ -313,13 +315,13 @@ class TestDynamicReductLambda:
 
     def test_threshold_one_equals_plain(self, fam):
         s, b1, b2, b3 = fam
-        for members in [(b1,), (b1, b2), (b1, b2, b3), (full_subsystem(s),)]:
+        for members in [(b1,), (b1, b2), (b1, b2, b3), (SubSystem(s, s.object_indices),)]:
             a = analyze(s, *members)
             assert stability_report(a, 1).dr_lambda == literal_dynamic_reduct(a)
 
     def test_partial_support(self, fam):
         s, _, b2, _ = fam
-        full = full_subsystem(s)
+        full = SubSystem(s, s.object_indices)
         a = analyze(s, full, full, b2)
         assert mask_names(s, stability_report(a, Fraction(3, 5)).dr_lambda) == [
             ["a", "b"],
@@ -338,7 +340,7 @@ class TestGeneralizedDynamicReduct:
 
     def test_single_full_member_is_static(self, fam):
         s, *_ = fam
-        a = analyze(s, full_subsystem(s))
+        a = analyze(s, SubSystem(s, s.object_indices))
         assert stability_report(a).gdr == a.red_s
 
 
@@ -363,7 +365,7 @@ class TestGeneralizedDynamicReductLambda:
 class TestDynamicCore:
     def test_family_of_system_is_static_core(self, fam):
         s, *_ = fam
-        a = analyze(s, full_subsystem(s))
+        a = analyze(s, SubSystem(s, s.object_indices))
         assert stability_report(a).dcore == a.core_s
 
     def test_shared_core(self, fam):
@@ -413,7 +415,7 @@ class TestGeneralizedDynamicCore:
 
     def test_family_containing_system_matches_plain(self, fam):
         s, b1, *_ = fam
-        a = analyze(s, full_subsystem(s), b1)
+        a = analyze(s, SubSystem(s, s.object_indices), b1)
         rep = stability_report(a)
         assert rep.gdcore == rep.dcore
 
@@ -446,7 +448,7 @@ class TestStabilityReport:
 
     def test_single_full_member_counts_static_core(self, fam):
         s, *_ = fam
-        a = analyze(s, full_subsystem(s))
+        a = analyze(s, SubSystem(s, s.object_indices))
         rep = stability_report(a)
         assert all(
             (count == 1) == bool(a.core_s >> attr & 1)
@@ -496,7 +498,7 @@ class TestStabilityReport:
 
     def test_facts_the_laws_read(self, fam):
         s, b1, b2, _ = fam
-        full = full_subsystem(s)
+        full = SubSystem(s, s.object_indices)
         a = analyze(s, b1, full, b2, full)
         rep = stability_report(a)
         assert (rep.covering, rep.core_s, rep.literal_dcore) == (2, a.core_s, literal_dynamic_core(a))
@@ -520,8 +522,9 @@ class TestVerifyTheorems:
     def test_laws_read_a_report_built_without_an_analysis(self, fam):
         s, b1, b2, _ = fam
         by_hand = _fix_a_report(s)
+        full = SubSystem(s, s.object_indices)
         assert verify_theorems(by_hand) == verify_theorems(
-            stability_report(analyze(s, b1, b1, b2, full_subsystem(s)), Fraction(3, 4))
+            stability_report(analyze(s, b1, b1, b2, full), Fraction(3, 4))
         )
         assert [c.status for c in verify_theorems(by_hand)] == [
             "vacuous", "not-applicable", "pass", "pass", "pass", "vacuous",
@@ -540,7 +543,7 @@ class TestVerifyTheorems:
         # The reference {a, b, c} against the stable core {a}: b and c differ,
         # and b is the witness.
         s, *_ = fam
-        rep = stability_report(analyze(s, full_subsystem(s)))
+        rep = stability_report(analyze(s, SubSystem(s, s.object_indices)))
         assert rep.dcore == rep.literal_dcore == mask(s, "a")
         checks = {c.check: c for c in verify_theorems(
             rep._replace(literal_dcore=mask(s, "abc")))}
@@ -553,7 +556,7 @@ class TestVerifyTheorems:
 
     def test_no_covering_member_leaves_t2a_and_t4c_not_applicable(self, fam):
         s, *_ = fam
-        rep = stability_report(analyze(s, full_subsystem(s)))
+        rep = stability_report(analyze(s, SubSystem(s, s.object_indices)))
         before = {c.check: c.status for c in verify_theorems(rep)}
         after = {c.check: c.status for c in verify_theorems(rep._replace(covering=0))}
         assert (before["T2a"], before["T4c"]) == ("pass", "pass")
@@ -574,7 +577,7 @@ class TestVerifyTheorems:
 
     def test_identity_family(self, fam):
         s, *_ = fam
-        a = analyze(s, full_subsystem(s))
+        a = analyze(s, SubSystem(s, s.object_indices))
         checks = {c.check: c.status for c in verify_theorems(stability_report(a, 1))}
         assert checks["T2a"] == "pass"
         assert checks["T2b"] == "pass"
@@ -614,7 +617,7 @@ class TestVerifyTheorems:
         # A static core {a, b, c} against the member core {a}: b and c differ,
         # and b is the witness.
         s, *_ = fam
-        a = analyze(s, full_subsystem(s))
+        a = analyze(s, SubSystem(s, s.object_indices))
         bad = a._replace(core_s=mask(s, "abc"))
         check = {c.check: c for c in verify_theorems(stability_report(bad, 1))}
         assert check["T2a"].status == "fail"
@@ -692,7 +695,7 @@ class TestOneLawAtATime:
         row = r"^\| `(T\w+)` \| (.+?) \| `(\w+)` (inside|equals) `(\w+)` \| `?(.+?)`? \|$"
         rows = re.findall(row, readme, re.MULTILINE)
         assert len(rows) == 11
-        assert rows == [tuple(law) for law in _LAWS]
+        assert rows == [tuple(getattr(law, f) for f in law._fields) for law in _LAWS]
         assert [c.check for c in verify_theorems(_quiet_report())] == [law.name for law in _LAWS]
 
 
@@ -753,7 +756,7 @@ def _analyzed_family_with_repeats(rng):
     s = random_system(rng, max_objects=8, max_attrs=5)
     members = list(random_family(rng, s, max_members=4).members)
     members += rng.choices(members, k=rng.randint(0, 3))
-    members += [full_subsystem(s)] * rng.randint(0, 2)
+    members += [SubSystem(s, s.object_indices)] * rng.randint(0, 2)
     rng.shuffle(members)
     return analyze(s, *members)
 

@@ -23,7 +23,6 @@ from dynred import (
     StabilityReport,
     SubSystem,
     TheoremCheck,
-    full_subsystem,
     make_subsystem,
     parse_decision_table,
     render_csv,
@@ -233,7 +232,8 @@ class TestSubsystems:
         assert b.covers_parent()
 
     def test_empty_indices_rejected(self, fix_a):
-        with pytest.raises(DomainError):
+        # SubSystem makes the one empty-set check, with its own text.
+        with pytest.raises(DomainError, match="^a sub-system needs a non-empty object set$"):
             make_subsystem(fix_a, set())
 
     def test_out_of_range_rejected(self, fix_a):
@@ -261,7 +261,7 @@ class TestTableInterface:
         )
 
     def test_full_subsystem_keeps_the_systems_rows(self, fix_a):
-        full = full_subsystem(fix_a)
+        full = SubSystem(fix_a, fix_a.object_indices)
         assert full.object_indices == fix_a.object_indices
         assert full.parent is fix_a
 
