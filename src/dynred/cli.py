@@ -8,15 +8,16 @@ engine's results with the oracle's (``_cross_check``). One canonically
 ordered JSON document goes to stdout (sorted keys and name arrays, reduct
 lists ordered by their name arrays), diagnostics to stderr. The engine's
 attribute sets are bitmasks over a copy of the table with columns in
-descending name order (``output.name_ordered``): a mask names as its
-quoted names in name order, and an ascending reduct list, reversed, is
-report order, so no name list is sorted. A failing law's witness
-``attribute``, a mask's lowest bit, is the largest name outside the
-superset (or in the difference). Exit codes: 0 success, 1 usage error
-(including a --fractions or --lambda decimal exponent above 1000 in
-magnitude, and a report or help text that cannot be written), 2
-parse/schema error, 3 capacity limit or out of memory, 4 non-vacuous
-verification failure, 70 self-check mismatch under --exact.
+descending name order (``output.name_ordered``): the report holds each
+set as its mask, which the writer reads off as its names in name order,
+and an ascending reduct list, reversed, is report order, so no name list
+is sorted. A failing law's witness ``attribute``, a mask's lowest bit, is
+the largest name outside the superset (or in the difference). Exit
+codes: 0 success, 1 usage error (including a --fractions or --lambda
+decimal exponent above 1000 in magnitude, and a report or help text that
+cannot be written), 2 parse/schema error, 3 capacity limit or out of
+memory, 4 non-vacuous verification failure, 70 self-check mismatch under
+--exact.
 """
 
 from __future__ import annotations
@@ -125,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _witness_names(system: DecisionSystem, name, witness: dict | None) -> dict | None:
+def _witness_names(system: DecisionSystem, named, witness: dict | None) -> dict | None:
     """A law's witness with its attribute index and index lists named; other values as they are."""
     if witness is None:
         return None
@@ -134,7 +135,7 @@ def _witness_names(system: DecisionSystem, name, witness: dict | None) -> dict |
         if isinstance(value, int):
             out[key] = system.cond_attrs[value]
         elif isinstance(value, list):
-            out[key] = name(attr_mask(value))
+            out[key] = named(attr_mask(value))
         else:
             out[key] = value
     return out
@@ -184,26 +185,24 @@ def _base_report(system: DecisionSystem, args) -> dict:
     }
 
 
-def _family_sections(key, name, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
-    """The static, family, dynamic and stability sections, every set named by ``name``.
+def _family_sections(key, named, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
+    """The static, family, dynamic and stability sections, every set given to ``named``.
 
-    ``report.reduct_support`` holds every reduct of the report once: the
-    system's and every member's, each named once. Every other reduct list
-    is an ascending antichain, read reversed (``output.name_ordered``).
+    Every reduct list but the support list is an ascending antichain, read
+    reversed (``output.name_ordered``).
     """
-    named = {r: name(r) for r, _ in report.reduct_support}
 
     def listed(masks):
-        return [*map(named.__getitem__, reversed(masks))]
+        return named.each(masks[::-1])
 
     # Each distinct row set, the system's included, is named once.
     system, members = analysis.family.parent, analysis.family.members
     rows = {system.object_indices: {"reducts": listed(analysis.red_s),
-                                    "core": name(analysis.core_s)}}
+                                    "core": named(analysis.core_s)}}
     for member, mem in zip(members, analysis.per_member):
         if member.object_indices not in rows:
             rows[member.object_indices] = {"reducts": listed(mem.reducts),
-                                           "core": name(mem.core)}
+                                           "core": named(mem.core)}
     return {
         "static": rows[system.object_indices],
         "family": [{"indices": list(m.object_indices), **rows[m.object_indices]} for m in members],
@@ -212,10 +211,10 @@ def _family_sections(key, name, analysis: FamilyAnalysis, report: StabilityRepor
             "dr_lambda": listed(report.dr_lambda),
             "gdr": listed(report.gdr),
             "gdr_lambda": listed(report.gdr_lambda),
-            "dcore": name(report.dcore),
-            "dcore_lambda": name(report.dcore_lambda),
-            "gdcore": name(report.gdcore),
-            "gdcore_lambda": name(report.gdcore_lambda),
+            "dcore": named(report.dcore),
+            "dcore_lambda": named(report.dcore_lambda),
+            "gdcore": named(report.gdcore),
+            "gdcore_lambda": named(report.gdcore_lambda),
         },
         "stability": {
             "family_size": report.family_size,
@@ -224,7 +223,7 @@ def _family_sections(key, name, analysis: FamilyAnalysis, report: StabilityRepor
                 for a, count in report.attr_core_support.items()
             },
             "reduct_support": [
-                {"reduct": named[r], "support": count}
+                {"reduct": named(r), "support": count}
                 for r, count in sorted(report.reduct_support, key=lambda rc: key(rc[0]))
             ],
         },
@@ -240,20 +239,20 @@ def _execute(args) -> tuple[dict, int]:
     system = parse_decision_table(text, args.decision)
     report = _base_report(system, args)
     # input.attributes keeps header order; the rest runs in name order.
-    system, key, name = name_ordered(system)
+    system, key, named = name_ordered(system)
 
     if args.command == "reducts":
         masks, core = table_reducts(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
         if args.exact:
             _cross_check([("base system", system, masks, core)])
-        report["static"] = {"reducts": [*map(name, reversed(masks))], "core": name(core)}
+        report["static"] = {"reducts": named.each(masks[::-1]), "core": named(core)}
         return report, EXIT_OK
 
     if args.command == "core":
         core = attr_mask(core_of(system))
         if args.exact:
             _cross_check([("base system", system, None, core)])
-        report["static"] = {"core": name(core)}
+        report["static"] = {"core": named(core)}
         return report, EXIT_OK
 
     from .dynamic import analyze_family, check_lambda, stability_report, verify_theorems
@@ -270,7 +269,7 @@ def _execute(args) -> tuple[dict, int]:
         _cross_check(results)
     # One record at the requested threshold feeds the report and the laws.
     stability = stability_report(analysis, lam)
-    report.update(_family_sections(key, name, analysis, stability))
+    report.update(_family_sections(key, named, analysis, stability))
 
     if args.command == "dynamic":
         return report, EXIT_OK
@@ -281,7 +280,7 @@ def _execute(args) -> tuple[dict, int]:
             "check": c.check,
             "status": c.status,
             "detail": c.detail,
-            "witness": _witness_names(system, name, c.witness),
+            "witness": _witness_names(system, named, c.witness),
         }
         for c in checks
     ]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import chain, pairwise
 from typing import Iterable
 
 from .errors import CapacityError, DomainError, ParameterError
@@ -262,12 +263,10 @@ def _evaluate(
     vacuous = big == ()
     if type(big) is tuple:
         big = intersect_all(big, n)
-    if law.relation == "equals":
-        odd, keys = small ^ big, ("left", "right")
-    else:
-        odd, keys = small & ~big, ("subset", "superset")
+    odd = _breaking(law, small, big)
     if not odd:
-        return TheoremCheck(law.name, "vacuous" if vacuous else "pass", law.statement)
+        return TheoremCheck(law.name, "vacuous" if vacuous else "pass", law.statement, None)
+    keys = ("left", "right") if law.relation == "equals" else ("subset", "superset")
     witness = {
         "attribute": mask_indices(odd)[0],
         **context,
@@ -275,6 +274,11 @@ def _evaluate(
         keys[1]: mask_indices(big),
     }
     return TheoremCheck(law.name, "fail", law.statement, witness)
+
+
+def _breaking(law: _Law, small: int, big: int) -> int:
+    """The attributes that break ``law``: in ``small`` outside ``big``, or in just one of them."""
+    return small ^ big if law.relation == "equals" else small & ~big
 
 
 def verify_theorems(report: StabilityReport) -> tuple[TheoremCheck, ...]:
@@ -300,13 +304,16 @@ def verify_theorems(report: StabilityReport) -> tuple[TheoremCheck, ...]:
         elif law.small != law.big:
             checks.append(_evaluate(law, getattr(report, law.small), getattr(report, law.big), n))
         else:
+            # The ladder's cores are read up to the first failing step, and
+            # only the reported step is judged into a record.
             support, size = report.attr_core_support, report.family_size
             ladder = sorted({*LAMBDA_GRID, report.lam})
-            cores = [report.core_s & attr_mask(_supported(support, support, size, at))
-                     for at in ladder]
-            steps = [
-                _evaluate(law, high_core, low_core, n, lambda_low=str(low), lambda_high=str(high))
-                for low, high, low_core, high_core in zip(ladder, ladder[1:], cores, cores[1:])
-            ]
-            checks.append(next((c for c in steps if c.status == "fail"), steps[0]))
+            cores = (report.core_s & attr_mask(_supported(support, support, size, at))
+                     for at in ladder)
+            steps = pairwise(zip(ladder, cores))
+            first = next(steps)
+            failing = (s for s in chain([first], steps) if _breaking(law, s[1][1], s[0][1]))
+            (low, low_core), (high, high_core) = next(failing, first)
+            checks.append(_evaluate(law, high_core, low_core, n,
+                                    lambda_low=str(low), lambda_high=str(high)))
     return tuple(checks)

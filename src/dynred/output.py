@@ -1,31 +1,33 @@
 """What a CLI report holds for an attribute set, and the report's JSON text.
 
-A report names each attribute set as a tuple of its names, already quoted
-as JSON strings, in name order (``name_ordered``), and ``render`` writes
-each tuple as the list of its names. This module is the only one that
-knows report order and that a tuple is a list of quoted names.
+A report holds each attribute set as its mask over the name-ordered table
+(``name_ordered``): ``named(b)`` is one set and ``named.each(masks)`` a
+list of sets. ``render`` writes each set as the list of its names, the
+text read straight off the mask. This module is the only one that knows
+report order and how a mask is written.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from functools import lru_cache
+from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 
 def name_ordered(system):
-    """``table, key, name``: ``system`` with its columns in descending name order.
+    """``table, key, named``: ``system`` with its columns in descending name order.
 
     ``table`` is a copy of ``system`` whose ``cond_attrs`` and row codes run
     from the largest name to the smallest, so the higher a bit of a mask
-    over it, the smaller its name. ``name(b)`` is the tuple of b's names,
-    quoted as JSON strings and read off highest bit first, so in name order
-    with no sort. ``key(b)`` is b's position in the order of sorted name
-    lists, where a list comes before its extensions (Python's list order):
-    the sets before b are its popcount(b) proper prefixes and, below each
-    of its elements, the sets that branch off at a smaller name,
-    2**m - b - (b & -b) in all. Both hold only for masks over ``table``,
-    so the three come from one call.
+    over it, the smaller its name, and a mask's names read off highest bit
+    first are in name order with no sort. ``named``, the table's ``_Set``
+    subclass, makes report values of masks over ``table``. ``key(b)`` is
+    b's position in the order of sorted name lists, where a list comes
+    before its extensions (Python's list order): the sets before b are its
+    popcount(b) proper prefixes and, below each of its elements, the sets
+    that branch off at a smaller name, 2**m - b - (b & -b) in all. Both
+    hold only for masks over ``table``, so the three come from one call.
 
     On an antichain (no set contains another), descending masks are
     already in name-list order. Let d be the smallest name in just one of
@@ -37,65 +39,164 @@ def name_ordered(system):
     and the sets whose support passes a threshold above 1/2, any two of
     which are reducts of one member. So the CLI reads them reversed, and
     needs ``key`` only for the support list, the union over all members,
-    whose sets may nest. One 256-entry table per 8 bits serves ``name``.
+    whose sets may nest.
     """
     order = sorted(range(system.n_attrs), key=system.cond_attrs.__getitem__, reverse=True)
     names = tuple(map(system.cond_attrs.__getitem__, order))
-    m = len(names)
     rows = system.rows
-    if m > 1:  # one index would make itemgetter return a code, not a row
+    if len(names) > 1:  # one index would make itemgetter return a code, not a row
         rows = tuple(map(itemgetter(*order), rows))
-    name_tables = []
-    for base in range(0, m, 8):
-        named = [()]
-        for a in range(base, min(base + 8, m)):
-            head = (_quote(names[a]),)
-            named += [head + t for t in named]  # higher bits name smaller names
-        name_tables.append(named)
-    top = 1 << m
+    top = 1 << len(names)
 
     def key(b: int) -> int:
         return top + b.bit_count() - b - (b & -b) if b else 0
 
-    def name(b: int) -> tuple[str, ...]:
-        out = ()
-        for table in name_tables:
-            if not b:
-                break
-            out = table[b & 255] + out
-            b >>= 8
-        return out
+    return system._replace(cond_attrs=names, rows=rows), key, _sets_over(names)
 
-    return system._replace(cond_attrs=names, rows=rows), key, name
+
+class _Set(int):
+    """A set in a report: its mask, an instance of its table's own subclass.
+
+    ``name_ordered`` gives each table its subclass, ``named``: ``named(b)`` is
+    the set b, and ``named.each(masks)`` the list of the distinct sets
+    ``masks``, in that order. ``render`` writes each set as the list of the
+    table's names, which the subclass's ``quoted`` holds as JSON strings in
+    bit order.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def each(cls, masks) -> _Sets:
+        return _Sets(cls, masks)
+
+    def alone(self, newline: str) -> str:
+        """The set written at ``newline`` outside any list, such as a core.
+
+        It is joined from its names: a depth's text tables would cost more
+        than the few sets a report writes alone.
+        """
+        if not self:
+            return "[]"
+        inner, quoted = newline + "  ", self.quoted
+        names = [quoted[a] for a in range(self.bit_length() - 1, -1, -1) if self >> a & 1]
+        return "[" + inner + ("," + inner).join(names) + newline + "]"
+
+
+@lru_cache(maxsize=1)
+def _sets_over(names: tuple[str, ...]) -> type[_Set]:
+    """The ``_Set`` subclass of the table whose names, in bit order, are ``names``.
+
+    The last one is kept: a class is garbage that only the cyclic collector
+    frees, so a process that analyses one table again and again, such as
+    one running the CLI in a loop, should not make one each time.
+    """
+    return type("named", (_Set,), {"__slots__": (), "quoted": [*map(_quote, names)]})
+
+
+class _Sets:
+    """A report value: the distinct sets ``masks``, in order, over the table of ``named``.
+
+    A set listed twice is written right, but its text is built twice.
+    """
+
+    __slots__ = ("named", "masks")
+
+    def __init__(self, named: type[_Set], masks):
+        self.named, self.masks = named, masks
+
+    def __len__(self) -> int:
+        return len(self.masks)
 
 
 def render(report) -> str:
-    """``json.dumps(report, sort_keys=True, indent=2)``, tuples read as names, and a newline.
+    """``json.dumps(report, sort_keys=True, indent=2)``, sets written as names, and a newline.
 
     With ``indent``, ``json.dumps`` runs its pure-Python encoder; this writer
     walks the report into one chunk list, writes each list whose items share
     one kind by C-level maps (``_items``) and quotes strings with the C
-    function ``json.dumps`` uses.
+    function ``json.dumps`` uses. Each set's text is built at most once for
+    each depth it is written at in a list, however often it is mentioned
+    there (``_listed``).
     """
     chunks = []
-    _write(report, "\n", chunks)
+    _write(report, "\n", chunks, {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _text(value, newline: str) -> str:
+def _listed(named: type[_Set], masks, distinct, newline: str, depths: dict):
+    """``head, texts, tail``: each set of ``masks`` is head + text + tail at ``newline``.
+
+    ``distinct`` holds the sets of ``masks`` once each. ``depths`` holds, for
+    each table and depth met in this report, the depth's text tables and
+    the text of each set built there, so a set is built once per depth.
+    """
+    inner = newline + "  "
+    depth = depths.get((named, newline))
+    if depth is None:
+        depth = depths[named, newline] = _group_tables(named.quoted, inner), {}
+    tables, texts = depth
+    try:
+        written = [*map(texts.__getitem__, masks)]
+    except KeyError:
+        new = [*filterfalse(texts.__contains__, distinct)] if texts else distinct
+        built = _built(tables, new, len(inner) + 1)
+        texts.update(zip(new, built))
+        written = built if new is masks else [*map(texts.__getitem__, masks)]
+    head, tail = "[" + inner, newline + "]"
+    if 0 in texts and 0 in masks:  # the empty set is "[]", so each set takes its own brackets
+        return "", [head + t + tail if t else "[]" for t in written], ""
+    return head, written, tail
+
+
+def _built(tables: list[list[str]], masks, cut: int) -> list[str]:
+    """The text of each set of ``masks`` read off one depth's ``tables``, less ``cut`` characters.
+
+    Table g holds, for each value v of the g-th group of w bits, the text
+    ``"," + inner + name`` of each attribute g*w + j with bit j of v set,
+    highest bit first. A set's text joins its groups' entries, highest
+    group first; its first ``cut`` characters are the first separator.
+    Past 3w bits (m > 24) the distinct parts above bit 2w are joined once.
+    """
+    t0, t1, *upper = tables
+    low = len(t0) - 1
+    w, w2 = low.bit_length(), 2 * low.bit_length()
+    high = upper[0]
+    if len(upper) > 1:
+        high = {h: "".join([t[h >> w * i & low] for i, t in reversed([*enumerate(upper)])])
+                for h in {b >> w2 for b in masks}}
+    return [f"{high[b >> w2]}{t1[b >> w & low]}{t0[b & low]}"[cut:] for b in masks]
+
+
+def _group_tables(quoted: list[str], inner: str) -> list[list[str]]:
+    """One text table per group of w = min(8, ceil(m / 3)) bits, at least three (``_built``)."""
+    w = min(8, max(1, -(-len(quoted) // 3)))
+    tables = []
+    for base in range(0, max(len(quoted), 3 * w), w):
+        table = [""]
+        for name in quoted[base:base + w]:
+            entry = "," + inner + name
+            table += [entry + t for t in table]  # a higher bit writes a smaller name
+        tables.append(table)
+    return tables
+
+
+def _text(value, newline: str, depths: dict) -> str:
     chunks = []
-    _write(value, newline, chunks)
+    _write(value, newline, chunks, depths)
     return "".join(chunks)
 
 
-def _items(items: list, newline: str):
+def _items(items, newline: str, depths: dict):
     """``head, texts, tail``: each item's text at ``newline`` is head + text + tail.
 
-    Exact ints, strings, non-empty name tuples and records (dicts with one
-    key set, formatted column by column by one ``%`` template) take one map;
-    other items are written one by one.
+    A list of sets, and lists of exact ints, strings, sets of one table and
+    records (dicts with one key set, formatted column by column by one
+    ``%`` template) take one map; other items are written one by one.
     """
+    if type(items) is _Sets:
+        return _listed(items.named, items.masks, items.masks, newline, depths)
     first, deeper = items[0], newline + "  "
     kind = type(first)
     if {*map(type, items)} == {kind}:
@@ -103,30 +204,30 @@ def _items(items: list, newline: str):
             return "", map(int.__repr__, items), ""
         if kind is str:
             return "", map(_quote, items), ""
-        if kind is tuple and all(items):
-            return "[" + deeper, map(("," + deeper).join, items), newline + "]"
+        if issubclass(kind, _Set):  # such as one core per member, where sets repeat
+            return _listed(kind, items, dict.fromkeys(items), newline, depths)
         if kind is dict and first and all(map(first.keys().__eq__, map(dict.keys, items))):
             fields, columns = [], []
             for key in sorted(first):
-                head, texts, tail = _items([*map(itemgetter(key), items)], deeper)
+                head, texts, tail = _items([*map(itemgetter(key), items)], deeper, depths)
                 fields.append(_quote(key).replace("%", "%%") + ": " + head + "%s" + tail)
                 columns.append(texts)
             template = "{" + deeper + ("," + deeper).join(fields) + newline + "}"
             return "", map(template.__mod__, zip(*columns)), ""
-    return "", map(_text, items, repeat(newline)), ""
+    return "", map(_text, items, repeat(newline), repeat(depths)), ""
 
 
-def _write(value, newline: str, chunks: list[str]) -> None:
+def _write(value, newline: str, chunks: list[str], depths: dict) -> None:
     # ``newline`` is the line break plus the indentation of ``value`` itself.
     inner = newline + "  "
     if isinstance(value, str):
         chunks.append(_quote(value))
-    elif type(value) is tuple and value:
-        chunks.append("[" + inner + ("," + inner).join(value) + newline + "]")
-    elif not value and isinstance(value, (list, tuple, dict)):
+    elif isinstance(value, _Set):
+        chunks.append(value.alone(newline))
+    elif not value and isinstance(value, (list, _Sets, dict)):
         chunks.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, (list, tuple)):
-        head, texts, tail = _items(value, inner)
+    elif isinstance(value, (list, _Sets)):
+        head, texts, tail = _items(value, inner, depths)
         start = len(chunks)
         chunks += chain.from_iterable(zip(repeat(tail + "," + inner + head), texts))
         chunks[start] = "[" + inner + head
@@ -135,7 +236,7 @@ def _write(value, newline: str, chunks: list[str]) -> None:
         sep = "{" + inner
         for key, item in sorted(value.items()):
             chunks += sep, _quote(key), ": "
-            _write(item, inner, chunks)
+            _write(item, inner, chunks, depths)
             sep = "," + inner
         chunks.append(newline + "}")
     elif value is None or type(value) is bool:

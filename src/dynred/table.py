@@ -231,19 +231,21 @@ def render_csv(system: DecisionSystem) -> str:
     """Serialize back to CSV (conditions in order, decision last).
 
     Re-parsing the result with the same decision column reproduces the
-    system exactly, codes and dictionaries included.
+    system exactly, codes and dictionaries included. A column whose
+    dictionary lacks one of its codes raises ``DomainError`` naming it.
     """
-    inverse = {
-        attr: {code: raw for raw, code in table.items()}
-        for attr, table in system.dictionaries.items()
-    }
+    header = (*system.cond_attrs, system.decision_attr)
+    columns = []
+    for attr, codes in zip(header, (*zip(*system.rows), system.decisions)):
+        raws = {code: raw for raw, code in system.dictionaries.get(attr, {}).items()}
+        try:
+            columns.append([raws[c] for c in codes])
+        except KeyError as exc:
+            raise DomainError(f"attribute {attr!r} has no raw value for code {exc.args[0]}") from None
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(system.cond_attrs) + [system.decision_attr])
-    for codes, dec in zip(system.rows, system.decisions):
-        raws = [inverse[a][c] for a, c in zip(system.cond_attrs, codes)]
-        raws.append(inverse[system.decision_attr][dec])
-        writer.writerow(raws)
+    writer.writerow(header)
+    writer.writerows(zip(*columns))
     return buf.getvalue()
 
 

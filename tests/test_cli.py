@@ -11,7 +11,6 @@ import sys
 import tempfile
 from collections import Counter
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +24,7 @@ from dynred import (
     analyze_family,
     brute_force_reducts,
     cli,
+    discernibility_function,
     make_subsystem,
     parse_decision_table,
     sample_family,
@@ -170,14 +170,18 @@ def _names_of(table, mask):
     return [table.cond_attrs[a] for a in range(table.n_attrs) if mask >> a & 1]
 
 
+def _dumps(value):
+    return json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_name_ordered_names_every_mask_in_name_order(data):
-    # m up to 40 covers a partial top byte, and the empty and full masks
-    # are always drawn.
+    # m up to 40 covers a partial top byte and masks past bit 24, and the
+    # empty and full masks are always drawn.
     m = data.draw(st.integers(0, 40), label="m")
     names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
-    table, key, name = _ordered_over(names)
+    table, key, named = _ordered_over(names)
     # The copy holds the same columns, codes and all, largest name first.
     assert table.cond_attrs == tuple(sorted(names, reverse=True))
     assert table.rows == tuple(tuple(row[names.index(c)] for c in table.cond_attrs)
@@ -185,10 +189,11 @@ def test_name_ordered_names_every_mask_in_name_order(data):
     full = (1 << m) - 1
     masks = data.draw(st.lists(st.integers(0, full), max_size=12), label="masks") + [0, full]
     expected = [sorted(_names_of(table, mask)) for mask in masks]
-    assert list(map(name, masks)) == [tuple(map(_quote, e)) for e in expected]
+    # Each set reads as its names in name order, in a list and alone.
+    assert _render(named.each(masks)) == _dumps(expected)
+    assert [*map(_render, map(named, masks))] == [*map(_dumps, expected)]
     # Ordering by the key orders the raw name lists, and distinct sets have distinct keys.
-    ordered = sorted(masks, key=key)
-    assert list(map(name, ordered)) == [tuple(map(_quote, e)) for e in sorted(expected)]
+    assert _render(named.each(sorted(masks, key=key))) == _dumps(sorted(expected))
     assert len(set(map(key, masks))) == len(set(masks))
 
 
@@ -199,22 +204,21 @@ def test_descending_masks_order_an_antichain_by_name(data):
     # reduct list does; m up to 40 covers a partial top byte.
     m = data.draw(st.integers(0, 40), label="m")
     names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
-    table, _, name = _ordered_over(names)
+    table, _, named = _ordered_over(names)
     drawn = set(data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=16),
                           label="masks"))
     antichain = [x for x in drawn if not any(y != x and y & x == y for y in drawn)]
     expected = sorted(sorted(_names_of(table, x)) for x in antichain)
-    ordered = sorted(antichain, reverse=True)
-    assert list(map(name, ordered)) == [tuple(map(_quote, e)) for e in expected]
+    assert _render(named.each(sorted(antichain, reverse=True))) == _dumps(expected)
 
 
 def test_descending_masks_misorder_a_set_and_its_extension():
     # {a} lists before {a, b}, but is the smaller mask: a list whose sets
     # may nest, such as the support list, needs the key.
-    table, key, name = _ordered_over(("a", "b"))
+    table, key, named = _ordered_over(("a", "b"))
     sets = [1 << table.cond_attrs.index("a"), 0b11]
-    assert list(map(name, sorted(sets, reverse=True))) == [('"a"', '"b"'), ('"a"',)]
-    assert list(map(name, sorted(sets, key=key))) == [('"a"',), ('"a"', '"b"')]
+    assert _render(named.each(sorted(sets, reverse=True))) == _dumps([["a", "b"], ["a"]])
+    assert _render(named.each(sorted(sets, key=key))) == _dumps([["a"], ["a", "b"]])
 
 
 def _literal_sections(system, members, lam):
@@ -334,60 +338,92 @@ def test_render_matches_json_dumps(value):
 
 
 def test_render_writes_aliased_lists_as_json_dumps():
-    # One name tuple recurs here at several depths and under several parents;
-    # it renders as the list of its names each time.
-    def values(names):
+    # One set recurs here, alone and in lists, at several depths and under
+    # several parents, and beside the empty set; it renders as the list of
+    # its names each time.
+    def values(one, pair, gaps):
         empty = []
-        pair = [names, names]
-        mixed = [1, None, {"k": names, "e": empty}, -2 ** 70, pair]
+        mixed = [1, None, {"k": one, "e": empty}, -2 ** 70, pair]
         value = {
-            "names": names,
+            "names": one,
             "empty": empty,
             "pair": pair,
+            "gaps": gaps,
             "mixed": mixed,
-            "again": [mixed, pair, names, empty],
-            # ``names`` sits at depth 2 as a dict value here and as a list
+            "again": [mixed, pair, gaps, one, empty],
+            # ``one`` sits at depth 2 as a dict value here and as a list
             # element under "support", and at depth 3 as a list element here
             # and as a dict value under "support".
-            "nested": {"reduct": names, "rows": [names, empty, names]},
-            "support": [{"reduct": names, "support": 3}, names, {"reduct": names}],
+            "nested": {"reduct": one, "rows": [one, empty, one]},
+            "support": [{"reduct": one, "support": 3}, one, {"reduct": one}],
         }
-        return value, [names, [names], [[names]], names]
+        return value, [one, [one], [[one]], one, pair, [gaps]]
 
-    names = ["b", "aé", '"q"']
-    for value, expected in zip(values(tuple(map(_quote, names))), values(names)):
-        assert _render(value) == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    table, _, named = _ordered_over(("b", "a\u00e9", '"q"', "z"))
+    mask = sum(1 << table.cond_attrs.index(name) for name in ("b", "a\u00e9", '"q"'))
+    names = ["\"q\"", "a\u00e9", "b"]
+    got = values(named(mask), named.each([mask, mask]), named.each([0, mask, 0]))
+    for value, expected in zip(got, values(names, [names, names], [[], names, []])):
+        assert _render(value) == _dumps(expected)
 
 
 @dataclasses.dataclass(frozen=True)
-class _Set:
+class _One:
     index: int
 
 
-def _filled(template, sets):
-    """``template`` with each ``_Set`` leaf replaced by the set it indexes in ``sets``."""
-    if isinstance(template, _Set):
-        return sets[template.index]
+@dataclasses.dataclass(frozen=True)
+class _Many:
+    indices: tuple[int, ...]
+
+
+def _filled(template, one, many):
+    """``template`` with each ``_One`` leaf made ``one(index)`` and ``_Many`` ``many(indices)``."""
+    if isinstance(template, _One):
+        return one(template.index)
+    if isinstance(template, _Many):
+        return many(template.indices)
     if isinstance(template, list):
-        return [_filled(item, sets) for item in template]
+        return [_filled(item, one, many) for item in template]
     if isinstance(template, dict):
-        return {key: _filled(item, sets) for key, item in template.items()}
+        return {key: _filled(item, one, many) for key, item in template.items()}
     return template
+
+
+def _drawn_sets(data, count, first=()):
+    """``table, named, masks``: up to 40 names, and ``first`` plus ``count`` masks over them."""
+    m = data.draw(st.integers(0, 40), label="m")
+    names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
+    table, _, named = _ordered_over(names)
+    masks = [*first, *data.draw(st.lists(st.integers(min(1, m), (1 << m) - 1), **count),
+                               label="masks")]
+    return table, named, masks
+
+
+def _rendered_sets(template, table, named, masks):
+    """``render`` of ``template`` filled with ``named``'s sets, and ``json.dumps`` of the names."""
+    names = [sorted(_names_of(table, mask)) for mask in masks]
+    value = _filled(template, lambda i: named(masks[i]),
+                    lambda indices: named.each([masks[i] for i in indices]))
+    expected = _filled(template, names.__getitem__, lambda indices: [names[i] for i in indices])
+    return _render(value), _dumps(expected)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.data())
-def test_render_writes_name_tuples_as_their_names(data):
-    # One tuple object per set, so a set drawn twice is aliased, at any depth.
-    sets = data.draw(st.lists(st.lists(_NAME, max_size=4), min_size=1, max_size=4), label="sets")
-    leaf = st.builds(_Set, st.integers(0, len(sets) - 1)) | st.none() | st.integers() | _TEXT
+def test_render_writes_sets_as_their_names(data):
+    # Sets alone and in lists, so a set drawn twice, or mentioned twice,
+    # recurs at any depth.
+    table, named, masks = _drawn_sets(data, dict(min_size=1, max_size=4))
+    one = st.builds(_One, st.integers(0, len(masks) - 1))
+    many = st.builds(_Many, st.lists(st.integers(0, len(masks) - 1), max_size=4).map(tuple))
+    leaf = one | many | st.none() | st.integers() | _TEXT
     template = data.draw(st.recursive(
         leaf, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
         max_leaves=25,
     ), label="value")
-    value = _filled(template, [tuple(map(_quote, names)) for names in sets])
-    expected = json.dumps(_filled(template, sets), sort_keys=True, indent=2) + "\n"
-    assert _render(value) == expected
+    got, expected = _rendered_sets(template, table, named, masks)
+    assert got == expected
 
 
 _KEYS = _TEXT | st.sampled_from(("%", "%s", "%%"))
@@ -399,16 +435,16 @@ def test_render_writes_same_kind_lists_as_json_dumps(data):
     # Lists whose items share one kind, above all records (dicts with one key
     # set) whose columns often do too, and lists of dicts whose key sets may
     # differ, nested in one another; set 0 is empty.
-    drawn = data.draw(st.lists(st.lists(_NAME, min_size=1, max_size=3), max_size=3), label="sets")
-    sets = [[], *drawn]
-    named = st.builds(_Set, st.integers(0, len(sets) - 1))
+    table, named, masks = _drawn_sets(data, dict(max_size=3), first=[0])
+    one = st.builds(_One, st.integers(0, len(masks) - 1))
+    many = st.builds(_Many, st.lists(st.integers(0, len(masks) - 1), max_size=3).map(tuple))
     ints = st.integers(-2 ** 70, 2 ** 70)
     scalars = (st.lists(ints, min_size=1, max_size=5) | st.lists(_TEXT, min_size=1, max_size=5)
-               | st.lists(named, min_size=1, max_size=5)
+               | st.lists(one, min_size=1, max_size=5) | st.lists(many, min_size=1, max_size=5)
                | st.lists(st.booleans() | st.integers(0, 1), min_size=1, max_size=5))
 
     def records(inner):
-        cells = st.sampled_from([ints, st.booleans(), st.none(), _TEXT, named, inner])
+        cells = st.sampled_from([ints, st.booleans(), st.none(), _TEXT, one, many, inner])
         columns = st.dictionaries(_KEYS, cells, min_size=1, max_size=4)
         return columns.flatmap(
             lambda c: st.lists(st.fixed_dictionaries(c), min_size=1, max_size=4))
@@ -420,9 +456,8 @@ def test_render_writes_same_kind_lists_as_json_dumps(data):
                                   min_size=2, max_size=3)),
         max_leaves=20,
     ), label="value")
-    value = _filled(template, [tuple(map(_quote, names)) for names in sets])
-    expected = json.dumps(_filled(template, sets), sort_keys=True, indent=2) + "\n"
-    assert _render(value) == expected
+    got, expected = _rendered_sets(template, table, named, masks)
+    assert got == expected
 
 
 def _copied_analysis(*args, **kwargs):
@@ -432,66 +467,56 @@ def _copied_analysis(*args, **kwargs):
     return analysis._replace(per_member=copies)
 
 
-def test_dynamic_names_each_reduct_mask_once(capsys, monkeypatch, tmp_path):
+def test_dynamic_builds_each_set_text_once_per_depth(capsys, monkeypatch, tmp_path):
     import dynred.dynamic
+    from dynred import output
 
     # Members of this family share reducts with one another and with the
-    # table, so a report that named each mention would name a mask again.
-    # The second input gives every member its own equal MemberAnalysis, so
-    # the report may not rely on equal row sets sharing one object.
+    # table, so a report that built a set's text at each mention would
+    # build one again. The second input gives every member its own equal
+    # MemberAnalysis, so the report may not rely on equal row sets sharing
+    # one object.
     rng = random.Random(5)
     text = "a,b,c,e,f,d\n" + "".join(
         ",".join(str(rng.randrange(2)) for _ in range(6)) + "\n" for _ in range(12)
     )
     (tmp_path / "t.csv").write_text(text)
-    named = []
-    original = cli.name_ordered
-
-    def counting_name_ordered(system):
-        table, key, name = original(system)
-
-        def counted(mask):
-            # Counted in header bits, as the analysis below lists them.
-            named.append(sum(1 << system.cond_attrs.index(c) for c in _names_of(table, mask)))
-            return name(mask)
-
-        return table, key, counted
-
-    monkeypatch.setattr(cli, "name_ordered", counting_name_ordered)
     system = parse_decision_table(text, "d")
+    table = name_ordered(system)[0]
+    built = Counter()
+    original = output._built
+
+    def counting(tables, masks, cut):
+        # Counted in header bits, as the analysis below lists them; ``cut``,
+        # the length of a set's first separator, names the depth.
+        built.update((cut, sum(1 << system.cond_attrs.index(c) for c in _names_of(table, b)))
+                     for b in masks)
+        return original(tables, masks, cut)
+
+    monkeypatch.setattr(output, "_built", counting)
     plan = SamplingPlan(seed=3, fractions=("0.5", "0.75", "1"), samples_per_fraction=4)
     analysis = analyze_family(system, sample_family(system, plan))
-    reducts = {*analysis.red_s, *dict(stability_report(analysis).reduct_support)}
-    mentions = Counter(r for mem in analysis.per_member for r in mem.reducts)
-    mentions.update(analysis.red_s)
-    # The core of each distinct row set, the table's included.
-    row_cores = {system.object_indices: analysis.core_s}
-    for member, mem in zip(analysis.family.members, analysis.per_member):
-        row_cores.setdefault(member.object_indices, mem.core)
+    stability = stability_report(analysis, Fraction(3, 4))
+    # Sets written in lists, by depth: at 8 spaces (cut 10) the static and
+    # dynamic reduct lists and the family's core column; at 10 (cut 12)
+    # each member's reducts and the support list, which holds every reduct.
+    mentioned = Counter()
+    for masks in (analysis.red_s, stability.dr, stability.dr_lambda, stability.gdr,
+                  stability.gdr_lambda, [mem.core for mem in analysis.per_member]):
+        mentioned.update((10, r) for r in masks)
+    for masks in (*(mem.reducts for mem in analysis.per_member), dict(stability.reduct_support)):
+        mentioned.update((12, r) for r in masks)
+    assert sum(mentioned.values()) > 3 * len(mentioned)  # the family does share sets
     for analyze in (analyze_family, _copied_analysis):
         monkeypatch.setattr(dynred.dynamic, "analyze_family", analyze)
-        named.clear()
+        built.clear()
         status, out = run_json(capsys, ["dynamic", "--input", str(tmp_path / "t.csv"),
                                         "--decision", "d", "--fractions", "0.5,0.75,1",
                                         "--samples", "4", "--seed", "3", "--lambda", "0.75"])
         assert status == 0
-        report = json.loads(out)
-        assert len(report["stability"]["reduct_support"]) == len(reducts)
-        # The report also names every core, and a core may equal a reduct.
-        dynamic_cores = [report["dynamic"][k]
-                         for k in ("dcore", "dcore_lambda", "gdcore", "gdcore_lambda")]
-        cores = [report["static"]["core"], *(m["core"] for m in report["family"]), *dynamic_cores]
-        cores = {sum(1 << system.cond_attrs.index(a) for a in core) for core in cores}
-        checked = reducts - cores
-        assert sum(mentions[r] > 1 for r in checked) >= 3  # the family does share reducts
-        counted = Counter(named)
-        assert {r: counted[r] for r in checked} == dict.fromkeys(checked, 1)
-        # Every name call: each reduct once, each row set's core once, and
-        # the four dynamic cores.
-        expected = Counter(reducts) + Counter(row_cores.values())
-        expected.update(sum(1 << system.cond_attrs.index(a) for a in core)
-                        for core in dynamic_cores)
-        assert counted == expected
+        assert len(json.loads(out)["stability"]["reduct_support"]) == len(stability.reduct_support)
+        # Each set's text is built once for each depth it is written at, not per mention.
+        assert built == Counter(mentioned.keys())
 
 
 def test_render_refuses_values_json_would_reshape():
@@ -499,6 +524,79 @@ def test_render_refuses_values_json_would_reshape():
     for value in ({"a": (1, 2)}, [0.5], [(1,), (2,)], [{"a": 0.5}, {"a": 1.5}], [{1, 2}, {3}]):
         with pytest.raises(TypeError):
             _render(value)
+
+
+class TestSetTextEdges:
+    """The set writer's edge cases, each against ``json.dumps`` of names the oracle gives."""
+
+    SAMPLING = ["--fractions", "0.5,1", "--samples", "3", "--seed", "4", "--lambda", "0.6"]
+
+    @staticmethod
+    def _report(capsys, tmp_path, text, command, *flags):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        status, out = run_json(capsys, [command, "--input", str(path), "--decision", "d", *flags])
+        assert status == 0
+        report = json.loads(out)
+        assert out == _dumps(report)  # every byte is json.dumps's
+        return report
+
+    def _check_literal(self, capsys, tmp_path, text, *flags):
+        """``reducts`` and ``dynamic`` on ``text`` name the oracle's sets."""
+        system = parse_decision_table(text, "d")
+        plan = SamplingPlan(seed=4, fractions=("0.5", "1"), samples_per_fraction=3)
+        expected = _literal_sections(system, sample_family(system, plan).members, Fraction(3, 5))
+        report = self._report(capsys, tmp_path, text, "reducts", *flags)
+        assert report["static"] == expected["static"]
+        report = self._report(capsys, tmp_path, text, "dynamic", *flags, *self.SAMPLING)
+        for section in ("static", "family", "dynamic"):
+            assert report[section] == expected[section]
+        assert report["stability"]["reduct_support"] == expected["reduct_support"]
+        return report
+
+    def test_constant_decision_lists_the_empty_set(self, capsys, tmp_path):
+        # Nothing needs discerning, so the empty set is the one reduct of
+        # every table, written "[]" inside each reduct list.
+        text = "b,a,c,d\n0,1,0,0\n1,1,0,0\n0,0,1,0\n1,0,1,0\n"
+        report = self._check_literal(capsys, tmp_path, text)
+        assert report["static"] == {"core": [], "reducts": [[]]}
+        assert report["dynamic"]["dr"] == report["dynamic"]["gdr_lambda"] == [[]]
+
+    def test_no_condition_attributes(self, capsys, tmp_path):
+        report = self._check_literal(capsys, tmp_path, "d\n0\n1\n0\n")
+        assert report["static"] == {"core": [], "reducts": [[]]}
+
+    def test_thirty_attributes_pass_bit_24(self, capsys, tmp_path):
+        # Header order is not name order. Row i sets one attribute alone, so
+        # each of the first 28 is a clause of its own; the last row sets the
+        # last two, one clause of two. The reducts are the core with either.
+        names = [f"c{i:02}" for i in random.Random(6).sample(range(30), 30)]
+        rows = [["0"] * 30 + ["0"]]
+        for i in range(28):
+            rows.append(["1" if j == i else "0" for j in range(30)] + ["1"])
+        rows.append(["1" if j >= 28 else "0" for j in range(30)] + ["1"])
+        text = ",".join([*names, "d"]) + "\n" + "".join(",".join(r) + "\n" for r in rows)
+        system = parse_decision_table(text, "d")
+        clauses = discernibility_function(system)
+        assert sum(map(len, clauses)) == len(set().union(*clauses)) == 30  # pairwise disjoint
+        core = sorted(names[a] for c in clauses if len(c) == 1 for a in c)
+        pair = sorted(names[a] for c in clauses if len(c) == 2 for a in c)
+        reducts = sorted(sorted([*core, choice]) for choice in pair)
+        report = self._report(capsys, tmp_path, text, "reducts", "--max-attrs", "30")
+        assert report["static"] == {"core": core, "reducts": reducts}
+        report = self._report(capsys, tmp_path, text, "dynamic", "--max-attrs", "30",
+                              "--fractions", "1", "--samples", "2", "--lambda", "1")
+        assert report["static"] == {"core": core, "reducts": reducts}
+        assert [m["reducts"] for m in report["family"]] == [reducts, reducts]
+        assert report["dynamic"]["dr"] == report["dynamic"]["gdr"] == reducts
+        assert [r["reduct"] for r in report["stability"]["reduct_support"]] == reducts
+
+    def test_one_set_at_two_depths(self, capsys, tmp_path):
+        # FIX-A's reducts are written in the static list and again in each
+        # full-table member's list, one level deeper.
+        report = self._check_literal(capsys, tmp_path, FIX_A_CSV)
+        full = [m for m in report["family"] if len(m["indices"]) == report["input"]["rows"]]
+        assert full and all(m["reducts"] == report["static"]["reducts"] != [] for m in full)
 
 
 class TestCoreCommand:

@@ -132,6 +132,18 @@ class TestParsing:
         s = parse_decision_table(random_table_csv(random.Random(seed)), "d")
         assert parse_decision_table(render_csv(s), "d") == s
 
+    @pytest.mark.parametrize("dictionaries, text", [
+        ({}, "attribute 'a' has no raw value for code 0"),
+        ({"a": {"x": 0}, "d": {"y": 1}}, "attribute 'd' has no raw value for code 0"),
+        ({"a": {"x": 1}, "d": {"y": 0}}, "attribute 'a' has no raw value for code 0"),
+    ])
+    def test_render_names_a_column_its_dictionary_cannot_write(self, dictionaries, text):
+        # A directly built system need not carry a dictionary for every code.
+        s = DecisionSystem(("a",), "d", ((0,),), (0,), dictionaries)
+        with pytest.raises(DomainError) as info:
+            render_csv(s)
+        assert str(info.value) == text
+
 
 def _row_wise_parse(text, decision_column):
     """Reference parser: codes the table cell by cell, record by record."""
