@@ -8,16 +8,16 @@ engine's results with the oracle's (``_cross_check``). One canonically
 ordered JSON document goes to stdout (sorted keys and name arrays, reduct
 lists ordered by their name arrays), diagnostics to stderr. The engine's
 attribute sets are bitmasks over a copy of the table with columns in
-descending name order (``output.name_ordered``): the report holds each
-set as its mask, which the writer reads off as its names in name order,
-and an ascending reduct list, reversed, is report order, so no name list
-is sorted. A failing law's witness ``attribute``, a mask's lowest bit, is
-the largest name outside the superset (or in the difference). Exit
-codes: 0 success, 1 usage error (including a --fractions or --lambda
-decimal exponent above 1000 in magnitude, and a report or help text that
-cannot be written), 2 parse/schema error, 3 capacity limit or out of
-memory, 4 non-vacuous verification failure, 70 self-check mismatch under
---exact.
+descending name order (``output.name_ordered``); ``output.render``, given
+the copy's names, writes each as its names in name order. This module
+orders the lists: an ascending reduct list, reversed, is report order,
+and the support list is sorted by ``name_ordered``'s key. A failing
+law's witness ``attribute``, a mask's lowest bit, is the largest name
+outside the superset (or in the difference). Exit codes: 0 success, 1
+usage error (including a --fractions or --lambda decimal exponent above
+1000 in magnitude, and a report or help text that cannot be written), 2
+parse/schema error, 3 capacity limit or out of memory, 4 non-vacuous
+verification failure, 70 self-check mismatch under --exact.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .errors import (
     SchemaError,
     SelfCheckError,
 )
-from .output import name_ordered, render
+from .output import Mask, Masks, name_ordered, render
 from .reducts import (
     DEFAULT_MAX_ATTRS,
     DEFAULT_MAX_REDUCTS,
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _witness_names(system: DecisionSystem, named, witness: dict | None) -> dict | None:
+def _witness_names(system: DecisionSystem, witness: dict | None) -> dict | None:
     """A law's witness with its attribute index and index lists named; other values as they are."""
     if witness is None:
         return None
@@ -135,7 +135,7 @@ def _witness_names(system: DecisionSystem, named, witness: dict | None) -> dict 
         if isinstance(value, int):
             out[key] = system.cond_attrs[value]
         elif isinstance(value, list):
-            out[key] = named(attr_mask(value))
+            out[key] = Mask(attr_mask(value))
         else:
             out[key] = value
     return out
@@ -185,24 +185,24 @@ def _base_report(system: DecisionSystem, args) -> dict:
     }
 
 
-def _family_sections(key, named, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
-    """The static, family, dynamic and stability sections, every set given to ``named``.
+def _family_sections(key, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
+    """The static, family, dynamic and stability sections, with each set as its mask.
 
     Every reduct list but the support list is an ascending antichain, read
     reversed (``output.name_ordered``).
     """
 
     def listed(masks):
-        return named.each(masks[::-1])
+        return Masks(masks[::-1])
 
     # Each distinct row set, the system's included, is named once.
     system, members = analysis.family.parent, analysis.family.members
     rows = {system.object_indices: {"reducts": listed(analysis.red_s),
-                                    "core": named(analysis.core_s)}}
+                                    "core": Mask(analysis.core_s)}}
     for member, mem in zip(members, analysis.per_member):
         if member.object_indices not in rows:
             rows[member.object_indices] = {"reducts": listed(mem.reducts),
-                                           "core": named(mem.core)}
+                                           "core": Mask(mem.core)}
     return {
         "static": rows[system.object_indices],
         "family": [{"indices": list(m.object_indices), **rows[m.object_indices]} for m in members],
@@ -211,10 +211,10 @@ def _family_sections(key, named, analysis: FamilyAnalysis, report: StabilityRepo
             "dr_lambda": listed(report.dr_lambda),
             "gdr": listed(report.gdr),
             "gdr_lambda": listed(report.gdr_lambda),
-            "dcore": named(report.dcore),
-            "dcore_lambda": named(report.dcore_lambda),
-            "gdcore": named(report.gdcore),
-            "gdcore_lambda": named(report.gdcore_lambda),
+            "dcore": Mask(report.dcore),
+            "dcore_lambda": Mask(report.dcore_lambda),
+            "gdcore": Mask(report.gdcore),
+            "gdcore_lambda": Mask(report.gdcore_lambda),
         },
         "stability": {
             "family_size": report.family_size,
@@ -223,14 +223,14 @@ def _family_sections(key, named, analysis: FamilyAnalysis, report: StabilityRepo
                 for a, count in report.attr_core_support.items()
             },
             "reduct_support": [
-                {"reduct": named(r), "support": count}
+                {"reduct": Mask(r), "support": count}
                 for r, count in sorted(report.reduct_support, key=lambda rc: key(rc[0]))
             ],
         },
     }
 
 
-def _execute(args) -> tuple[dict, int]:
+def _execute(args) -> tuple[str, int]:
     try:
         with open(args.input, encoding="utf-8-sig") as f:
             text = f.read()
@@ -239,53 +239,45 @@ def _execute(args) -> tuple[dict, int]:
     system = parse_decision_table(text, args.decision)
     report = _base_report(system, args)
     # input.attributes keeps header order; the rest runs in name order.
-    system, key, named = name_ordered(system)
+    system, key = name_ordered(system)
+    status = EXIT_OK
 
     if args.command == "reducts":
         masks, core = table_reducts(system, max_attrs=args.max_attrs, max_reducts=args.max_reducts)
         if args.exact:
             _cross_check([("base system", system, masks, core)])
-        report["static"] = {"reducts": named.each(masks[::-1]), "core": named(core)}
-        return report, EXIT_OK
-
-    if args.command == "core":
+        report["static"] = {"reducts": Masks(masks[::-1]), "core": Mask(core)}
+    elif args.command == "core":
         core = attr_mask(core_of(system))
         if args.exact:
             _cross_check([("base system", system, None, core)])
-        report["static"] = {"core": named(core)}
-        return report, EXIT_OK
+        report["static"] = {"core": Mask(core)}
+    else:
+        from .dynamic import analyze_family, check_lambda, stability_report, verify_theorems
 
-    from .dynamic import analyze_family, check_lambda, stability_report, verify_theorems
-
-    lam = check_lambda(args.lam)
-    fractions = tuple(piece.strip() for piece in args.fractions.split(","))
-    plan = SamplingPlan(seed=args.seed, fractions=fractions, samples_per_fraction=args.samples)
-    analysis = analyze_family(system, sample_family(system, plan),
-                              max_attrs=args.max_attrs, max_reducts=args.max_reducts)
-    if args.exact:
-        results = [("base system", system, analysis.red_s, analysis.core_s)]
-        for i, (member, mem) in enumerate(zip(analysis.family.members, analysis.per_member)):
-            results.append((f"family member {i}", member, mem.reducts, mem.core))
-        _cross_check(results)
-    # One record at the requested threshold feeds the report and the laws.
-    stability = stability_report(analysis, lam)
-    report.update(_family_sections(key, named, analysis, stability))
-
-    if args.command == "dynamic":
-        return report, EXIT_OK
-
-    checks = verify_theorems(stability)
-    report["verification"] = [
-        {
-            "check": c.check,
-            "status": c.status,
-            "detail": c.detail,
-            "witness": _witness_names(system, named, c.witness),
-        }
-        for c in checks
-    ]
-    failed = any(c.status == "fail" for c in checks)
-    return report, EXIT_VERIFY if failed else EXIT_OK
+        lam = check_lambda(args.lam)
+        fractions = tuple(piece.strip() for piece in args.fractions.split(","))
+        plan = SamplingPlan(seed=args.seed, fractions=fractions, samples_per_fraction=args.samples)
+        analysis = analyze_family(system, sample_family(system, plan),
+                                  max_attrs=args.max_attrs, max_reducts=args.max_reducts)
+        if args.exact:
+            results = [("base system", system, analysis.red_s, analysis.core_s)]
+            for i, (member, mem) in enumerate(zip(analysis.family.members, analysis.per_member)):
+                results.append((f"family member {i}", member, mem.reducts, mem.core))
+            _cross_check(results)
+        # One record at the requested threshold feeds the report and the laws.
+        stability = stability_report(analysis, lam)
+        report.update(_family_sections(key, analysis, stability))
+        if args.command == "verify":
+            checks = verify_theorems(stability)
+            report["verification"] = [
+                {"check": c.check, "status": c.status, "detail": c.detail,
+                 "witness": _witness_names(system, c.witness)}
+                for c in checks
+            ]
+            if any(c.status == "fail" for c in checks):
+                status = EXIT_VERIFY
+    return render(report, system.cond_attrs), status
 
 
 def run(argv=None) -> int:
@@ -295,8 +287,7 @@ def run(argv=None) -> int:
         # Help is written below like a report, so a failed write is handled the same way.
         with contextlib.redirect_stdout(help_text):
             args = build_parser().parse_args(argv)
-        report, status = _execute(args)
-        text = render(report)
+        text, status = _execute(args)
     except SystemExit as exc:  # from argparse: help, or a usage error already on stderr
         text, status = help_text.getvalue(), int(exc.code or 0)
     except EngineError as exc:

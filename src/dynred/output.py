@@ -1,33 +1,33 @@
 """What a CLI report holds for an attribute set, and the report's JSON text.
 
-A report holds each attribute set as its mask over the name-ordered table
-(``name_ordered``): ``named(b)`` is one set and ``named.each(masks)`` a
-list of sets. ``render`` writes each set as the list of its names, the
-text read straight off the mask. This module is the only one that knows
-report order and how a mask is written.
+Every set in a report is over one table's condition attributes, so a
+report holds each set as a bare mask over the name-ordered table
+(``name_ordered``): ``Mask(b)`` is one set and ``Masks(masks)`` a list of
+sets. ``render`` takes the table's names once and writes each set as the
+list of its names, the text read straight off the mask. This module knows
+how a mask is written and orders each set's names; ``cli.py`` orders the
+reduct lists and the support list, with ``name_ordered``'s ``key``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 
 def name_ordered(system):
-    """``table, key, named``: ``system`` with its columns in descending name order.
+    """``table, key``: ``system`` with its columns in descending name order.
 
     ``table`` is a copy of ``system`` whose ``cond_attrs`` and row codes run
     from the largest name to the smallest, so the higher a bit of a mask
     over it, the smaller its name, and a mask's names read off highest bit
-    first are in name order with no sort. ``named``, the table's ``_Set``
-    subclass, makes report values of masks over ``table``. ``key(b)`` is
-    b's position in the order of sorted name lists, where a list comes
-    before its extensions (Python's list order): the sets before b are its
-    popcount(b) proper prefixes and, below each of its elements, the sets
-    that branch off at a smaller name, 2**m - b - (b & -b) in all. Both
-    hold only for masks over ``table``, so the three come from one call.
+    first are in name order with no sort. ``key(b)`` is b's position in the
+    order of sorted name lists, where a list comes before its extensions
+    (Python's list order): the sets before b are its popcount(b) proper
+    prefixes and, below each of its elements, the sets that branch off at
+    a smaller name, 2**m - b - (b & -b) in all. It holds only for masks
+    over ``table``, so the two come from one call.
 
     On an antichain (no set contains another), descending masks are
     already in name-list order. Let d be the smallest name in just one of
@@ -51,91 +51,73 @@ def name_ordered(system):
     def key(b: int) -> int:
         return top + b.bit_count() - b - (b & -b) if b else 0
 
-    return system._replace(cond_attrs=names, rows=rows), key, _sets_over(names)
+    return system._replace(cond_attrs=names, rows=rows), key
 
 
-class _Set(int):
-    """A set in a report: its mask, an instance of its table's own subclass.
-
-    ``name_ordered`` gives each table its subclass, ``named``: ``named(b)`` is
-    the set b, and ``named.each(masks)`` the list of the distinct sets
-    ``masks``, in that order. ``render`` writes each set as the list of the
-    table's names, which the subclass's ``quoted`` holds as JSON strings in
-    bit order.
-    """
+class Mask(int):
+    """A set written alone in a report, such as a core: its mask over ``render``'s names."""
 
     __slots__ = ()
 
-    @classmethod
-    def each(cls, masks) -> _Sets:
-        return _Sets(cls, masks)
 
-    def alone(self, newline: str) -> str:
-        """The set written at ``newline`` outside any list, such as a core.
-
-        It is joined from its names: a depth's text tables would cost more
-        than the few sets a report writes alone.
-        """
-        if not self:
-            return "[]"
-        inner, quoted = newline + "  ", self.quoted
-        names = [quoted[a] for a in range(self.bit_length() - 1, -1, -1) if self >> a & 1]
-        return "[" + inner + ("," + inner).join(names) + newline + "]"
-
-
-@lru_cache(maxsize=1)
-def _sets_over(names: tuple[str, ...]) -> type[_Set]:
-    """The ``_Set`` subclass of the table whose names, in bit order, are ``names``.
-
-    The last one is kept: a class is garbage that only the cyclic collector
-    frees, so a process that analyses one table again and again, such as
-    one running the CLI in a loop, should not make one each time.
-    """
-    return type("named", (_Set,), {"__slots__": (), "quoted": [*map(_quote, names)]})
-
-
-class _Sets:
-    """A report value: the distinct sets ``masks``, in order, over the table of ``named``.
+class Masks:
+    """A report value: the list of the distinct sets ``masks``, in order.
 
     A set listed twice is written right, but its text is built twice.
     """
 
-    __slots__ = ("named", "masks")
+    __slots__ = ("masks",)
 
-    def __init__(self, named: type[_Set], masks):
-        self.named, self.masks = named, masks
+    def __init__(self, masks):
+        self.masks = masks
 
     def __len__(self) -> int:
         return len(self.masks)
 
 
-def render(report) -> str:
+def render(report, names: tuple[str, ...]) -> str:
     """``json.dumps(report, sort_keys=True, indent=2)``, sets written as names, and a newline.
 
-    With ``indent``, ``json.dumps`` runs its pure-Python encoder; this writer
-    walks the report into one chunk list, writes each list whose items share
-    one kind by C-level maps (``_items``) and quotes strings with the C
-    function ``json.dumps`` uses. Each set's text is built at most once for
-    each depth it is written at in a list, however often it is mentioned
-    there (``_listed``).
+    ``names`` are the condition names of the table every ``Mask`` and
+    ``Masks`` of ``report`` is over, in bit order. With ``indent``,
+    ``json.dumps`` runs its pure-Python encoder; this writer walks the
+    report into one chunk list, writes each list whose items share one kind
+    by C-level maps (``_items``) and quotes strings with the C function
+    ``json.dumps`` uses. Each set's text is built at most once for each
+    depth it is written at in a list, however often it is mentioned there
+    (``_listed``).
     """
     chunks = []
-    _write(report, "\n", chunks, {})
+    _write(report, "\n", chunks, [*map(_quote, names)], {})
     chunks.append("\n")
     return "".join(chunks)
 
 
-def _listed(named: type[_Set], masks, distinct, newline: str, depths: dict):
+def _alone(b: int, quoted: list[str], newline: str) -> str:
+    """The set b written at ``newline`` outside any list, such as a core.
+
+    It is joined from its names: a depth's text tables would cost more
+    than the few sets a report writes alone.
+    """
+    if not b:
+        return "[]"
+    inner = newline + "  "
+    names = [quoted[a] for a in range(b.bit_length() - 1, -1, -1) if b >> a & 1]
+    return "[" + inner + ("," + inner).join(names) + newline + "]"
+
+
+def _listed(masks, distinct, newline: str, quoted: list[str], depths: dict):
     """``head, texts, tail``: each set of ``masks`` is head + text + tail at ``newline``.
 
-    ``distinct`` holds the sets of ``masks`` once each. ``depths`` holds, for
-    each table and depth met in this report, the depth's text tables and
-    the text of each set built there, so a set is built once per depth.
+    ``distinct`` holds the sets of ``masks`` once each. ``quoted`` holds the
+    table's names as JSON strings, in bit order. ``depths`` holds, for each
+    depth met in this report, the depth's text tables and the text of each
+    set built there, so a set is built once per depth.
     """
     inner = newline + "  "
-    depth = depths.get((named, newline))
+    depth = depths.get(newline)
     if depth is None:
-        depth = depths[named, newline] = _group_tables(named.quoted, inner), {}
+        depth = depths[newline] = _group_tables(quoted, inner), {}
     tables, texts = depth
     try:
         written = [*map(texts.__getitem__, masks)]
@@ -182,21 +164,21 @@ def _group_tables(quoted: list[str], inner: str) -> list[list[str]]:
     return tables
 
 
-def _text(value, newline: str, depths: dict) -> str:
+def _text(value, newline: str, quoted: list[str], depths: dict) -> str:
     chunks = []
-    _write(value, newline, chunks, depths)
+    _write(value, newline, chunks, quoted, depths)
     return "".join(chunks)
 
 
-def _items(items, newline: str, depths: dict):
+def _items(items, newline: str, quoted: list[str], depths: dict):
     """``head, texts, tail``: each item's text at ``newline`` is head + text + tail.
 
-    A list of sets, and lists of exact ints, strings, sets of one table and
+    A list of sets, and lists of exact ints, strings, single sets and
     records (dicts with one key set, formatted column by column by one
     ``%`` template) take one map; other items are written one by one.
     """
-    if type(items) is _Sets:
-        return _listed(items.named, items.masks, items.masks, newline, depths)
+    if type(items) is Masks:
+        return _listed(items.masks, items.masks, newline, quoted, depths)
     first, deeper = items[0], newline + "  "
     kind = type(first)
     if {*map(type, items)} == {kind}:
@@ -204,30 +186,30 @@ def _items(items, newline: str, depths: dict):
             return "", map(int.__repr__, items), ""
         if kind is str:
             return "", map(_quote, items), ""
-        if issubclass(kind, _Set):  # such as one core per member, where sets repeat
-            return _listed(kind, items, dict.fromkeys(items), newline, depths)
+        if kind is Mask:  # such as one core per member, where sets repeat
+            return _listed(items, dict.fromkeys(items), newline, quoted, depths)
         if kind is dict and first and all(map(first.keys().__eq__, map(dict.keys, items))):
             fields, columns = [], []
             for key in sorted(first):
-                head, texts, tail = _items([*map(itemgetter(key), items)], deeper, depths)
+                head, texts, tail = _items([*map(itemgetter(key), items)], deeper, quoted, depths)
                 fields.append(_quote(key).replace("%", "%%") + ": " + head + "%s" + tail)
                 columns.append(texts)
             template = "{" + deeper + ("," + deeper).join(fields) + newline + "}"
             return "", map(template.__mod__, zip(*columns)), ""
-    return "", map(_text, items, repeat(newline), repeat(depths)), ""
+    return "", map(_text, items, repeat(newline), repeat(quoted), repeat(depths)), ""
 
 
-def _write(value, newline: str, chunks: list[str], depths: dict) -> None:
+def _write(value, newline: str, chunks: list[str], quoted: list[str], depths: dict) -> None:
     # ``newline`` is the line break plus the indentation of ``value`` itself.
     inner = newline + "  "
     if isinstance(value, str):
         chunks.append(_quote(value))
-    elif isinstance(value, _Set):
-        chunks.append(value.alone(newline))
-    elif not value and isinstance(value, (list, _Sets, dict)):
+    elif isinstance(value, Mask):
+        chunks.append(_alone(value, quoted, newline))
+    elif not value and isinstance(value, (list, Masks, dict)):
         chunks.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, (list, _Sets)):
-        head, texts, tail = _items(value, inner, depths)
+    elif isinstance(value, (list, Masks)):
+        head, texts, tail = _items(value, inner, quoted, depths)
         start = len(chunks)
         chunks += chain.from_iterable(zip(repeat(tail + "," + inner + head), texts))
         chunks[start] = "[" + inner + head
@@ -236,7 +218,7 @@ def _write(value, newline: str, chunks: list[str], depths: dict) -> None:
         sep = "{" + inner
         for key, item in sorted(value.items()):
             chunks += sep, _quote(key), ": "
-            _write(item, inner, chunks, depths)
+            _write(item, inner, chunks, quoted, depths)
             sep = "," + inner
         chunks.append(newline + "}")
     elif value is None or type(value) is bool:

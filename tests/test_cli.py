@@ -32,7 +32,7 @@ from dynred import (
 )
 from dynred.cli import run
 from dynred.errors import EngineError
-from dynred.output import name_ordered, render as _render
+from dynred.output import Mask, Masks, name_ordered, render as _render
 
 from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv, planted_core_csv
 
@@ -181,7 +181,7 @@ def test_name_ordered_names_every_mask_in_name_order(data):
     # empty and full masks are always drawn.
     m = data.draw(st.integers(0, 40), label="m")
     names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
-    table, key, named = _ordered_over(names)
+    table, key = _ordered_over(names)
     # The copy holds the same columns, codes and all, largest name first.
     assert table.cond_attrs == tuple(sorted(names, reverse=True))
     assert table.rows == tuple(tuple(row[names.index(c)] for c in table.cond_attrs)
@@ -190,10 +190,10 @@ def test_name_ordered_names_every_mask_in_name_order(data):
     masks = data.draw(st.lists(st.integers(0, full), max_size=12), label="masks") + [0, full]
     expected = [sorted(_names_of(table, mask)) for mask in masks]
     # Each set reads as its names in name order, in a list and alone.
-    assert _render(named.each(masks)) == _dumps(expected)
-    assert [*map(_render, map(named, masks))] == [*map(_dumps, expected)]
+    assert _render(Masks(masks), table.cond_attrs) == _dumps(expected)
+    assert [_render(Mask(b), table.cond_attrs) for b in masks] == [*map(_dumps, expected)]
     # Ordering by the key orders the raw name lists, and distinct sets have distinct keys.
-    assert _render(named.each(sorted(masks, key=key))) == _dumps(sorted(expected))
+    assert _render(Masks(sorted(masks, key=key)), table.cond_attrs) == _dumps(sorted(expected))
     assert len(set(map(key, masks))) == len(set(masks))
 
 
@@ -204,21 +204,22 @@ def test_descending_masks_order_an_antichain_by_name(data):
     # reduct list does; m up to 40 covers a partial top byte.
     m = data.draw(st.integers(0, 40), label="m")
     names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
-    table, _, named = _ordered_over(names)
+    table, _ = _ordered_over(names)
     drawn = set(data.draw(st.lists(st.integers(0, (1 << m) - 1), min_size=1, max_size=16),
                           label="masks"))
     antichain = [x for x in drawn if not any(y != x and y & x == y for y in drawn)]
     expected = sorted(sorted(_names_of(table, x)) for x in antichain)
-    assert _render(named.each(sorted(antichain, reverse=True))) == _dumps(expected)
+    assert _render(Masks(sorted(antichain, reverse=True)), table.cond_attrs) == _dumps(expected)
 
 
 def test_descending_masks_misorder_a_set_and_its_extension():
     # {a} lists before {a, b}, but is the smaller mask: a list whose sets
     # may nest, such as the support list, needs the key.
-    table, key, named = _ordered_over(("a", "b"))
+    table, key = _ordered_over(("a", "b"))
     sets = [1 << table.cond_attrs.index("a"), 0b11]
-    assert _render(named.each(sorted(sets, reverse=True))) == _dumps([["a", "b"], ["a"]])
-    assert _render(named.each(sorted(sets, key=key))) == _dumps([["a"], ["a", "b"]])
+    names = table.cond_attrs
+    assert _render(Masks(sorted(sets, reverse=True)), names) == _dumps([["a", "b"], ["a"]])
+    assert _render(Masks(sorted(sets, key=key)), names) == _dumps([["a"], ["a", "b"]])
 
 
 def _literal_sections(system, members, lam):
@@ -334,7 +335,7 @@ _VALUES = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(_VALUES)
 def test_render_matches_json_dumps(value):
-    assert _render(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+    assert _render(value, ()) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
 def test_render_writes_aliased_lists_as_json_dumps():
@@ -359,12 +360,12 @@ def test_render_writes_aliased_lists_as_json_dumps():
         }
         return value, [one, [one], [[one]], one, pair, [gaps]]
 
-    table, _, named = _ordered_over(("b", "a\u00e9", '"q"', "z"))
+    table, _ = _ordered_over(("b", "a\u00e9", '"q"', "z"))
     mask = sum(1 << table.cond_attrs.index(name) for name in ("b", "a\u00e9", '"q"'))
     names = ["\"q\"", "a\u00e9", "b"]
-    got = values(named(mask), named.each([mask, mask]), named.each([0, mask, 0]))
+    got = values(Mask(mask), Masks([mask, mask]), Masks([0, mask, 0]))
     for value, expected in zip(got, values(names, [names, names], [[], names, []])):
-        assert _render(value) == _dumps(expected)
+        assert _render(value, table.cond_attrs) == _dumps(expected)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -391,22 +392,22 @@ def _filled(template, one, many):
 
 
 def _drawn_sets(data, count, first=()):
-    """``table, named, masks``: up to 40 names, and ``first`` plus ``count`` masks over them."""
+    """``table, masks``: up to 40 names, and ``first`` plus ``count`` masks over them."""
     m = data.draw(st.integers(0, 40), label="m")
     names = tuple(data.draw(st.lists(_NAME, min_size=m, max_size=m, unique=True), label="names"))
-    table, _, named = _ordered_over(names)
+    table, _ = _ordered_over(names)
     masks = [*first, *data.draw(st.lists(st.integers(min(1, m), (1 << m) - 1), **count),
                                label="masks")]
-    return table, named, masks
+    return table, masks
 
 
-def _rendered_sets(template, table, named, masks):
-    """``render`` of ``template`` filled with ``named``'s sets, and ``json.dumps`` of the names."""
+def _rendered_sets(template, table, masks):
+    """``render`` of ``template`` filled with ``table``'s sets, and ``json.dumps`` of the names."""
     names = [sorted(_names_of(table, mask)) for mask in masks]
-    value = _filled(template, lambda i: named(masks[i]),
-                    lambda indices: named.each([masks[i] for i in indices]))
+    value = _filled(template, lambda i: Mask(masks[i]),
+                    lambda indices: Masks([masks[i] for i in indices]))
     expected = _filled(template, names.__getitem__, lambda indices: [names[i] for i in indices])
-    return _render(value), _dumps(expected)
+    return _render(value, table.cond_attrs), _dumps(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -414,7 +415,7 @@ def _rendered_sets(template, table, named, masks):
 def test_render_writes_sets_as_their_names(data):
     # Sets alone and in lists, so a set drawn twice, or mentioned twice,
     # recurs at any depth.
-    table, named, masks = _drawn_sets(data, dict(min_size=1, max_size=4))
+    table, masks = _drawn_sets(data, dict(min_size=1, max_size=4))
     one = st.builds(_One, st.integers(0, len(masks) - 1))
     many = st.builds(_Many, st.lists(st.integers(0, len(masks) - 1), max_size=4).map(tuple))
     leaf = one | many | st.none() | st.integers() | _TEXT
@@ -422,7 +423,7 @@ def test_render_writes_sets_as_their_names(data):
         leaf, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
         max_leaves=25,
     ), label="value")
-    got, expected = _rendered_sets(template, table, named, masks)
+    got, expected = _rendered_sets(template, table, masks)
     assert got == expected
 
 
@@ -435,7 +436,7 @@ def test_render_writes_same_kind_lists_as_json_dumps(data):
     # Lists whose items share one kind, above all records (dicts with one key
     # set) whose columns often do too, and lists of dicts whose key sets may
     # differ, nested in one another; set 0 is empty.
-    table, named, masks = _drawn_sets(data, dict(max_size=3), first=[0])
+    table, masks = _drawn_sets(data, dict(max_size=3), first=[0])
     one = st.builds(_One, st.integers(0, len(masks) - 1))
     many = st.builds(_Many, st.lists(st.integers(0, len(masks) - 1), max_size=3).map(tuple))
     ints = st.integers(-2 ** 70, 2 ** 70)
@@ -456,7 +457,7 @@ def test_render_writes_same_kind_lists_as_json_dumps(data):
                                   min_size=2, max_size=3)),
         max_leaves=20,
     ), label="value")
-    got, expected = _rendered_sets(template, table, named, masks)
+    got, expected = _rendered_sets(template, table, masks)
     assert got == expected
 
 
@@ -523,7 +524,7 @@ def test_render_refuses_values_json_would_reshape():
     # The report holds no tuples or floats, so the writer refuses them.
     for value in ({"a": (1, 2)}, [0.5], [(1,), (2,)], [{"a": 0.5}, {"a": 1.5}], [{1, 2}, {3}]):
         with pytest.raises(TypeError):
-            _render(value)
+            _render(value, ())
 
 
 class TestSetTextEdges:
@@ -1189,7 +1190,7 @@ class TestEachIntermediateOnce:
         assert first == 1
         # The search call inside analyze_family sees a class table; FIX-A's
         # rows are distinct, so the member's labels name its rows.
-        system, _, _ = name_ordered(parse_decision_table(FIX_A_CSV, "d"))
+        system, _ = name_ordered(parse_decision_table(FIX_A_CSV, "d"))
         target = class_table(make_subsystem(system, rows[first])).labels
         original = dynred.dynamic._reducts
 

@@ -4,10 +4,11 @@ The classical primitives and the clause reference live in the oracle, and
 the engine and the oracle name none of each other's: they share only the
 table model, and every read of a table goes through its ``parent`` and
 ``object_indices``, so only ``table.py`` tells a system from a sub-system.
-The engine speaks bitmasks outside its two public frozenset views, every
-record derives from one base, the family layer's records are plain data with
-support counted only in ``stability_report``, one evaluator checks every law,
-and every name the benchmark reads on the package resolves. A process loads
+The engine speaks bitmasks outside its two public frozenset views, a
+report's sets are bare masks that ``render`` names, every record derives
+from one base, the family layer's records are plain data with support
+counted only in ``stability_report``, one evaluator checks every law, and
+every name the benchmark reads on the package resolves. A process loads
 only the layers its subcommand runs, and the package's public names resolve
 on first access.
 """
@@ -250,6 +251,49 @@ def test_family_layer_and_cli_speak_masks_only():
                 continue
             found += [f"{name}:{line}: {n}" for line, n in _names(node) if n in FROZENSET_PATH]
     assert found == []
+
+
+def _calls(tree, name):
+    """The calls of the plain name ``name`` in a syntax tree."""
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+
+
+def test_report_sets_are_bare_masks_named_by_render():
+    # Every set in a report is over one table's condition names, which the
+    # CLI hands ``render`` once. No module builds a class at run time, so
+    # none needs a cache of classes, and the two marker classes hold no
+    # class-level data: no names ride on a set's class.
+    package = ROOT / "src" / "dynred"
+    built = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        built += [f"{path.name}:{call.lineno}" for call in _calls(tree, "type")
+                  if len(call.args) == 3]
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                built += [f"{path.name}:{inner.lineno}" for inner in ast.walk(node)
+                          if isinstance(inner, ast.ClassDef)]
+    assert built == []
+
+    output = ast.parse((package / "output.py").read_text(encoding="utf-8"))
+    assert "lru_cache" not in {name for _, name in _names(output)}
+    assert len(_calls(ast.parse((package / "cli.py").read_text(encoding="utf-8")), "render")) == 1
+
+    markers = {node.name: node.body for node in output.body if isinstance(node, ast.ClassDef)}
+    assert sorted(markers) == ["Mask", "Masks"]
+    data = []
+    for name, body in markers.items():
+        for stmt in body:
+            if isinstance(stmt, ast.FunctionDef):
+                continue
+            if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant):
+                continue  # the docstring
+            if (isinstance(stmt, ast.Assign)
+                    and [getattr(t, "id", None) for t in stmt.targets] == ["__slots__"]):
+                continue
+            data.append(f"{name}:{stmt.lineno}")
+    assert data == []
 
 
 def test_benchmark_reads_resolve_on_the_package():

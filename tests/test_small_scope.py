@@ -9,9 +9,13 @@ multisets of non-empty row subsets, since a repeated member counts.
 The references come from the oracle alone: ``brute_force_reducts`` and
 ``brute_force_core`` on every member, support counted here by hand. They
 never read the engine's analysis, so they also check the oracle's
-``literal_*`` sets, which do.
+``literal_*`` sets, which do. The CLI campaign runs every subcommand on
+every small table as a CSV file and checks the bytes it prints.
 """
 
+import contextlib
+import io
+import json
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -21,6 +25,7 @@ import pytest
 
 from dynred import (
     DecisionSystem,
+    cli,
     Family,
     SubSystem,
     analyze_family,
@@ -38,14 +43,19 @@ from dynred.reducts import table_reducts
 
 from conftest import as_mask
 
-# The scope of both campaigns. Each walks tables of 1 to ``rows`` rows over
+# The scope of the campaigns. Each walks tables of 1 to ``rows`` rows over
 # 1 to ``attrs`` binary condition attributes with each count of decision
-# values, one test case per shape. Each family holds 1 to ``members`` row
-# subsets of one such table and is checked at every threshold in ``lambdas``.
+# values. Each family holds 1 to ``members`` row subsets of one such table
+# and is checked at every threshold in ``lambdas``. The CLI campaign runs
+# each of ``commands`` on the family campaign's tables, with and without
+# --exact, the family commands drawing their family with ``sampling``.
 SCOPE = {
     "tables": {"rows": 4, "attrs": 3, "decisions": (2, 3)},
     "families": {"rows": 3, "attrs": 2, "decisions": (2,), "members": 3,
                  "lambdas": (Fraction(3, 5), Fraction(1))},
+    "cli": {"rows": 3, "attrs": 2, "decisions": (2,),
+            "commands": ("reducts", "core", "dynamic", "verify"),
+            "sampling": ("--fractions", "0.5,1", "--samples", "2", "--lambda", "0.75")},
 }
 
 
@@ -108,6 +118,10 @@ def test_scope_sizes():
     cases = sum(sum(1 for _ in _families(_subsets(s), families["members"]))
                 for key in _shapes(families) for s in _tables(families["rows"], *key))
     assert cases * len(families["lambdas"]) == 35_140
+    scope = SCOPE["cli"]
+    tables = sum(sum(1 for _ in _tables(scope["rows"], *key)) for key in _shapes(scope))
+    assert tables == 198
+    assert tables * len(scope["commands"]) * 2 == 1_584  # with and without --exact
 
 
 @pytest.mark.parametrize("attrs, decisions", _shapes(SCOPE["tables"]))
@@ -152,4 +166,46 @@ def test_every_small_family_matches_the_oracle(attrs, decisions):
                 failures += [(str(lam), where, c.check, c.witness)
                              for c in verify_theorems(report) if c.status == "fail"]
     assert mismatches == [], mismatches[:3]
+    assert failures == [], failures[:3]
+
+
+def _csv(table: DecisionSystem) -> str:
+    """``table`` as CSV text, its codes written as its values."""
+    lines = [(*table.cond_attrs, table.decision_attr)]
+    lines += [(*codes, label) for codes, label in zip(table.rows, table.decisions)]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)
+
+
+def _run(argv) -> tuple[int, str]:
+    """``cli.run(argv)``'s exit code and stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = cli.run(argv)
+    return status, out.getvalue()
+
+
+@pytest.mark.parametrize("command", SCOPE["cli"]["commands"])
+def test_every_small_table_runs_the_cli(command, tmp_path):
+    # Each run exits 0 and prints the same canonical JSON bytes twice, and
+    # its static section names the oracle's sets.
+    scope = SCOPE["cli"]
+    path = tmp_path / "t.csv"
+    flags = scope["sampling"] if command in ("dynamic", "verify") else ()
+    failures = []
+    for key in _shapes(scope):
+        for table in _tables(scope["rows"], *key):
+            path.write_text(_csv(table), encoding="utf-8")
+            names = table.cond_attrs
+            static = {"core": sorted(names[a] for a in brute_force_core(table))}
+            if command != "core":
+                static["reducts"] = sorted(sorted(names[a] for a in r)
+                                           for r in brute_force_reducts(table))
+            for exact in ((), ("--exact",)):
+                argv = [command, "--input", str(path), "--decision", "d", *exact, *flags]
+                status, out = _run(argv)
+                report = json.loads(out) if status == 0 else {}
+                if (status != 0 or _run(argv) != (status, out)
+                        or out != json.dumps(report, sort_keys=True, indent=2) + "\n"
+                        or report["static"] != static):
+                    failures.append((table.rows, table.decisions, exact, status, out))
     assert failures == [], failures[:3]
