@@ -7,17 +7,19 @@ Only ``dynamic`` and ``verify`` import the family layer; ``reducts`` and
 engine's results with the oracle's (``_cross_check``). One canonically
 ordered JSON document goes to stdout (sorted keys and name arrays, reduct
 lists ordered by their name arrays), diagnostics to stderr. The engine's
-attribute sets are bitmasks over a copy of the table with columns in
-descending name order (``output.name_ordered``); ``output.render``, given
-the copy's names, writes each as its names in name order. This module
-orders the lists: an ascending reduct list, reversed, is report order,
-and the support list is sorted by ``name_ordered``'s key. A failing
-law's witness ``attribute``, a mask's lowest bit, is the largest name
-outside the superset (or in the difference). Exit codes: 0 success, 1
-usage error (including a --fractions or --lambda decimal exponent above
-1000 in magnitude, and a report or help text that cannot be written), 2
-parse/schema error, 3 capacity limit or out of memory, 4 non-vacuous
-verification failure, 70 self-check mismatch under --exact.
+sets are bitmasks over a copy of the table with columns in descending
+name order (``output.name_ordered``); ``output.render``, given the copy's
+names, writes each as its names in name order. This module orders the
+lists (an ascending reduct list, reversed; the support list by
+``name_ordered``'s key) and hands each record list to ``render`` as
+columns, an ``output.Rows``. A family's analysis is freed before the
+report is written. A failing law's witness ``attribute``, a mask's lowest
+bit, is the largest name outside the superset (or in the difference).
+Exit codes: 0 success, 1 usage error (including a --fractions or
+--lambda decimal exponent above 1000 in magnitude, and a report or help
+text that cannot be written), 2 parse/schema error, 3 capacity limit or
+out of memory, 4 non-vacuous verification failure, 70 self-check
+mismatch under --exact.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ import io
 import os
 import sys
 from functools import cache
-from typing import TYPE_CHECKING
 
 from .errors import (
     CapacityError,
@@ -40,7 +41,7 @@ from .errors import (
     SchemaError,
     SelfCheckError,
 )
-from .output import Mask, Masks, name_ordered, render
+from .output import Mask, Masks, Rows, name_ordered, render
 from .reducts import (
     DEFAULT_MAX_ATTRS,
     DEFAULT_MAX_REDUCTS,
@@ -50,9 +51,6 @@ from .reducts import (
     table_reducts,
 )
 from .table import DecisionSystem, SamplingPlan, parse_decision_table, sample_family
-
-if TYPE_CHECKING:
-    from .dynamic import FamilyAnalysis, StabilityReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -185,49 +183,70 @@ def _base_report(system: DecisionSystem, args) -> dict:
     }
 
 
-def _family_sections(key, analysis: FamilyAnalysis, report: StabilityReport) -> dict:
-    """The static, family, dynamic and stability sections, with each set as its mask.
+def _family_sections(system: DecisionSystem, key, args, report: dict) -> int:
+    """Add the family's sections to ``report``, and ``verify``'s checks; the exit status.
 
-    Every reduct list but the support list is an ascending antichain, read
-    reversed (``output.name_ordered``).
+    The family and its analysis live in this frame alone, so they are freed
+    before the report is written. Every reduct list but the support list is
+    an ascending antichain, read reversed (``output.name_ordered``).
     """
+    from .dynamic import analyze_family, check_lambda, stability_report, verify_theorems
+
+    lam = check_lambda(args.lam)
+    fractions = tuple(piece.strip() for piece in args.fractions.split(","))
+    plan = SamplingPlan(seed=args.seed, fractions=fractions, samples_per_fraction=args.samples)
+    analysis = analyze_family(system, sample_family(system, plan),
+                              max_attrs=args.max_attrs, max_reducts=args.max_reducts)
+    members = analysis.family.members
+    if args.exact:
+        results = [("base system", system, analysis.red_s, analysis.core_s)]
+        for i, (member, mem) in enumerate(zip(members, analysis.per_member)):
+            results.append((f"family member {i}", member, mem.reducts, mem.core))
+        _cross_check(results)
+    # One record at the requested threshold feeds the report and the laws.
+    stability = stability_report(analysis, lam)
 
     def listed(masks):
         return Masks(masks[::-1])
 
     # Each distinct row set, the system's included, is named once.
-    system, members = analysis.family.parent, analysis.family.members
-    rows = {system.object_indices: {"reducts": listed(analysis.red_s),
-                                    "core": Mask(analysis.core_s)}}
+    named = {system.object_indices: (listed(analysis.red_s), Mask(analysis.core_s))}
     for member, mem in zip(members, analysis.per_member):
-        if member.object_indices not in rows:
-            rows[member.object_indices] = {"reducts": listed(mem.reducts),
-                                           "core": Mask(mem.core)}
-    return {
-        "static": rows[system.object_indices],
-        "family": [{"indices": list(m.object_indices), **rows[m.object_indices]} for m in members],
-        "dynamic": {
-            "dr": listed(report.dr),
-            "dr_lambda": listed(report.dr_lambda),
-            "gdr": listed(report.gdr),
-            "gdr_lambda": listed(report.gdr_lambda),
-            "dcore": Mask(report.dcore),
-            "dcore_lambda": Mask(report.dcore_lambda),
-            "gdcore": Mask(report.gdcore),
-            "gdcore_lambda": Mask(report.gdcore_lambda),
-        },
-        "stability": {
-            "family_size": report.family_size,
-            "attr_core_support": {
-                system.cond_attrs[a]: count
-                for a, count in report.attr_core_support.items()
-            },
-            "reduct_support": [
-                {"reduct": Mask(r), "support": count}
-                for r, count in sorted(report.reduct_support, key=lambda rc: key(rc[0]))
-            ],
-        },
+        if member.object_indices not in named:
+            named[member.object_indices] = listed(mem.reducts), Mask(mem.core)
+    reducts, cores = zip(*[named[m.object_indices] for m in members])
+    support = dict(stability.reduct_support)
+    order = sorted(support, key=key)
+    report["static"] = dict(zip(("reducts", "core"), named[system.object_indices]))
+    report["family"] = Rows({"indices": [list(m.object_indices) for m in members],
+                             "reducts": reducts, "core": cores})
+    report["dynamic"] = {
+        "dr": listed(stability.dr),
+        "dr_lambda": listed(stability.dr_lambda),
+        "gdr": listed(stability.gdr),
+        "gdr_lambda": listed(stability.gdr_lambda),
+        "dcore": Mask(stability.dcore),
+        "dcore_lambda": Mask(stability.dcore_lambda),
+        "gdcore": Mask(stability.gdcore),
+        "gdcore_lambda": Mask(stability.gdcore_lambda),
     }
+    report["stability"] = {
+        "family_size": stability.family_size,
+        "attr_core_support": {
+            system.cond_attrs[a]: count for a, count in stability.attr_core_support.items()
+        },
+        "reduct_support": Rows({"reduct": Masks(order), "support": [*map(support.get, order)]}),
+    }
+    if args.command != "verify":
+        return EXIT_OK
+    checks = verify_theorems(stability)
+    report["verification"] = Rows({
+        "check": [c.check for c in checks],
+        "status": [c.status for c in checks],
+        "detail": [c.detail for c in checks],
+        "witness": [_witness_names(system, c.witness) for c in checks],
+    })
+    return EXIT_VERIFY if any(c.status == "fail" for c in checks) else EXIT_OK
 
 
 def _execute(args) -> tuple[str, int]:
@@ -253,30 +272,7 @@ def _execute(args) -> tuple[str, int]:
             _cross_check([("base system", system, None, core)])
         report["static"] = {"core": Mask(core)}
     else:
-        from .dynamic import analyze_family, check_lambda, stability_report, verify_theorems
-
-        lam = check_lambda(args.lam)
-        fractions = tuple(piece.strip() for piece in args.fractions.split(","))
-        plan = SamplingPlan(seed=args.seed, fractions=fractions, samples_per_fraction=args.samples)
-        analysis = analyze_family(system, sample_family(system, plan),
-                                  max_attrs=args.max_attrs, max_reducts=args.max_reducts)
-        if args.exact:
-            results = [("base system", system, analysis.red_s, analysis.core_s)]
-            for i, (member, mem) in enumerate(zip(analysis.family.members, analysis.per_member)):
-                results.append((f"family member {i}", member, mem.reducts, mem.core))
-            _cross_check(results)
-        # One record at the requested threshold feeds the report and the laws.
-        stability = stability_report(analysis, lam)
-        report.update(_family_sections(key, analysis, stability))
-        if args.command == "verify":
-            checks = verify_theorems(stability)
-            report["verification"] = [
-                {"check": c.check, "status": c.status, "detail": c.detail,
-                 "witness": _witness_names(system, c.witness)}
-                for c in checks
-            ]
-            if any(c.status == "fail" for c in checks):
-                status = EXIT_VERIFY
+        status = _family_sections(system, key, args, report)
     return render(report, system.cond_attrs), status
 
 

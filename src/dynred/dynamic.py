@@ -33,7 +33,6 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, pairwise
-from typing import Iterable
 
 from .errors import CapacityError, DomainError, ParameterError
 from .oracle import literal_dynamic_core
@@ -47,6 +46,10 @@ from .reducts import (
 )
 from .rough import family_classes
 from .table import DecisionSystem, Family, _Record, parse_rational
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable
 
 ONE_HALF = Fraction(1, 2)
 
@@ -163,8 +166,8 @@ def stability_report(
     lam = check_lambda(lam)
     members, n, core_s = analysis.per_member, analysis.family.parent.n_attrs, analysis.core_s
     size = len(members)
-    reducts = Counter(r for m in members for r in m.reducts)
-    cores = Counter(a for m in members for a in mask_indices(m.core))
+    reducts = Counter(chain.from_iterable(m.reducts for m in members))
+    cores = Counter(chain.from_iterable(mask_indices(m.core) for m in members))
     (dr, gdr, gdcore), (dr_lambda, gdr_lambda, gdcore_lambda) = (
         (
             tuple(_supported(analysis.red_s, reducts, size, at)),

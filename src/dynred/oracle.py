@@ -28,10 +28,13 @@ attribute sets are bitmasks and ``&`` intersects them.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable
 
 from .errors import CapacityError
 from .table import Table, _Record, checked_attrs
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable
 
 ORACLE_MAX_ATTRS = 16
 ORACLE_MAX_OBJECTS = 64

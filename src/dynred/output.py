@@ -1,18 +1,21 @@
-"""What a CLI report holds for an attribute set, and the report's JSON text.
+"""What a CLI report holds for an attribute set or a record list, and the report's JSON text.
 
 Every set in a report is over one table's condition attributes, so a
 report holds each set as a bare mask over the name-ordered table
 (``name_ordered``): ``Mask(b)`` is one set and ``Masks(masks)`` a list of
-sets. ``render`` takes the table's names once and writes each set as the
-list of its names, the text read straight off the mask. This module knows
-how a mask is written and orders each set's names; ``cli.py`` orders the
-reduct lists and the support list, with ``name_ordered``'s ``key``.
+sets. A list of records reaches the writer only as ``Rows(columns)``, one
+sequence per key, so no record is a dict of its own. ``render`` takes the
+table's names once and writes each set as the list of its names, the
+text read straight off the mask, and each record list column by column.
+This module knows how a mask is written and orders each set's names;
+``cli.py`` orders the reduct lists and the support list, with
+``name_ordered``'s ``key``.
 """
 
 from __future__ import annotations
 
 from itertools import chain, filterfalse, repeat
-from json.encoder import encode_basestring_ascii as _quote
+from _json import encode_basestring_ascii as _quote
 from operator import itemgetter
 
 
@@ -75,14 +78,33 @@ class Masks:
         return len(self.masks)
 
 
+class Rows:
+    """A report value: a list of records, held as ``columns``.
+
+    ``columns`` maps each key to one sequence holding the key's value in
+    each record, in order: a ``Masks`` of distinct sets, ``Mask`` cells,
+    or any other report values. Every column holds one value per record;
+    with no columns there are no records.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+
 def render(report, names: tuple[str, ...]) -> str:
     """``json.dumps(report, sort_keys=True, indent=2)``, sets written as names, and a newline.
 
     ``names`` are the condition names of the table every ``Mask`` and
-    ``Masks`` of ``report`` is over, in bit order. With ``indent``,
-    ``json.dumps`` runs its pure-Python encoder; this writer walks the
-    report into one chunk list, writes each list whose items share one kind
-    by C-level maps (``_items``) and quotes strings with the C function
+    ``Masks`` of ``report`` is over, in bit order; a ``Rows`` is written
+    as its list of records. With ``indent``, ``json.dumps`` runs its
+    pure-Python encoder; this writer walks the report into one chunk list,
+    writes each list whose items share one kind, and each ``Rows``, by
+    C-level maps (``_items``) and quotes strings with the C function
     ``json.dumps`` uses. Each set's text is built at most once for each
     depth it is written at in a list, however often it is mentioned there
     (``_listed``).
@@ -173,14 +195,21 @@ def _text(value, newline: str, quoted: list[str], depths: dict) -> str:
 def _items(items, newline: str, quoted: list[str], depths: dict):
     """``head, texts, tail``: each item's text at ``newline`` is head + text + tail.
 
-    A list of sets, and lists of exact ints, strings, single sets and
-    records (dicts with one key set, formatted column by column by one
-    ``%`` template) take one map; other items are written one by one.
+    A list of sets, and lists of exact ints, strings and single sets, take
+    one map; a ``Rows`` takes one ``%`` template, filled column by column.
+    Other items are written one by one.
     """
     if type(items) is Masks:
         return _listed(items.masks, items.masks, newline, quoted, depths)
-    first, deeper = items[0], newline + "  "
-    kind = type(first)
+    if type(items) is Rows:
+        deeper, fields, columns = newline + "  ", [], []
+        for key, column in sorted(items.columns.items()):
+            head, texts, tail = _items(column, deeper, quoted, depths)
+            fields.append(_quote(key).replace("%", "%%") + ": " + head + "%s" + tail)
+            columns.append(texts)
+        template = "{" + deeper + ("," + deeper).join(fields) + newline + "}"
+        return "", map(template.__mod__, zip(*columns)), ""
+    kind = type(items[0])
     if {*map(type, items)} == {kind}:
         if kind is int:
             return "", map(int.__repr__, items), ""
@@ -188,14 +217,6 @@ def _items(items, newline: str, quoted: list[str], depths: dict):
             return "", map(_quote, items), ""
         if kind is Mask:  # such as one core per member, where sets repeat
             return _listed(items, dict.fromkeys(items), newline, quoted, depths)
-        if kind is dict and first and all(map(first.keys().__eq__, map(dict.keys, items))):
-            fields, columns = [], []
-            for key in sorted(first):
-                head, texts, tail = _items([*map(itemgetter(key), items)], deeper, quoted, depths)
-                fields.append(_quote(key).replace("%", "%%") + ": " + head + "%s" + tail)
-                columns.append(texts)
-            template = "{" + deeper + ("," + deeper).join(fields) + newline + "}"
-            return "", map(template.__mod__, zip(*columns)), ""
     return "", map(_text, items, repeat(newline), repeat(quoted), repeat(depths)), ""
 
 
@@ -206,9 +227,9 @@ def _write(value, newline: str, chunks: list[str], quoted: list[str], depths: di
         chunks.append(_quote(value))
     elif isinstance(value, Mask):
         chunks.append(_alone(value, quoted, newline))
-    elif not value and isinstance(value, (list, Masks, dict)):
+    elif not value and isinstance(value, (list, Masks, Rows, dict)):
         chunks.append("{}" if isinstance(value, dict) else "[]")
-    elif isinstance(value, (list, Masks)):
+    elif isinstance(value, (list, Masks, Rows)):
         head, texts, tail = _items(value, inner, quoted, depths)
         start = len(chunks)
         chunks += chain.from_iterable(zip(repeat(tail + "," + inner + head), texts))

@@ -32,11 +32,14 @@ from __future__ import annotations
 
 from functools import cache
 from math import prod
-from typing import Iterable
 
 from .errors import CapacityError
 from .rough import ClassTable, class_table, pair_masks, preserves
 from .table import Table
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Iterable
 
 DEFAULT_MAX_ATTRS = 24
 DEFAULT_MAX_REDUCTS = 100_000

@@ -22,9 +22,12 @@ from __future__ import annotations
 import sys
 from itertools import repeat
 from operator import lshift, or_
-from typing import Callable, Collection, Iterable, Sequence
 
 from .table import Table, _Record, checked_attrs
+
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from typing import Callable, Collection, Iterable, Sequence
 
 BOUNDARY = -1  # label of a class whose objects disagree on the decision
 

@@ -21,7 +21,6 @@ import csv
 import io
 from itertools import count
 from operator import attrgetter
-from typing import TYPE_CHECKING, Iterable, Union
 
 from .errors import (
     CapacityError,
@@ -32,8 +31,10 @@ from .errors import (
     SchemaError,
 )
 
+TYPE_CHECKING = False
 if TYPE_CHECKING:
     from fractions import Fraction
+    from typing import Iterable
 
 MASK64 = (1 << 64) - 1
 
@@ -163,7 +164,7 @@ class SubSystem(_Record):
         return len(self.object_indices) == self.parent.n_objects
 
 
-Table = Union[DecisionSystem, SubSystem]
+Table = DecisionSystem | SubSystem
 
 
 def checked_attrs(table: Table, attrs: Iterable[int]) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ from dynred import (
 )
 from dynred.cli import run
 from dynred.errors import EngineError
-from dynred.output import Mask, Masks, name_ordered, render as _render
+from dynred.output import Mask, Masks, Rows, name_ordered, render as _render
 
 from conftest import FIX_A_CSV, FIX_B_CSV, matching_csv, planted_core_csv
 
@@ -461,6 +461,70 @@ def test_render_writes_same_kind_lists_as_json_dumps(data):
     assert got == expected
 
 
+def _rows_columns(data, table, n):
+    """``value, expected``: one column of ``n`` cells over ``table``, and its cells as JSON values.
+
+    A ``Masks`` of distinct sets; ``Mask`` cells drawn from at most three
+    sets, the empty set often among them, so they repeat; ints, strings,
+    ``None``, dicts holding single sets, or a mix of these with lists of sets.
+    """
+    full = (1 << table.n_attrs) - 1
+    sets = st.integers(0, full)
+    pool = data.draw(st.lists(sets, min_size=1, max_size=3), label="pool")
+    masks = st.sampled_from(pool)
+    cells = {
+        "masks": st.lists(sets, min_size=n, max_size=n, unique=True).map(Masks),
+        "mask": st.lists(masks.map(Mask), min_size=n, max_size=n),
+        "int": st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=n, max_size=n),
+        "str": st.lists(_TEXT, min_size=n, max_size=n),
+        "none": st.just([None] * n),
+        "dict": st.lists(st.dictionaries(_KEYS, masks.map(Mask) | st.integers() | _TEXT,
+                                         max_size=3), min_size=n, max_size=n),
+        "mixed": st.lists(st.none() | st.booleans() | st.integers() | _TEXT | masks.map(Mask)
+                          | st.lists(masks, max_size=3).map(Masks), min_size=n, max_size=n),
+    }
+    if full + 1 < n:  # too few sets for n distinct ones
+        del cells["masks"]
+    kind = data.draw(st.sampled_from(sorted(cells)), label="kind")
+    column = data.draw(cells[kind], label=kind)
+
+    def named(cell):
+        if isinstance(cell, Mask):
+            return sorted(_names_of(table, cell))
+        if isinstance(cell, Masks):
+            return [*map(named, map(Mask, cell.masks))]
+        if isinstance(cell, dict):
+            return {key: named(item) for key, item in cell.items()}
+        return cell
+
+    return column, [*map(named, map(Mask, column.masks) if kind == "masks" else column)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_render_writes_rows_as_json_dumps_of_their_records(data):
+    # A Rows holds a list of records as one sequence per key; it renders as
+    # the records themselves would, at any depth, keys with "%" included,
+    # and with no records as [].
+    table, _ = _drawn_sets(data, dict(max_size=0))
+    n = data.draw(st.integers(0, 5), label="records")
+    keys = data.draw(st.lists(_KEYS, min_size=min(n, 1), max_size=5, unique=True), label="keys")
+    columns, expected = {}, {}
+    for key in keys:
+        columns[key], expected[key] = _rows_columns(data, table, n)
+    value = Rows(columns)
+    records = [{key: expected[key][i] for key in keys} for i in range(n)]
+    for wrap in data.draw(st.lists(st.sampled_from(["list", "dict"]), max_size=2), label="depth"):
+        value, records = ([value, 1], [records, 1]) if wrap == "list" else ({"%s": value},
+                                                                          {"%s": records})
+    assert _render(value, table.cond_attrs) == _dumps(records)
+
+
+def test_rows_without_records_write_an_empty_list():
+    assert _render(Rows({}), ()) == "[]\n"
+    assert _render({"a": Rows({"k": [], "j": Masks([])})}, ()) == _dumps({"a": []})
+
+
 def _copied_analysis(*args, **kwargs):
     """``analyze_family`` with an equal but distinct object in every ``per_member`` slot."""
     analysis = analyze_family(*args, **kwargs)
@@ -656,6 +720,44 @@ class TestDynamicCommand:
         argv = ["dynamic", "--input", fixa_path, "--decision", "d", "--exact", *self.ARGS]
         status, _ = run_json(capsys, argv)
         assert status == 0
+
+    @pytest.mark.parametrize("command", ["dynamic", "verify"])
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_the_family_is_freed_before_the_report_is_written(self, capsys, monkeypatch,
+                                                             fixa_path, command, exact):
+        # The sampled family, its analysis and its stability record are gone
+        # by the time render writes the report: the report holds its sets and
+        # records, not the searches they came from. Records take weak refs.
+        import weakref
+
+        import dynred.cli
+        import dynred.dynamic
+
+        refs, alive = [], []
+
+        def kept(function):
+            def wrapper(*args, **kwargs):
+                result = function(*args, **kwargs)
+                refs.append(weakref.ref(result))
+                return result
+            return wrapper
+
+        def render(report, names):
+            alive.append([ref() is not None for ref in refs])
+            return original(report, names)
+
+        original = dynred.cli.render
+        monkeypatch.setattr(dynred.cli, "sample_family", kept(dynred.cli.sample_family))
+        for name in ("analyze_family", "stability_report"):
+            monkeypatch.setattr(dynred.dynamic, name, kept(getattr(dynred.dynamic, name)))
+        monkeypatch.setattr(dynred.cli, "render", render)
+        argv = [command, "--input", fixa_path, "--decision", "d", *self.ARGS]
+        if exact:
+            argv.append("--exact")
+        status, out = run_json(capsys, argv)
+        assert status == 0
+        assert json.loads(out)["stability"]["family_size"] == 3
+        assert alive == [[False, False, False]]
 
     def test_non_ascii_names_render_as_json_dumps(self, capsys, tmp_path):
         p = tmp_path / "names.csv"

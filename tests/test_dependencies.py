@@ -9,8 +9,8 @@ report's sets are bare masks that ``render`` names, every record derives
 from one base, the family layer's records are plain data with support
 counted only in ``stability_report``, one evaluator checks every law, and
 every name the benchmark reads on the package resolves. A process loads
-only the layers its subcommand runs, and the package's public names resolve
-on first access.
+only the layers its subcommand runs, and neither ``typing`` nor the
+``json`` package; the package's public names resolve on first access.
 """
 
 import ast
@@ -262,8 +262,9 @@ def _calls(tree, name):
 def test_report_sets_are_bare_masks_named_by_render():
     # Every set in a report is over one table's condition names, which the
     # CLI hands ``render`` once. No module builds a class at run time, so
-    # none needs a cache of classes, and the two marker classes hold no
-    # class-level data: no names ride on a set's class.
+    # none needs a cache of classes, and the three report classes (a set, a
+    # list of sets, a list of records as columns) hold no class-level data:
+    # no names ride on a set's class.
     package = ROOT / "src" / "dynred"
     built = []
     for path in sorted(package.rglob("*.py")):
@@ -281,7 +282,7 @@ def test_report_sets_are_bare_masks_named_by_render():
     assert len(_calls(ast.parse((package / "cli.py").read_text(encoding="utf-8")), "render")) == 1
 
     markers = {node.name: node.body for node in output.body if isinstance(node, ast.ClassDef)}
-    assert sorted(markers) == ["Mask", "Masks"]
+    assert sorted(markers) == ["Mask", "Masks", "Rows"]
     data = []
     for name, body in markers.items():
         for stmt in body:
@@ -319,12 +320,13 @@ def test_benchmark_reads_resolve_on_the_package():
 SUBMODULES = ("cli", "dynamic", "errors", "oracle", "output", "reducts", "rough", "table")
 
 # Run with -S -I, so no site hook preloads a module, and -B, so the run writes
-# no bytecode beside the sources; argv[1] is the source tree.
+# no bytecode beside the sources; argv[1] is the source tree. The probe
+# imports its own json only once every step is measured.
 IMPORT_PROBE = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
-loaded = lambda: sorted(m for m in sys.modules if m.startswith("dynred.")
-                        or m in ("dataclasses", "fractions", "inspect", "pathlib"))
+loaded = lambda: sorted(m for m in sys.modules if m.startswith("dynred.") or m in (
+    "dataclasses", "fractions", "inspect", "json", "pathlib", "typing"))
 import dynred, dynred.cli
 steps = [["import", None, loaded()]]
 for argv in (["reducts"], ["core"], ["reducts", "--exact"],
@@ -332,6 +334,7 @@ for argv in (["reducts"], ["core"], ["reducts", "--exact"],
     with contextlib.redirect_stdout(io.StringIO()):
         status = dynred.cli.run([*argv, "--input", sys.argv[2], "--decision", "d"])
     steps.append([" ".join(argv), status, loaded()])
+import json
 print(json.dumps(steps))
 """
 
@@ -347,7 +350,9 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     # reducts and core never load the family layer or fractions (and with it
     # decimal); the oracle loads only for --exact. verify needs all three.
     # No command loads dataclasses or inspect: the records are plain classes.
-    # None loads pathlib: the CLI opens its input with open().
+    # None loads pathlib: the CLI opens its input with open(). None loads
+    # typing, whose names are read only under TYPE_CHECKING, or the json
+    # package: the writer takes its string quoting from _json.
     csv = tmp_path / "t.csv"
     csv.write_text("a,b,c,d\n0,0,0,0\n1,0,0,1\n0,1,1,1\n", encoding="utf-8")
     static = [f"dynred.{m}" for m in ("cli", "errors", "output", "reducts", "rough", "table")]
