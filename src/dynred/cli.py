@@ -68,6 +68,17 @@ _EXIT_CODES = {
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse checks each argument's metavar with a formatter of its own,
+    # which reads the terminal's width through shutil. Until build_parser
+    # returns they get a fixed width, so building the parser reads no
+    # terminal; help and usage errors follow the terminal's width after that.
+    _building = True
+
+    def _get_formatter(self):
+        if self._building:
+            return self.formatter_class(prog=self.prog, width=80)
+        return super()._get_formatter()
+
     # argparse defaults to exit code 2 on bad flags; usage errors are 1 here.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -121,6 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the containment-law checks on a sampled family")
     add_common(p_verify)
     add_sampling(p_verify)
+    _Parser._building = False
     return parser
 
 

@@ -31,7 +31,9 @@ reference is the oracle's ``discernibility_function``.
 from __future__ import annotations
 
 from functools import cache
+from itertools import chain, repeat
 from math import prod
+from operator import xor
 
 from .errors import CapacityError
 from .rough import ClassTable, class_table, pair_masks, preserves
@@ -167,6 +169,12 @@ def _mmcs(clauses: Iterable[int], n: int, max_reducts: int) -> list[int]:
     representative per group, and each node that covers every clause
     expands into its transversals by swapping representatives for their
     twins, after the size of that expansion is checked against the cap.
+    The expansion takes the groups in order of their second-lowest
+    attribute, and each twin appends one block: the blocks before its
+    group with the representative swapped for the twin. With twin pairs
+    each block lies wholly above the blocks before it, so a leaf comes out
+    ascending and the final sort only merges sorted runs; it still orders
+    several leaves, and groups of three or more twins whose bits interleave.
     """
     clauses = _minimal_masks(clauses)
     edges = [0] * n  # edges[a]: mask of the clauses containing attribute a
@@ -175,35 +183,36 @@ def _mmcs(clauses: Iterable[int], n: int, max_reducts: int) -> list[int]:
             edges[a] |= 1 << i
 
     # Twins (equal, non-empty edges) are searched through their lowest
-    # attribute; a leaf expands by XOR with rep ^ twin for each twin, the
-    # 0 delta keeping the representative.
-    groups: dict[int, list[int]] = {}
+    # attribute. A group enters ``swaps`` at its second-lowest attribute, so
+    # the groups with twins are in that order, each with its deltas
+    # rep ^ twin in ascending twin order.
+    reps: dict[int, int] = {}  # edges -> the group's lowest attribute
+    swaps: dict[int, list[int]] = {}  # lowest attribute -> its twins' deltas
     for a in range(n):
         if edges[a]:
-            groups.setdefault(edges[a], []).append(1 << a)
-    reps = 0
-    swaps: dict[int, list[int]] = {}
-    for bits in groups.values():
-        reps |= bits[0]
-        if len(bits) > 1:
-            swaps[bits[0]] = [bits[0] ^ b for b in bits]
+            rep = reps.setdefault(edges[a], 1 << a)
+            if rep != 1 << a:
+                swaps.setdefault(rep, []).append(rep ^ 1 << a)
 
     found: list[int] = []
     # A node: chosen attributes, one critical-clause mask per chosen
     # attribute, candidate attributes, uncovered clauses. An explicit stack
     # keeps the depth (up to |C|) off the interpreter's recursion limit.
-    stack = [(0, [], reps, (1 << len(clauses)) - 1)]
+    stack = [(0, [], sum(reps.values()), (1 << len(clauses)) - 1)]
     while stack:
         chosen, crits, cand, uncov = stack.pop()
         if not uncov:
             # A leaf, the root too when there are no clauses. The product's
             # size is checked before it is built, so no list grows past the cap.
             factors = [deltas for rep, deltas in swaps.items() if chosen & rep]
-            if len(found) + prod(map(len, factors)) > max_reducts:
+            if len(found) + prod(len(deltas) + 1 for deltas in factors) > max_reducts:
                 raise _too_many(max_reducts, len(clauses), n)
             leaf = [chosen]
             for deltas in factors:
-                leaf = [x ^ d for x in leaf for d in deltas]
+                # Each twin appends one finished block: the blocks before
+                # its group XOR its delta. A lazy map over ``leaf`` would
+                # extend it without end.
+                leaf += [*chain.from_iterable([map(xor, leaf, repeat(d)) for d in deltas])]
             found.extend(leaf)
             continue
         # Branch on the uncovered clause with the fewest candidates. The scan

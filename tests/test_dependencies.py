@@ -9,8 +9,8 @@ report's sets are bare masks that ``render`` names, every record derives
 from one base, the family layer's records are plain data with support
 counted only in ``stability_report``, one evaluator checks every law, and
 every name the benchmark reads on the package resolves. A process loads
-only the layers its subcommand runs, and neither ``typing`` nor the
-``json`` package; the package's public names resolve on first access.
+only the layers its subcommand runs, and neither ``typing``, the ``json``
+package nor ``shutil``; the package's public names resolve on first access.
 """
 
 import ast
@@ -326,7 +326,7 @@ IMPORT_PROBE = """
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 loaded = lambda: sorted(m for m in sys.modules if m.startswith("dynred.") or m in (
-    "dataclasses", "fractions", "inspect", "json", "pathlib", "typing"))
+    "dataclasses", "fractions", "inspect", "json", "pathlib", "shutil", "typing"))
 import dynred, dynred.cli
 steps = [["import", None, loaded()]]
 for argv in (["reducts"], ["core"], ["reducts", "--exact"],
@@ -352,7 +352,8 @@ def test_each_subcommand_loads_only_its_layers(tmp_path):
     # No command loads dataclasses or inspect: the records are plain classes.
     # None loads pathlib: the CLI opens its input with open(). None loads
     # typing, whose names are read only under TYPE_CHECKING, or the json
-    # package: the writer takes its string quoting from _json.
+    # package: the writer takes its string quoting from _json. None loads
+    # shutil: the parser is built without reading the terminal's width.
     csv = tmp_path / "t.csv"
     csv.write_text("a,b,c,d\n0,0,0,0\n1,0,0,1\n0,1,1,1\n", encoding="utf-8")
     static = [f"dynred.{m}" for m in ("cli", "errors", "output", "reducts", "rough", "table")]

@@ -795,6 +795,36 @@ class TestLatticeAndMMCS:
         assert swept
         assert mmcs == lattice
 
+    def test_interleaved_twin_groups_are_sorted_after_expansion(self):
+        # Two groups of three twins, {0, 5, 6} and {3, 4, 7}, whose bits
+        # interleave: one leaf's blocks come out of order, so the final sort,
+        # not the expansion alone, makes the list ascending.
+        clauses = [0b01100001, 0b10011000]
+        expected = [9, 17, 40, 48, 72, 80, 129, 160, 192]
+        assert reducts_module._mmcs(clauses, 8, 9) == reducts_module._sweep(clauses, 8, 9)
+        assert reducts_module._mmcs(clauses, 8, 9) == expected
+        texts = []
+        for search in (reducts_module._sweep, reducts_module._mmcs):
+            with pytest.raises(CapacityError) as exc:
+                search(clauses, 8, 8)
+            texts.append(str(exc.value))
+        assert texts == [
+            "more than max_reducts = 8 reducts (2 absorbed clauses, |C| = 8); raise the cap"
+        ] * 2
+
+    def test_matching_twelve_expands_in_ascending_order(self):
+        # Matching k = 12: one quotient reduct of 12 twin pairs expands into
+        # all 4,096 reducts, and the cap is checked before any is built.
+        s = parse_decision_table(matching_csv(12), "d")
+        masks = _reduct_masks(s, max_attrs=24, max_reducts=4096)
+        assert len(masks) == 4096
+        assert all(a < b for a, b in zip(masks, masks[1:]))
+        with pytest.raises(CapacityError) as exc:
+            _reduct_masks(s, max_attrs=24, max_reducts=4095)
+        assert str(exc.value) == (
+            "more than max_reducts = 4095 reducts (12 absorbed clauses, |C| = 24); raise the cap"
+        )
+
     def test_no_clauses_past_the_lattice(self):
         # 17 columns and a constant decision: MMCS emits its clause-less root.
         s = _coded_table(random.Random(41), 30, 17, d_arity=1)
